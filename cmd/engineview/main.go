@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"time"
@@ -47,8 +46,6 @@ import (
 	"repro"
 	"repro/internal/bundle"
 	"repro/internal/cli"
-	"repro/internal/livemetrics"
-	"repro/internal/promtext"
 	"repro/internal/runtimeobs"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
@@ -127,26 +124,6 @@ func parseArgs(args []string) (options, error) {
 	o.bundles, o.wdTick = *bundles, *wdTick
 	o.stormAfter, o.stormFor = *stormAfter, *stormFor
 	return o, nil
-}
-
-// writeCombinedProm concatenates every exposition the server owns
-// into one scrape, deduplicating # HELP/# TYPE per family so a series
-// shared by two writers stays a valid exposition.
-func writeCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
-	d := promtext.NewFamilyDeduper(w)
-	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
-		return err
-	}
-	if err := slo.WriteProm(d, sloEng.Report()); err != nil {
-		return err
-	}
-	if err := watchdog.WriteProm(d, wd.Status()); err != nil {
-		return err
-	}
-	if err := runtimeobs.WriteProm(d, sampler.Snapshot()); err != nil {
-		return err
-	}
-	return d.Flush()
 }
 
 func run(args []string) error {
@@ -333,7 +310,7 @@ func run(args []string) error {
 	// keeps a single # HELP/# TYPE (real Prometheus rejects repeats).
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeCombinedProm(w, plane, sloEng, wd, sampler)
+		bundle.WriteCombinedProm(w, plane, sloEng, wd, sampler)
 	})
 
 	srv := &http.Server{

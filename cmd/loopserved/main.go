@@ -38,7 +38,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -50,8 +49,6 @@ import (
 	"repro"
 	"repro/internal/bundle"
 	"repro/internal/cli"
-	"repro/internal/livemetrics"
-	"repro/internal/promtext"
 	"repro/internal/runtimeobs"
 	"repro/internal/serve"
 	"repro/internal/slo"
@@ -113,27 +110,6 @@ func parseArgs(args []string) (options, error) {
 	o.window, o.flight, o.duration = *window, *flight, *duration
 	o.bundles, o.wdTick = *bundles, *wdTick
 	return o, nil
-}
-
-// writeCombinedProm concatenates every exposition the daemon owns into
-// one scrape, deduplicating # HELP/# TYPE per family (the engineview
-// pattern): plane + per-tenant admission, SLO burn rates, watchdog,
-// and Go runtime series.
-func writeCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
-	d := promtext.NewFamilyDeduper(w)
-	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
-		return err
-	}
-	if err := slo.WriteProm(d, sloEng.Report()); err != nil {
-		return err
-	}
-	if err := watchdog.WriteProm(d, wd.Status()); err != nil {
-		return err
-	}
-	if err := runtimeobs.WriteProm(d, sampler.Snapshot()); err != nil {
-		return err
-	}
-	return d.Flush()
 }
 
 func run(args []string) error {
@@ -253,7 +229,7 @@ func run(args []string) error {
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeCombinedProm(w, plane, sloEng, wd, sampler)
+		bundle.WriteCombinedProm(w, plane, sloEng, wd, sampler)
 	})
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -3,10 +3,39 @@ package bundle
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
+
+	"repro/internal/livemetrics"
+	"repro/internal/promtext"
+	"repro/internal/runtimeobs"
+	"repro/internal/slo"
+	"repro/internal/watchdog"
 )
+
+// WriteCombinedProm writes a daemon's whole /metrics.prom scrape: the
+// live plane (with per-tenant admission series when serving), SLO
+// burn rates, watchdog, and Go runtime expositions concatenated into
+// one, deduplicating # HELP/# TYPE per family so a series shared by
+// two writers stays a valid exposition.
+func WriteCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
+	d := promtext.NewFamilyDeduper(w)
+	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
+		return err
+	}
+	if err := slo.WriteProm(d, sloEng.Report()); err != nil {
+		return err
+	}
+	if err := watchdog.WriteProm(d, wd.Status()); err != nil {
+		return err
+	}
+	if err := runtimeobs.WriteProm(d, sampler.Snapshot()); err != nil {
+		return err
+	}
+	return d.Flush()
+}
 
 // ServeList writes the store's retained bundles as JSON, newest
 // first (engineview's /bundles endpoint).

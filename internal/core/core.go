@@ -45,31 +45,16 @@ type Config struct {
 	// StartDelay holds per-worker delays applied before the first
 	// phase, reproducing the §4.5 non-uniform start-time experiments.
 	StartDelay []time.Duration
-	// Events, when non-nil, receives the structured telemetry stream:
-	// exec, steal, queue-wait and phase-boundary events with
-	// nanosecond-since-start timestamps. The sink MUST be safe for
-	// concurrent use (telemetry.NewSyncStream, or wrap with
-	// telemetry.Synchronized). nil costs the hot path one pointer
-	// check per chunk.
-	Events telemetry.Sink
-	// Metrics, when non-nil, accumulates counters and histograms
-	// (chunk sizes, steal latencies, central-queue waits) and receives
-	// a time-series snapshot at every phase barrier.
-	Metrics *telemetry.Registry
-	// Prov, when non-nil, receives one provenance record per executed
-	// chunk (owner queue, stolen flag, measured dispatch wait) for
-	// post-hoc forensics. The host cannot separate memory stalls from
-	// computation, so records carry the whole execution window as
-	// Compute. The sink MUST be safe for concurrent use
-	// (telemetry.NewSyncProvStream).
-	Prov telemetry.ProvSink
-	// Hooks, when non-nil, receives lock-free notifications from the
-	// dispatch/steal hot paths — the feed for the live observability
-	// plane (internal/livemetrics). Implementations MUST be safe for
-	// concurrent use and cheap (atomic counters only): every executed
-	// chunk and every successful steal calls them inline from a worker.
-	// nil costs the hot path one pointer check per chunk.
-	Hooks ObsHooks
+	// Observer, when non-nil, receives the submission's
+	// instrumentation: one telemetry.Prov per executed chunk, one
+	// telemetry.Event per steal and per central-queue acquisition, and
+	// a telemetry.PhaseMark at each phase begin and barrier. Chunk and
+	// Dispatch are called inline from workers, so the observer MUST be
+	// safe for concurrent use and cheap. Compose several consumers
+	// (telemetry.ObserveEvents, ObserveProv, ObserveMetrics, the live
+	// plane, the span tracer) with telemetry.TeeObservers. nil costs
+	// the hot path one pointer check per chunk.
+	Observer Observer
 	// QueueDepthEvery, when positive, samples every work queue's
 	// backlog at this interval into Stats.QueueDepthSamples — the real
 	// runtime's version of the simulator's per-queue imbalance signal.
@@ -77,43 +62,11 @@ type Config struct {
 	QueueDepthEvery time.Duration
 }
 
-// ObsHooks is the hot-path notification surface consumed by the live
-// observability plane. Both methods are called inline from worker
-// goroutines — implementations must be concurrent-safe and bounded to
-// a handful of atomic operations. Durations are nanoseconds measured
-// on the runner's telemetry clock.
-type ObsHooks interface {
-	// ObserveChunk fires once per executed chunk: the worker that ran
-	// it, the owning queue (-1 for central dispensers), whether the
-	// chunk migrated, its iteration count, and its execution time.
-	ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64)
-	// ObserveSteal fires once per successful steal with the measured
-	// steal latency (victim lock acquisition through chunk removal).
-	ObserveSteal(thief, victim, iters int, latNS float64)
-}
-
-// SpanObserver is the optional causal-tracing extension of ObsHooks:
-// when Config.Hooks also implements it (one type assertion per
-// submission, never per chunk), the runner reports span windows for
-// phases, chunks and steals with their causal coordinates, and the
-// observer assembles them into a span tree (internal/spantrace). The
-// same hot-path contract as ObsHooks applies — OnChunkSpan and
-// OnStealSpan are called inline from worker goroutines and must be
-// cheap and concurrent-safe; OnPhaseSpan is called by the submitting
-// goroutine after each phase barrier, so both its timestamps are
-// final. Timestamps are nanoseconds on the runner's telemetry clock.
-type SpanObserver interface {
-	// OnPhaseSpan fires once per phase after its barrier drains: the
-	// phase index, its iteration count, and its [start, end] window.
-	OnPhaseSpan(ph, n int, startNS, endNS float64)
-	// OnChunkSpan fires once per executed chunk with its causal
-	// coordinates: phase, executing worker, owning queue (-1 central),
-	// migration flag, iteration range, and execution window.
-	OnChunkSpan(ph, proc, owner int, stolen bool, lo, hi int, startNS, endNS float64)
-	// OnStealSpan fires once per successful steal, immediately before
-	// the stolen chunk executes on the thief.
-	OnStealSpan(ph, thief, victim, lo, hi int, startNS, endNS float64)
-}
+// Observer is the runtime's single instrumentation surface; see
+// telemetry.Observer for the record shapes and the calling contract.
+// The type lives in telemetry so consumers there and in the observing
+// packages satisfy it without importing core.
+type Observer = telemetry.Observer
 
 func (c Config) procs() int {
 	if c.Procs > 0 {
@@ -201,8 +154,8 @@ func Run(cfg Config, phases int, n func(ph int) int, body func(ph, i int)) (Stat
 	return res.Stats, err
 }
 
-// runner carries the per-submission execution state: stats, telemetry
-// sinks, the phase barrier, and the abort/cancel/panic flags. Each
+// runner carries the per-submission execution state: stats, the
+// observer, the phase barrier, and the abort/cancel/panic flags. Each
 // submission gets a fresh runner, so nothing here outlives or leaks
 // across submissions on a shared Engine.
 type runner struct {
@@ -212,18 +165,18 @@ type runner struct {
 	body  func(ph, i int)
 	stats Stats
 	t0    time.Time
-	sink  telemetry.Sink
-	prov  telemetry.ProvSink
-	hooks ObsHooks
-	// spans is cfg.Hooks's SpanObserver extension, resolved by one
-	// type assertion at Execute — non-nil only when hooks is non-nil,
-	// so every spans call site is already behind the hooks gate.
-	spans   SpanObserver
-	rh      *coreHandles
-	depthMu sync.Mutex
-	phaseNo atomic.Int64
-	phaseWG sync.WaitGroup
-	aborted atomic.Bool
+	obs   Observer
+	// lastOps is the counters' value at the previous barrier, so each
+	// barrier mark reports only its phase's growth.
+	lastOps telemetry.OpCounts
+	// depthSrc is the queue-depth source when cfg.QueueDepthEvery is
+	// set and the dispatcher supports sampling; depthMu orders its
+	// samples.
+	depthSrc depthSampler
+	depthMu  sync.Mutex
+	phaseNo  atomic.Int64
+	phaseWG  sync.WaitGroup
+	aborted  atomic.Bool
 	// cancelled distinguishes a context cancellation from a body panic
 	// (both set aborted to stop dispatch at chunk granularity).
 	cancelled atomic.Bool
@@ -279,35 +232,19 @@ func (r *runner) work(w, ph int) {
 		if !ok {
 			return
 		}
-		if r.rh != nil {
-			r.rh.chunkSize.Observe(float64(c.Len()))
-		}
-		if r.sink != nil || r.prov != nil || r.hooks != nil {
+		if r.obs != nil {
 			start := r.nowNS()
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
 			}
 			end := r.nowNS()
-			if r.hooks != nil {
-				r.hooks.ObserveChunk(w, fm.owner, fm.stolen, c.Len(), end-start)
-			}
-			if r.spans != nil {
-				r.spans.OnChunkSpan(ph, w, fm.owner, fm.stolen, c.Lo, c.Hi, start, end)
-			}
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindExec,
-					Proc: w, Victim: -1, Step: ph, Lo: c.Lo, Hi: c.Hi,
-					Start: start, End: end})
-			}
-			if r.prov != nil {
-				// The host cannot split memory stalls out of the
-				// window, so the whole span is reported as Compute.
-				r.prov.EmitProv(telemetry.Prov{
-					Step: ph, Proc: w, Owner: fm.owner, Stolen: fm.stolen,
-					Lo: c.Lo, Hi: c.Hi, Start: start, End: end,
-					QueueWait: fm.wait, Compute: end - start,
-				})
-			}
+			// The host cannot split memory stalls out of the window,
+			// so the whole span is reported as Compute.
+			r.obs.Chunk(telemetry.Prov{
+				Step: ph, Proc: w, Owner: fm.owner, Stolen: fm.stolen,
+				Lo: c.Lo, Hi: c.Hi, Start: start, End: end,
+				QueueWait: fm.wait, Compute: end - start,
+			})
 		} else {
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
@@ -325,12 +262,16 @@ type depthSampler interface {
 
 // startDepthSampler launches the periodic queue-depth sampler when
 // configured and supported, returning a stop function that waits for
-// the sampler goroutine to finish (so Stats reads race-free).
+// the sampler goroutine to finish (so Stats reads race-free). The
+// ticker only adds samples between the one Execute takes at every
+// phase start, so a run shorter than a tick still records each
+// phase's starting backlog.
 func (r *runner) startDepthSampler() func() {
 	ds, ok := r.d.(depthSampler)
 	if !ok || r.cfg.QueueDepthEvery <= 0 {
 		return func() {}
 	}
+	r.depthSrc = ds
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -342,14 +283,49 @@ func (r *runner) startDepthSampler() func() {
 			case <-stop:
 				return
 			case <-t.C:
-				sample := QueueDepths{AtNS: r.nowNS(), Depths: ds.depths()}
-				r.depthMu.Lock()
-				r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples, sample)
-				r.depthMu.Unlock()
+				r.sampleDepths()
 			}
 		}
 	}()
 	return func() { close(stop); <-done }
+}
+
+// sampleDepths appends one queue-depth sample. The clock is read under
+// depthMu, so samples stay in time order whichever goroutine takes
+// them.
+func (r *runner) sampleDepths() {
+	r.depthMu.Lock()
+	r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples,
+		QueueDepths{AtNS: r.nowNS(), Depths: r.depthSrc.depths()})
+	r.depthMu.Unlock()
+}
+
+// phaseOps returns the counters' growth since the previous barrier.
+// Called at the barrier (workers are parked), so the reads are
+// race-free; the scalar counters still go through atomic loads to keep
+// one access discipline per field (the per-element LocalOps/RemoteOps
+// reads stay plain — the barrier is their correctness argument).
+func (r *runner) phaseOps() telemetry.OpCounts {
+	now := telemetry.OpCounts{
+		CentralOps:    atomic.LoadInt64(&r.stats.CentralOps),
+		Steals:        atomic.LoadInt64(&r.stats.Steals),
+		MigratedIters: atomic.LoadInt64(&r.stats.MigratedIters),
+		Iterations:    atomic.LoadInt64(&r.stats.Iterations),
+	}
+	for i := range r.stats.LocalOps {
+		now.LocalOps += r.stats.LocalOps[i]
+		now.RemoteOps += r.stats.RemoteOps[i]
+	}
+	last := r.lastOps
+	r.lastOps = now
+	return telemetry.OpCounts{
+		CentralOps:    now.CentralOps - last.CentralOps,
+		LocalOps:      now.LocalOps - last.LocalOps,
+		RemoteOps:     now.RemoteOps - last.RemoteOps,
+		Steals:        now.Steals - last.Steals,
+		MigratedIters: now.MigratedIters - last.MigratedIters,
+		Iterations:    now.Iterations - last.Iterations,
+	}
 }
 
 // A dispatcher hands out chunks to workers for the current phase.
@@ -396,24 +372,15 @@ func (d *centralDispatch) depths() []int {
 func (d *centralDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 	fm := fetchMeta{owner: -1}
 	atomic.AddInt64(&d.waiters, 1)
-	instrumented := r.sink != nil || r.rh != nil || r.prov != nil
 	var lockStart float64
-	if instrumented {
+	if r.obs != nil {
 		lockStart = r.nowNS()
 	}
 	d.mu.Lock()
-	if instrumented {
-		wait := r.nowNS() - lockStart
-		fm.wait = wait
-		if r.rh != nil {
-			r.rh.queueWait.Observe(wait)
-		}
-		// Only contended acquisitions (>1µs) are worth an event; an
-		// uncontended mutex would drown the stream in noise.
-		if r.sink != nil && wait > 1e3 {
-			r.sink.Emit(telemetry.Event{Kind: telemetry.KindQueueWait,
-				Proc: w, Victim: -1, Step: r.phase(), Start: lockStart, End: lockStart + wait})
-		}
+	if r.obs != nil {
+		fm.wait = r.nowNS() - lockStart
+		r.obs.Dispatch(telemetry.Event{Kind: telemetry.KindQueueWait,
+			Proc: w, Victim: -1, Step: r.phase(), Start: lockStart, End: lockStart + fm.wait})
 	}
 	waiting := atomic.AddInt64(&d.waiters, -1)
 	if ag, isAdaptive := d.sizer.(*sched.AdaptiveGSS); isAdaptive {
@@ -565,9 +532,8 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 			return sched.Chunk{}, fetchMeta{}, false
 		}
 		vq := &d.queues[victim]
-		instrumented := r.sink != nil || r.rh != nil || r.prov != nil || r.hooks != nil
 		var stealStart float64
-		if instrumented {
+		if r.obs != nil {
 			stealStart = r.nowNS()
 		}
 		vq.mu.Lock()
@@ -584,23 +550,12 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		atomic.AddInt64(&r.stats.Steals, 1)
 		atomic.AddInt64(&r.stats.MigratedIters, int64(c.Len()))
 		fm := fetchMeta{owner: victim, stolen: true}
-		if instrumented {
+		if r.obs != nil {
 			end := r.nowNS()
 			fm.wait = end - stealStart
-			if r.hooks != nil {
-				r.hooks.ObserveSteal(w, victim, c.Len(), end-stealStart)
-			}
-			if r.spans != nil {
-				r.spans.OnStealSpan(r.phase(), w, victim, c.Lo, c.Hi, stealStart, end)
-			}
-			if r.rh != nil {
-				r.rh.stealLatency.Observe(end - stealStart)
-			}
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindSteal,
-					Proc: w, Victim: victim, Step: r.phase(), Lo: c.Lo, Hi: c.Hi,
-					Start: stealStart, End: end})
-			}
+			r.obs.Dispatch(telemetry.Event{Kind: telemetry.KindSteal,
+				Proc: w, Victim: victim, Step: r.phase(), Lo: c.Lo, Hi: c.Hi,
+				Start: stealStart, End: end})
 		}
 		return c, fm, true
 	}

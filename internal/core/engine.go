@@ -37,7 +37,7 @@ var ErrClosed error = &ClosedError{}
 // Submissions are admitted in FIFO order (waiters on the admission
 // baton are woken in arrival order) and executed one at a time, so
 // each submission gets the full worker set and per-submission state —
-// stats, telemetry sinks, panics — never cross-talks.
+// stats, observers, panics — never cross-talks.
 type Engine struct {
 	p      int
 	turn   chan struct{} // admission baton, capacity 1
@@ -192,15 +192,9 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		e.depthSrc.Store(depthBox{ds})
 	}
 
-	r := &runner{cfg: cfg, p: p, d: d, body: body, sink: cfg.Events, prov: cfg.Prov, hooks: cfg.Hooks}
-	// Causal tracing piggybacks on the hooks slot: one assertion per
-	// submission, so the per-chunk hot path stays a nil check.
-	r.spans, _ = cfg.Hooks.(SpanObserver)
+	r := &runner{cfg: cfg, p: p, d: d, body: body, obs: cfg.Observer}
 	r.stats.LocalOps = make([]int64, p)
 	r.stats.RemoteOps = make([]int64, p)
-	if cfg.Metrics != nil {
-		r.rh = newCoreHandles(cfg.Metrics)
-	}
 	if len(cfg.StartDelay) > 0 {
 		r.delayPending = make([]bool, p)
 		for w := range r.delayPending {
@@ -228,33 +222,22 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		r.phaseNo.Store(int64(ph))
 		d.initPhase(r, ph, nn)
-		var phStart float64
-		if r.sink != nil || r.spans != nil {
-			phStart = r.nowNS()
+		if r.depthSrc != nil {
+			r.sampleDepths()
 		}
-		if r.sink != nil {
-			r.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin,
-				Proc: -1, Victim: -1, Step: ph, Hi: nn, Start: phStart, End: phStart})
+		var phStart float64
+		if r.obs != nil {
+			phStart = r.nowNS()
+			r.obs.Phase(telemetry.PhaseMark{Step: ph, N: nn, Start: phStart, End: phStart})
 		}
 		r.phaseWG.Add(p)
 		for w := 0; w < p; w++ {
 			e.starts[w] <- phaseTask{r, ph} //lint:allow ctxflow workers drain starts until Close, so the send is bounded by the phase protocol; bailing mid-loop would desync the barrier
 		}
 		r.phaseWG.Wait() //lint:allow ctxflow cancellation aborts dispatch at chunk granularity and every worker calls Done, so the barrier always drains
-		if r.sink != nil || r.spans != nil {
-			t := r.nowNS()
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd,
-					Proc: -1, Victim: -1, Step: ph, Start: t, End: t})
-			}
-			// Both endpoints are final here: the barrier has drained, so
-			// every chunk span of this phase happens-before this call.
-			if r.spans != nil {
-				r.spans.OnPhaseSpan(ph, nn, phStart, t)
-			}
-		}
-		if r.rh != nil {
-			r.snapshotPhase(ph)
+		if r.obs != nil {
+			r.obs.Phase(telemetry.PhaseMark{Step: ph, N: nn, Start: phStart, End: r.nowNS(),
+				Barrier: true, Ops: r.phaseOps()})
 		}
 		if r.aborted.Load() {
 			break

@@ -27,7 +27,7 @@ func TestProvenanceCoversEveryIteration(t *testing.T) {
 		}
 		prov := telemetry.NewSyncProvStream()
 		const n, phases, p = 96, 3, 4
-		_, err = Run(Config{Procs: p, Spec: spec, Prov: prov}, phases,
+		_, err = Run(Config{Procs: p, Spec: spec, Observer: telemetry.ObserveProv(prov)}, phases,
 			func(int) int { return n }, slowBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -63,7 +63,7 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	prov := telemetry.NewSyncProvStream()
 	// Skew all the work onto low iterations so high-indexed workers
 	// must steal.
-	st, err := Run(Config{Procs: 4, Spec: spec, Prov: prov}, 2,
+	st, err := Run(Config{Procs: 4, Spec: spec, Observer: telemetry.ObserveProv(prov)}, 2,
 		func(int) int { return 64 },
 		func(ph, i int) {
 			reps := 1
@@ -88,30 +88,44 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	}
 }
 
+// TestQueueDepthSampling: every phase start contributes one sample of
+// the freshly filled queues (all n iterations queued) whether or not
+// the ticker ever fires, and samples come out in time order.
 func TestQueueDepthSampling(t *testing.T) {
+	const n, phases = 256, 4
 	for _, name := range []string{"afs", "gss"} {
 		spec, _ := sched.ByName(name)
 		st, err := Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: 200 * time.Microsecond},
-			4, func(int) int { return 256 }, slowBody)
+			phases, func(int) int { return n }, slowBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if len(st.QueueDepthSamples) == 0 {
-			t.Fatalf("%s: no queue-depth samples collected", name)
 		}
 		wantCols := 4
 		if name == "gss" {
 			wantCols = 1 // central dispenser: one backlog column
 		}
-		for _, s := range st.QueueDepthSamples {
+		full := 0
+		for i, s := range st.QueueDepthSamples {
 			if len(s.Depths) != wantCols {
 				t.Fatalf("%s: sample has %d columns, want %d", name, len(s.Depths), wantCols)
 			}
+			if i > 0 && s.AtNS < st.QueueDepthSamples[i-1].AtNS {
+				t.Errorf("%s: sample %d at %vns precedes sample %d at %vns", name, i, s.AtNS, i-1, st.QueueDepthSamples[i-1].AtNS)
+			}
+			total := 0
 			for q, d := range s.Depths {
 				if d < 0 {
 					t.Errorf("%s: negative depth %d on queue %d", name, d, q)
 				}
+				total += d
 			}
+			if total == n {
+				full++
+			}
+		}
+		if full < phases {
+			t.Errorf("%s: %d samples of full queues in %d samples, want at least one per phase (%d)",
+				name, full, len(st.QueueDepthSamples), phases)
 		}
 	}
 }
@@ -126,7 +140,7 @@ func TestProvenanceConcurrentSink(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := Run(Config{Procs: 2, Spec: spec, Prov: prov}, 2,
+			_, err := Run(Config{Procs: 2, Spec: spec, Observer: telemetry.ObserveProv(prov)}, 2,
 				func(int) int { return 32 }, slowBody)
 			if err != nil {
 				t.Error(err)

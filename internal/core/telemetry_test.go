@@ -39,7 +39,7 @@ func TestRealRuntimeTelemetryCheck(t *testing.T) {
 		}
 		stream := telemetry.NewSyncStream()
 		reg := telemetry.NewRegistry()
-		cfg := Config{Procs: 4, Spec: spec, Events: stream, Metrics: reg}
+		cfg := Config{Procs: 4, Spec: spec, Observer: telemetry.TeeObservers(telemetry.ObserveEvents(stream), telemetry.ObserveMetrics(reg))}
 		st, err := Run(cfg, 5, func(int) int { return 128 }, imbalancedBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -96,7 +96,7 @@ func TestTelemetryOffCostsNothingExtra(t *testing.T) {
 // non-empty Chrome trace with per-worker tracks.
 func TestRealRuntimeChromeExport(t *testing.T) {
 	stream := telemetry.NewSyncStream()
-	if _, err := Run(Config{Procs: 2, Spec: sched.SpecAFS(), Events: stream}, 2,
+	if _, err := Run(Config{Procs: 2, Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream)}, 2,
 		func(int) int { return 32 }, imbalancedBody); err != nil {
 		t.Fatal(err)
 	}

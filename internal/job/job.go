@@ -61,9 +61,6 @@ type Spec struct {
 	// Tenant identifies the submitting principal for fair queuing and
 	// quota accounting. Empty means the default tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// Priority orders jobs within one tenant's queue (higher first);
-	// it does not affect cross-tenant fairness.
-	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds queue wait + execution in milliseconds; 0
 	// means no deadline. Serve cancels the job's context when it
 	// expires.

@@ -34,7 +34,6 @@ func TestSpecRoundTrip(t *testing.T) {
 				Procs:      4,
 				Grain:      2,
 				Tenant:     "team-a",
-				Priority:   1,
 				DeadlineMS: 500,
 			}
 			want, err := spec.Config()
@@ -51,6 +50,13 @@ func TestSpecRoundTrip(t *testing.T) {
 			}
 			if back != spec {
 				t.Errorf("%s/%s: spec drifted over the wire:\n  sent %+v\n  got  %+v", ss.Name, kname, spec, back)
+			}
+			// Older clients still send the retired "priority" field;
+			// the decoder ignores unknown fields.
+			var legacy job.Spec
+			raw := strings.TrimSuffix(string(b), "}") + `,"priority":1}`
+			if err := json.Unmarshal([]byte(raw), &legacy); err != nil || legacy != spec {
+				t.Errorf("%s/%s: legacy spec %s decoded to %+v (%v), want %+v", ss.Name, kname, raw, legacy, err, spec)
 			}
 			got, err := back.Config()
 			if err != nil {

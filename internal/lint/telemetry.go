@@ -92,9 +92,8 @@ func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
 // the start and the first seal. An unsealed collection leaks its spans
 // and its trace ID: the /metrics exemplar pointing at it would resolve
 // to nothing. The rule is lexical, so conditional seals pass as long
-// as they sit before every return (the shape pool.SubmitPhases and the
-// root runObserved use: Execute, then one seal block, then the
-// returns).
+// as they sit before every return (the shape pool.Observed uses:
+// execute, then one seal block, then the returns).
 func (p *Pass) checkSpanBalance(fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return

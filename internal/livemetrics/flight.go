@@ -10,8 +10,8 @@ import (
 // Recorder is the bounded flight recorder: fixed-size rings of the
 // most recent telemetry events and provenance records across
 // submissions, so the last moments before an anomaly are always
-// recoverable without paying full-trace memory. Each submission tees
-// its streams into the recorder via ForSubmission; Dump merges the
+// recoverable without paying full-trace memory. Each submission's
+// observer (Plane.Observer) records into its own slot; Dump merges the
 // rings into one coherent stream by rebasing every submission's
 // step numbers and zero-based clocks onto a shared axis (the same
 // composition trick as telemetry.Rebase, applied after the fact).
@@ -53,27 +53,33 @@ func newRecorder(evCap, pvCap int) *Recorder {
 	return &Recorder{evs: make([]flightEv, evCap), pvs: make([]flightPv, pvCap)}
 }
 
-// ForSubmission allocates a submission slot and returns sinks that tag
-// its events and provenance records for later rebasing. Combine with
-// the caller's own sinks via telemetry.Tee / telemetry.TeeProv.
-func (r *Recorder) ForSubmission() (telemetry.Sink, telemetry.ProvSink) {
-	sub := r.subSeq.Add(1)
-	return subSink{r, sub}, subProvSink{r, sub}
-}
-
-type subSink struct {
-	r   *Recorder
+// submissionObserver is one submission's view of the plane
+// (Plane.Observer): chunk and steal records feed the collector, and
+// the submission's event and provenance streams — the ones
+// telemetry.ObserveEvents and ObserveProv would produce — land in the
+// flight recorder tagged with its slot.
+type submissionObserver struct {
+	col *Collector
+	rec *Recorder
 	sub int64
 }
 
-func (s subSink) Emit(e telemetry.Event) { s.r.addEvent(s.sub, e) }
+func (o *submissionObserver) Phase(m telemetry.PhaseMark) { o.rec.addEvent(o.sub, m.Event()) }
 
-type subProvSink struct {
-	r   *Recorder
-	sub int64
+func (o *submissionObserver) Chunk(p telemetry.Prov) {
+	o.col.chunk(p)
+	o.rec.addEvent(o.sub, p.ExecEvent())
+	o.rec.addProv(o.sub, p)
 }
 
-func (s subProvSink) EmitProv(p telemetry.Prov) { s.r.addProv(s.sub, p) }
+func (o *submissionObserver) Dispatch(e telemetry.Event) {
+	if e.Kind == telemetry.KindSteal {
+		o.col.steal(e)
+	}
+	if e.Notable() {
+		o.rec.addEvent(o.sub, e)
+	}
+}
 
 func (r *Recorder) addEvent(sub int64, e telemetry.Event) {
 	r.mu.Lock()

@@ -8,30 +8,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// emitSub pushes one synthetic submission through the recorder's
-// sinks: steps phased loops of n iterations over two workers, each
-// step carrying a mid-phase steal (worker 1 steals the top half of
-// worker 0's range) plus a deliberately zero-duration exec chunk —
-// the shapes that used to break Chrome trace export. Steps and clocks
-// are 0-based per submission, exactly as a real engine emits them.
+// emitSub pushes one synthetic submission through a plane observer
+// recording into r: steps phased loops of n iterations over two
+// workers, each step carrying a mid-phase steal (worker 1 steals the
+// top half of worker 0's range) plus a deliberately zero-duration
+// exec chunk — the shapes that used to break Chrome trace export.
+// Steps and clocks are 0-based per submission, exactly as a real
+// engine reports them.
 func emitSub(r *Recorder, steps, n int) {
-	ev, pv := r.ForSubmission()
+	o := &submissionObserver{col: newCollector(func() int64 { return 0 }, Options{}.withDefaults()), rec: r, sub: r.subSeq.Add(1)}
 	for s := 0; s < steps; s++ {
 		base := float64(s * 1000)
-		ev.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin, Proc: -1, Victim: -1, Step: s, Hi: n, Start: base, End: base})
+		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base})
 		half := n / 2
 		// Worker 0 runs [0, half) natively, split into a normal chunk
 		// and a zero-duration tail chunk.
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 0, Victim: -1, Step: s, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 0, Victim: -1, Step: s, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
-		pv.EmitProv(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half, Start: base + 10, End: base + 200})
+		o.Chunk(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
+		o.Chunk(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
 		// Worker 1 steals the rest from worker 0 mid-phase. The steal
 		// event lands after the exec events despite starting earlier —
 		// the out-of-order arrival a concurrent engine produces.
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 1, Victim: -1, Step: s, Lo: half, Hi: n, Start: base + 60, End: base + 400})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindSteal, Proc: 1, Victim: 0, Step: s, Lo: half, Hi: n, Start: base + 40, End: base + 55})
-		pv.EmitProv(telemetry.Prov{Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, QueueWait: 15})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd, Proc: -1, Victim: -1, Step: s, Start: base + 410, End: base + 410})
+		o.Chunk(telemetry.Prov{Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, QueueWait: 15})
+		o.Dispatch(telemetry.Event{Kind: telemetry.KindSteal, Proc: 1, Victim: 0, Step: s, Lo: half, Hi: n, Start: base + 40, End: base + 55})
+		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base + 410, Barrier: true})
 	}
 }
 

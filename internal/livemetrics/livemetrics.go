@@ -1,8 +1,8 @@
 // Package livemetrics is the live observability plane for the
 // persistent execution engine: lock-cheap rolling instruments fed by
-// hot-path hooks (core.Config.Hooks), a bounded flight recorder of
-// recent telemetry, and an HTTP introspection surface (see http.go and
-// cmd/engineview).
+// the runtime's observer (core.Config.Observer), a bounded flight
+// recorder of recent telemetry, and an HTTP introspection surface (see
+// http.go and cmd/engineview).
 //
 // The paper's claim — affinity scheduling wins because cache-reload
 // cost dominates as loops repeat — is otherwise only visible post-hoc
@@ -11,10 +11,11 @@
 // sched.Static owner map, steal rates, queue depths, and windowed
 // latency quantiles, all while the engine keeps running.
 //
-// Layering: core defines the ObsHooks interface; Collector satisfies
-// it structurally, so core never imports this package. internal/pool
-// binds a Plane to its engine and feeds submission outcomes; repro
-// exposes the whole thing as WithObservability.
+// Layering: the per-submission observer (Plane.Observer) satisfies
+// core.Observer (telemetry.Observer) structurally, so core never
+// imports this package. internal/pool binds a Plane to its engine and
+// feeds submission outcomes; repro exposes the whole thing as
+// WithObservability.
 package livemetrics
 
 import (
@@ -191,9 +192,12 @@ func New(opts Options) *Plane {
 // nowNS is the plane's monotonic clock (ns since New).
 func (p *Plane) nowNS() int64 { return int64(time.Since(p.t0)) }
 
-// Collector returns the hot-path hook sink; assign it to
-// core.Config.Hooks (it satisfies core.ObsHooks).
-func (p *Plane) Collector() *Collector { return p.col }
+// Observer returns one submission's observer (core.Observer): the
+// collector's rolling instruments plus a fresh flight-recorder slot
+// that tags the submission's records for later rebasing.
+func (p *Plane) Observer() telemetry.Observer {
+	return &submissionObserver{col: p.col, rec: p.rec, sub: p.rec.subSeq.Add(1)}
+}
 
 // Recorder returns the plane's flight recorder.
 func (p *Plane) Recorder() *Recorder { return p.rec }
@@ -567,11 +571,10 @@ func (p *Plane) Procs() int {
 	return p.procs
 }
 
-// Collector is the hot-path sink for dispatch/steal notifications. It
-// satisfies core.ObsHooks structurally, so core carries no dependency
-// on this package. Every method is a handful of atomic adds plus one
-// binary search into the histogram bounds — safe and cheap from all
-// workers concurrently.
+// Collector is the hot-path sink for chunk and steal records, fed by
+// each submission's observer (Plane.Observer). Every method is a
+// handful of atomic adds plus one binary search into the histogram
+// bounds — safe and cheap from all workers concurrently.
 type Collector struct {
 	now       func() int64
 	chunks    atomic.Int64
@@ -648,33 +651,34 @@ func (c *Collector) grow(w int) *workerState {
 	return next[w]
 }
 
-// ObserveChunk implements the core.ObsHooks chunk notification: totals,
-// the windowed chunk-latency histogram, and the affinity-hit account —
-// a hit is an un-stolen chunk executed by its owning worker (central
-// dispensers report owner -1 and so never hit).
-func (c *Collector) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if proc < 0 {
+// chunk records one executed chunk: totals, the windowed
+// chunk-latency histogram, and the affinity-hit account — a hit is an
+// un-stolen chunk executed by its owning worker (central dispensers
+// report owner -1 and so never hit).
+func (c *Collector) chunk(p telemetry.Prov) {
+	if p.Proc < 0 {
 		return
 	}
+	durNS := p.End - p.Start
 	c.chunks.Add(1)
 	c.chunkHist.observe(c.now(), durNS)
-	ws := c.worker(proc)
+	ws := c.worker(p.Proc)
 	ws.chunks.Add(1)
-	ws.iters.Add(int64(iters))
+	ws.iters.Add(int64(p.Iters()))
 	ws.busyNS.Add(int64(durNS))
-	if stolen {
+	if p.Stolen {
 		ws.stolenExec.Add(1)
-	} else if owner == proc {
+	} else if p.Owner == p.Proc {
 		ws.affinityHits.Add(1)
 	}
 }
 
-// ObserveSteal implements the core.ObsHooks steal notification.
-func (c *Collector) ObserveSteal(thief, victim, iters int, latNS float64) {
+// steal records one successful steal and its measured latency.
+func (c *Collector) steal(e telemetry.Event) {
 	c.steals.Add(1)
-	c.migrated.Add(int64(iters))
-	c.stealHist.observe(c.now(), latNS)
-	if victim >= 0 {
-		c.worker(victim).victimized.Add(1)
+	c.migrated.Add(int64(e.Hi - e.Lo))
+	c.stealHist.observe(c.now(), e.End-e.Start)
+	if e.Victim >= 0 {
+		c.worker(e.Victim).victimized.Add(1)
 	}
 }

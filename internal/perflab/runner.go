@@ -240,7 +240,8 @@ func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) 
 	}
 	opts := func(reg *telemetry.Registry, prov telemetry.ProvSink) core.Config {
 		spec, _ := sched.ByName(c.Algo)
-		return core.Config{Procs: c.Procs, Spec: spec, Metrics: reg, Prov: prov}
+		return core.Config{Procs: c.Procs, Spec: spec,
+			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg), telemetry.ObserveProv(prov))}
 	}
 	if _, err := sched.ByName(c.Algo); err != nil {
 		return nil, err
@@ -313,7 +314,8 @@ func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSi
 	return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
 		data := make([]float64, c.N)
 		body := func(i int) { data[i] += 1 / (1 + data[i]) }
-		cfg := core.Config{Procs: c.Procs, Spec: spec, Metrics: reg, Prov: prov}
+		cfg := core.Config{Procs: c.Procs, Spec: spec,
+			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg), telemetry.ObserveProv(prov))}
 		var total core.Stats
 		start := time.Now()
 		if c.Algo != "percall" {

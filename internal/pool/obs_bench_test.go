@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/livemetrics"
 	"repro/internal/sched"
+	"repro/internal/spantrace"
 )
 
 // benchStream measures the per-submission cost of a live observability
@@ -14,12 +15,17 @@ import (
 // instrument cost per submission is roughly constant (it scales with
 // chunk count, ~P·log N, not with N), so the relative overhead shrinks
 // as loops grow — `perflab overhead` gates that property; these
-// benchmarks are the microscope for it:
+// benchmarks are the microscope for it. The traced variants attach a
+// span tracer on top of the plane, the full observer a served
+// submission carries. BenchmarkSmallTraced (2 workers, 512
+// iterations) keeps the span buffers small enough that its allocs/op
+// is steady run to run, so it prices one submission's instrumentation
+// set-up and seal:
 //
-//	go test ./internal/pool -bench BenchmarkStream -benchtime 100x
-func benchStream(b *testing.B, obs bool) {
+//	go test ./internal/pool -run '^$' -bench 'Benchmark(Stream|Small)' -benchtime 100x -benchmem
+func benchStream(b *testing.B, procs, n int, obs, traced bool) {
 	spec, _ := sched.ByName("afs")
-	x, err := New(4)
+	x, err := New(procs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,10 +35,13 @@ func benchStream(b *testing.B, obs bool) {
 		defer p.Close()
 		x.SetObservability(p)
 	}
-	n := 1 << 15
+	if traced {
+		x.SetTracer(spantrace.NewTracer(spantrace.Options{}))
+	}
 	data := make([]float64, n)
 	body := func(i int) { data[i] += 1 / (1 + data[i]) }
-	cfg := core.Config{Procs: 4, Spec: spec}
+	cfg := core.Config{Procs: procs, Spec: spec}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := x.Submit(context.Background(), cfg, n, body); err != nil {
@@ -41,5 +50,7 @@ func benchStream(b *testing.B, obs bool) {
 	}
 }
 
-func BenchmarkStreamBare(b *testing.B) { benchStream(b, false) }
-func BenchmarkStreamObs(b *testing.B)  { benchStream(b, true) }
+func BenchmarkStreamBare(b *testing.B)   { benchStream(b, 4, 1<<15, false, false) }
+func BenchmarkStreamObs(b *testing.B)    { benchStream(b, 4, 1<<15, true, false) }
+func BenchmarkStreamTraced(b *testing.B) { benchStream(b, 4, 1<<15, true, true) }
+func BenchmarkSmallTraced(b *testing.B)  { benchStream(b, 2, 512, true, true) }

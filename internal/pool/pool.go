@@ -62,14 +62,14 @@ type Executor struct {
 	closed atomic.Bool
 	subs   atomic.Int64
 	// plane, when set, is the executor's live observability plane:
-	// every submission feeds its hot-path hooks, tees its telemetry
-	// into the flight recorder, and reports its wall latency/outcome.
+	// every submission feeds it through the plane's observer and
+	// reports its wall latency/outcome (see Observed).
 	plane atomic.Pointer[livemetrics.Plane]
 	// tracer, when set, turns every submission into a span tree: the
-	// executor opens an Active per submission, threads it through the
-	// hooks slot (core resolves it with one type assertion), and seals
-	// it when Execute returns. The trace ID flows to the plane so
-	// latency exemplars resolve to traces.
+	// executor opens an Active per submission, adds it to the
+	// submission's observer, and seals it when Execute returns. The
+	// trace ID flows to the plane so latency exemplars resolve to
+	// traces.
 	tracer atomic.Pointer[spantrace.Tracer]
 }
 
@@ -114,37 +114,56 @@ func (x *Executor) SetTracer(t *spantrace.Tracer) { x.tracer.Store(t) }
 // Tracer returns the attached tracer, or nil.
 func (x *Executor) Tracer() *spantrace.Tracer { return x.tracer.Load() }
 
-// spanHooks composes the plane's hot-path hooks (which may be absent)
-// with one submission's span collection, so a single Config.Hooks
-// value satisfies both core.ObsHooks and core.SpanObserver. The
-// embedded *Active contributes the On*Span observers; the explicit
-// methods forward the counter hooks to the plane when one is attached.
-type spanHooks struct {
-	inner core.ObsHooks
-	*spantrace.Active
-}
-
-func (h spanHooks) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveChunk(proc, owner, stolen, iters, durNS)
+// Observed executes one submission through exec with a live plane
+// and a tracer (either may be nil) attached — the one attach/seal
+// routine behind both API lifetimes (Executor.SubmitPhases here, the
+// root package's one-shot calls). The plane's per-submission observer
+// and the tracer's span collection join cfg.Observer; once exec
+// returns, the span tree is sealed with the submission's outcome and
+// the plane records its latency, outcome and trace ID as an exemplar.
+// A submission rejected with ErrClosed never ran: its trace is
+// abandoned and the plane is not told. procs and phases label the
+// trace.
+func Observed(cfg core.Config, plane *livemetrics.Plane, tracer *spantrace.Tracer, procs, phases int,
+	exec func(core.Config) (core.Result, error)) (core.Result, error) {
+	var planeObs, spanObs core.Observer
+	if plane != nil {
+		planeObs = plane.Observer()
 	}
-}
-
-func (h spanHooks) ObserveSteal(thief, victim, iters int, latNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveSteal(thief, victim, iters, latNS)
+	var at *spantrace.Active
+	if tracer != nil {
+		at = tracer.StartSubmission(spantrace.SubmissionInfo{
+			Scheduler: cfg.Spec.Name, Procs: procs, Phases: phases,
+		})
+		spanObs = at
 	}
-}
-
-// instrument wires one submission's config into the plane: hot-path
-// hooks for the collector, and telemetry/provenance tees into the
-// flight recorder alongside whatever sinks the submitter configured.
-func instrument(cfg core.Config, p *livemetrics.Plane) core.Config {
-	cfg.Hooks = p.Collector()
-	evSink, pvSink := p.Recorder().ForSubmission()
-	cfg.Events = telemetry.Tee(cfg.Events, evSink)
-	cfg.Prov = telemetry.TeeProv(cfg.Prov, pvSink)
-	return cfg
+	cfg.Observer = telemetry.TeeObservers(cfg.Observer, planeObs, spanObs)
+	var start time.Time
+	if plane != nil {
+		start = time.Now()
+	}
+	res, err := exec(cfg)
+	if errors.Is(err, ErrClosed) {
+		if at != nil {
+			at.Abandon()
+		}
+		return res, err
+	}
+	outcome, trace, detail := livemetrics.OutcomeOK, "ok", ""
+	switch {
+	case res.Panic != nil:
+		outcome, trace, detail = livemetrics.OutcomePanicked, "panicked", fmt.Sprint(res.Panic)
+	case err != nil:
+		outcome, trace, detail = livemetrics.OutcomeCancelled, "cancelled", err.Error()
+	}
+	var traceID uint64
+	if at != nil {
+		traceID = at.End(trace).TraceID
+	}
+	if plane != nil {
+		plane.ObserveSubmission(time.Since(start), outcome, detail, traceID)
+	}
+	return res, err
 }
 
 // Submit executes body(i) for i in [0, n) on the pool under cfg and
@@ -168,54 +187,14 @@ func (x *Executor) SubmitPhases(ctx context.Context, cfg core.Config, phases int
 		ctx = context.Background()
 	}
 	cfg.Ctx = ctx
-	plane := x.plane.Load()
-	var start time.Time
-	if plane != nil {
-		cfg = instrument(cfg, plane)
-		start = time.Now()
+	procs := cfg.Procs
+	if procs <= 0 || procs > x.eng.Procs() {
+		procs = x.eng.Procs()
 	}
-	var at *spantrace.Active
-	if tracer := x.tracer.Load(); tracer != nil {
-		procs := cfg.Procs
-		if procs <= 0 || procs > x.eng.Procs() {
-			procs = x.eng.Procs()
-		}
-		at = tracer.StartSubmission(spantrace.SubmissionInfo{
-			Scheduler: cfg.Spec.Name, Procs: procs, Phases: phases,
-		})
-		cfg.Hooks = spanHooks{inner: cfg.Hooks, Active: at}
-	}
-	res, err := x.eng.Execute(cfg, phases, n, body)
-	// Seal the span collection before any return: rejected submissions
-	// never dispatched are abandoned, everything else becomes a trace.
-	var traceID uint64
-	if at != nil {
-		if errors.Is(err, ErrClosed) {
-			at.Abandon()
-		} else {
-			outcome := "ok"
-			switch {
-			case res.Panic != nil:
-				outcome = "panicked"
-			case err != nil:
-				outcome = "cancelled"
-			}
-			traceID = at.End(outcome).TraceID
-		}
-	}
+	res, err := Observed(cfg, x.plane.Load(), x.tracer.Load(), procs, phases,
+		func(cfg core.Config) (core.Result, error) { return x.eng.Execute(cfg, phases, n, body) })
 	if !errors.Is(err, ErrClosed) {
 		x.subs.Add(1)
-		if plane != nil {
-			elapsed := time.Since(start)
-			switch {
-			case res.Panic != nil:
-				plane.ObserveSubmission(elapsed, livemetrics.OutcomePanicked, fmt.Sprint(res.Panic), traceID)
-			case err != nil:
-				plane.ObserveSubmission(elapsed, livemetrics.OutcomeCancelled, err.Error(), traceID)
-			default:
-				plane.ObserveSubmission(elapsed, livemetrics.OutcomeOK, "", traceID)
-			}
-		}
 	}
 	if res.Panic != nil {
 		return res.Stats, &PanicError{Value: res.Panic}

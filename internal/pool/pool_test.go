@@ -150,7 +150,7 @@ func TestPerSubmissionTelemetryIsolation(t *testing.T) {
 	for sub, n := range []int{3000, 1700} {
 		stream := telemetry.NewSyncStream()
 		st, err := x.Submit(context.Background(),
-			core.Config{Spec: sched.SpecAFS(), Events: stream}, n, func(int) {})
+			core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream)}, n, func(int) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,5 +169,67 @@ func TestPerSubmissionTelemetryIsolation(t *testing.T) {
 			t.Errorf("submission %d: stream covers %d iterations (stats %d), want %d — cross-talk?",
 				sub, iters, st.Iterations, n)
 		}
+	}
+}
+
+// skewedBody front-loads the work onto the first quarter of each
+// phase so AFS workers owning the cheap iterations must steal.
+func skewedBody(_, i int) {
+	reps := 20
+	if i < 64 {
+		reps = 800
+	}
+	x := 1.0
+	for k := 0; k < reps; k++ {
+		x += x * 1e-9
+	}
+	_ = x
+}
+
+// TestSharedRegistrySumsSubmissions: one registry shared by several
+// submissions on one executor accumulates their sum — each counter
+// equals its Stats field summed over the submissions, and each
+// histogram's count matches the events it shadows (one steal latency
+// per steal, one chunk size per executed chunk, which under AFS is one
+// per local or remote queue op).
+func TestSharedRegistrySumsSubmissions(t *testing.T) {
+	x := newExec(t, 4)
+	reg := telemetry.NewRegistry()
+	cfg := core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveMetrics(reg)}
+	const subs, phases, n = 4, 3, 256
+	var central, local, remote, steals, migrated, iters int64
+	for s := 0; s < subs; s++ {
+		st, err := x.SubmitPhases(context.Background(), cfg, phases, func(int) int { return n }, skewedBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		central += st.CentralOps
+		for q := range st.LocalOps {
+			local += st.LocalOps[q]
+			remote += st.RemoteOps[q]
+		}
+		steals += st.Steals
+		migrated += st.MigratedIters
+		iters += st.Iterations
+	}
+	if iters != subs*phases*n {
+		t.Fatalf("stats cover %d iterations, want %d", iters, subs*phases*n)
+	}
+	for name, want := range map[string]int64{
+		"central_ops": central, "local_ops": local, "remote_ops": remote,
+		"steals": steals, "migrated_iters": migrated, "iterations": iters,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("registry %s = %d, want %d summed over %d submissions", name, got, want, subs)
+		}
+	}
+	if got := reg.Histogram("steal_latency_ns", nil).Count(); got != steals {
+		t.Errorf("steal_latency_ns count = %d, want steals = %d", got, steals)
+	}
+	if got := reg.Histogram("chunk_size", nil).Count(); got != local+remote {
+		t.Errorf("chunk_size count = %d, want %d executed chunks", got, local+remote)
+	}
+	if got := len(reg.Series()); got != subs*phases {
+		t.Errorf("%d registry samples, want one per barrier (%d)", got, subs*phases)
 	}
 }

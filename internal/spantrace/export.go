@@ -68,8 +68,8 @@ func kindRank(k telemetry.Kind) int {
 }
 
 // FromTelemetry rebuilds a span tree from a telemetry stream — the
-// simulator-substrate entry point, where no hooks run but the event
-// stream is deterministic. prov, when non-empty, supplies chunk
+// simulator-substrate entry point, where no live observer runs but the
+// event stream is deterministic. prov, when non-empty, supplies chunk
 // ownership (owner queue, stolen flag); without it ownership is
 // inferred from steal events (a chunk following its thief's steal of
 // the same range is stolen). Span IDs follow the same deterministic

@@ -5,9 +5,9 @@
 // exemplar surfaced by the live plane (internal/livemetrics) resolves
 // to the exact dispatch history that produced it.
 //
-// Layering mirrors livemetrics: core defines the SpanObserver
-// interface (pure signatures, no imports) and an *Active satisfies it
-// structurally, so core never imports this package. The hot path is
+// Layering mirrors livemetrics: an *Active satisfies core.Observer
+// (telemetry.Observer) structurally, so core never imports this
+// package. The hot path is
 // allocation- and lock-free per observation: each worker goroutine
 // appends to its own pre-grown span buffer (single writer; the phase
 // barrier publishes the writes before End merges them), span IDs are
@@ -22,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // Kind classifies one span.
@@ -197,8 +199,8 @@ type SubmissionInfo struct {
 }
 
 // StartSubmission opens a span collection for one submission. The
-// returned Active satisfies core.SpanObserver structurally; wire it
-// into the submission's hooks, then seal with End (storing the trace)
+// returned Active satisfies core.Observer structurally; wire it into
+// the submission's observer, then seal with End (storing the trace)
 // or discard with Abandon. Every Start must be paired with exactly one
 // End or Abandon on every return path (enforced by schedlint's
 // telemetry span-balance rule in core and pool).
@@ -275,9 +277,9 @@ type workerBuf struct {
 	_         [4]uint64
 }
 
-// Active is one in-flight submission's span collection. Methods named
-// On* are the hot-path observers (called inline from workers via
-// core.SpanObserver); End and Abandon seal it. An Active must not be
+// Active is one in-flight submission's span collection. Phase, Chunk
+// and Dispatch are its core.Observer methods (the last two called
+// inline from workers); End and Abandon seal it. An Active must not be
 // reused after End or Abandon.
 type Active struct {
 	tracer       *Tracer
@@ -303,60 +305,68 @@ func phaseSpanID(ph int) uint64 { return uint64(2 + ph) }
 // phase IDs (2+ph) never collide for any realistic phase count.
 func spanID(w, i int) uint64 { return uint64(w+1)*workerIDBase + uint64(i) }
 
-// OnPhaseSpan records phase ph's span (n iterations, [startNS, endNS]).
-// Called once per phase by the submitting goroutine after the barrier.
-func (a *Active) OnPhaseSpan(ph, n int, startNS, endNS float64) {
+// Phase records phase m.Step's span once its barrier has drained
+// (begin marks carry nothing the barrier mark lacks). Called by the
+// submitting goroutine.
+func (a *Active) Phase(m telemetry.PhaseMark) {
+	if !m.Barrier {
+		return
+	}
 	if len(a.phases) >= a.tracer.opts.MaxSpans {
 		a.dropped.Add(1)
 		return
 	}
 	a.phases = append(a.phases, Span{
-		ID: phaseSpanID(ph), Parent: 1, Kind: KindPhase,
-		Phase: ph, Proc: -1, Owner: -1, Hi: n,
-		Start: startNS, End: endNS,
+		ID: phaseSpanID(m.Step), Parent: 1, Kind: KindPhase,
+		Phase: m.Step, Proc: -1, Owner: -1, Hi: m.N,
+		Start: m.Start, End: m.End,
 	})
 }
 
-// OnChunkSpan records one executed chunk. Called inline from worker
-// proc's goroutine.
-func (a *Active) OnChunkSpan(ph, proc, owner int, stolen bool, lo, hi int, startNS, endNS float64) {
-	if proc < 0 || proc >= len(a.workers) {
+// Chunk records one executed chunk. Called inline from worker p.Proc's
+// goroutine.
+func (a *Active) Chunk(p telemetry.Prov) {
+	if p.Proc < 0 || p.Proc >= len(a.workers) {
 		a.dropped.Add(1)
 		return
 	}
-	w := &a.workers[proc]
+	w := &a.workers[p.Proc]
 	if len(w.spans) >= a.maxPerWorker {
 		a.dropped.Add(1)
 		return
 	}
 	s := Span{
-		ID: spanID(proc, len(w.spans)), Parent: phaseSpanID(ph), Kind: KindChunk,
-		Phase: ph, Proc: proc, Owner: owner, Stolen: stolen,
-		Lo: lo, Hi: hi, Start: startNS, End: endNS,
+		ID: spanID(p.Proc, len(w.spans)), Parent: phaseSpanID(p.Step), Kind: KindChunk,
+		Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen,
+		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End,
 	}
-	if stolen && w.lastSteal != 0 {
+	if p.Stolen && w.lastSteal != 0 {
 		s.StealsFrom = w.lastSteal
 		w.lastSteal = 0
 	}
 	w.spans = append(w.spans, s)
 }
 
-// OnStealSpan records one successful steal. Called inline from the
-// thief's goroutine, immediately before the stolen chunk executes.
-func (a *Active) OnStealSpan(ph, thief, victim, lo, hi int, startNS, endNS float64) {
-	if thief < 0 || thief >= len(a.workers) {
+// Dispatch records one successful steal (queue waits are not spans).
+// Called inline from the thief's goroutine, immediately before the
+// stolen chunk executes.
+func (a *Active) Dispatch(e telemetry.Event) {
+	if e.Kind != telemetry.KindSteal {
+		return
+	}
+	if e.Proc < 0 || e.Proc >= len(a.workers) {
 		a.dropped.Add(1)
 		return
 	}
-	w := &a.workers[thief]
+	w := &a.workers[e.Proc]
 	if len(w.spans) >= a.maxPerWorker {
 		a.dropped.Add(1)
 		return
 	}
 	s := Span{
-		ID: spanID(thief, len(w.spans)), Parent: phaseSpanID(ph), Kind: KindSteal,
-		Phase: ph, Proc: thief, Owner: victim,
-		Lo: lo, Hi: hi, Start: startNS, End: endNS,
+		ID: spanID(e.Proc, len(w.spans)), Parent: phaseSpanID(e.Step), Kind: KindSteal,
+		Phase: e.Step, Proc: e.Proc, Owner: e.Victim,
+		Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End,
 	}
 	w.lastSteal = s.ID
 	w.spans = append(w.spans, s)

@@ -226,9 +226,9 @@ func TestSpanCapDrops(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{MaxSpans: 8})
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 2, Phases: 1})
 	for i := 0; i < 100; i++ {
-		a.OnChunkSpan(0, i%2, i%2, false, i, i+1, float64(i), float64(i+1))
+		a.Chunk(telemetry.Prov{Proc: i % 2, Owner: i % 2, Lo: i, Hi: i + 1, Start: float64(i), End: float64(i + 1)})
 	}
-	a.OnPhaseSpan(0, 100, 0, 100)
+	a.Phase(telemetry.PhaseMark{N: 100, End: 100, Barrier: true})
 	tr := a.End("ok")
 	if tr.Dropped == 0 {
 		t.Fatal("cap exceeded without drops")
@@ -244,7 +244,7 @@ func TestStoreEviction(t *testing.T) {
 	var ids []uint64
 	for i := 0; i < 3; i++ {
 		a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 1, Phases: 1})
-		a.OnPhaseSpan(0, 1, 0, 1)
+		a.Phase(telemetry.PhaseMark{N: 1, End: 1, Barrier: true})
 		ids = append(ids, a.End("ok").TraceID)
 	}
 	if tracer.Get(ids[0]) != nil {
@@ -283,8 +283,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Scheduler: "AFS", Procs: 1, Phases: 1})
-	a.OnChunkSpan(0, 0, 0, false, 0, 8, 0, 10)
-	a.OnPhaseSpan(0, 8, 0, 10)
+	a.Chunk(telemetry.Prov{Hi: 8, End: 10})
+	a.Phase(telemetry.PhaseMark{N: 8, End: 10, Barrier: true})
 	id := a.End("ok").TraceID
 
 	rec = httptest.NewRecorder()

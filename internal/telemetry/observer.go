@@ -1,0 +1,209 @@
+package telemetry
+
+// Observer is the real goroutine runtime's single instrumentation
+// surface (core.Config.Observer). The runtime reports each
+// submission as three record shapes, and every consumer — the event
+// stream, the provenance stream, the metrics registry, the live plane
+// and the span tracer — derives what it needs from them:
+//
+//   - Chunk: one Prov per executed chunk, the per-chunk record of
+//     (step, proc, owner, stolen, lo, hi, start, end, queue wait);
+//   - Dispatch: one Event per successful steal (KindSteal) and per
+//     central-queue acquisition (KindQueueWait), carrying the measured
+//     wait as [Start, End];
+//   - Phase: a PhaseMark at each phase begin and at its barrier.
+//
+// Chunk and Dispatch are called inline from worker goroutines, so
+// implementations must be safe for concurrent use and cheap; Phase is
+// called by the submitting goroutine. Times are nanoseconds since the
+// submission started. Compose several observers with TeeObservers.
+type Observer interface {
+	Phase(PhaseMark)
+	Chunk(Prov)
+	Dispatch(Event)
+}
+
+// PhaseMark is one phase boundary of a real-runtime submission. Each
+// phase produces two: at begin, once the phase's queues are filled
+// (Barrier false, End == Start), and after the barrier drains
+// (Barrier true), when Start still carries the begin time and every
+// chunk of the phase happens-before the call.
+type PhaseMark struct {
+	Step    int
+	N       int // the phase's iteration count
+	Start   float64
+	End     float64
+	Barrier bool
+	// Ops is the phase's own scheduling activity (barrier marks only):
+	// the growth of the submission's counters since the previous
+	// barrier, so consumers sum marks across phases and submissions.
+	Ops OpCounts
+}
+
+// OpCounts is scheduling activity summed over queues: the counters of
+// core.Stats.
+type OpCounts struct {
+	CentralOps, LocalOps, RemoteOps   int64
+	Steals, MigratedIters, Iterations int64
+}
+
+// Event returns the mark as a phase-boundary event: KindPhaseBegin
+// (Hi = N) at begin, KindPhaseEnd at the barrier.
+func (m PhaseMark) Event() Event {
+	if m.Barrier {
+		return Event{Kind: KindPhaseEnd, Proc: -1, Victim: -1, Step: m.Step, Start: m.End, End: m.End}
+	}
+	return Event{Kind: KindPhaseBegin, Proc: -1, Victim: -1, Step: m.Step, Hi: m.N, Start: m.Start, End: m.Start}
+}
+
+// ExecEvent returns the record's execution as a KindExec event.
+func (p Prov) ExecEvent() Event {
+	return Event{Kind: KindExec, Proc: p.Proc, Victim: -1, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End}
+}
+
+// Notable reports whether a dispatch event belongs in an event stream:
+// every steal, but only contended queue waits (longer than 1µs) — an
+// uncontended mutex acquisition on every fetch would drown the stream
+// in noise.
+func (e Event) Notable() bool {
+	return e.Kind != KindQueueWait || e.End-e.Start > 1e3
+}
+
+// ObserveEvents adapts an event sink: exec events derived from chunk
+// records, notable dispatch events, and phase-boundary events. nil
+// for a nil sink.
+func ObserveEvents(s Sink) Observer {
+	if s == nil {
+		return nil
+	}
+	return eventObserver{s}
+}
+
+type eventObserver struct{ s Sink }
+
+func (o eventObserver) Phase(m PhaseMark) { o.s.Emit(m.Event()) }
+func (o eventObserver) Chunk(p Prov)      { o.s.Emit(p.ExecEvent()) }
+func (o eventObserver) Dispatch(e Event) {
+	if e.Notable() {
+		o.s.Emit(e)
+	}
+}
+
+// ObserveProv adapts a provenance sink: one record per executed chunk.
+// nil for a nil sink.
+func ObserveProv(s ProvSink) Observer {
+	if s == nil {
+		return nil
+	}
+	return provObserver{s}
+}
+
+type provObserver struct{ s ProvSink }
+
+func (o provObserver) Phase(PhaseMark)  {}
+func (o provObserver) Chunk(p Prov)     { o.s.EmitProv(p) }
+func (o provObserver) Dispatch(e Event) {}
+
+// ObserveMetrics adapts a registry: counters central_ops, local_ops,
+// remote_ops, steals, migrated_iters and iterations grow by each
+// barrier's OpCounts, so one registry shared by many submissions holds
+// their sum; histograms chunk_size, queue_wait_ns and
+// steal_latency_ns observe every chunk and dispatch event; and every
+// barrier records one time-series sample at its step. nil for a nil
+// registry.
+func ObserveMetrics(r *Registry) Observer {
+	if r == nil {
+		return nil
+	}
+	ns := ExpBuckets(100, 4, 12)  // 100ns .. ~1.6s
+	sizes := ExpBuckets(1, 2, 16) // 1 .. 32768 iterations
+	return &metricsObserver{
+		reg:           r,
+		centralOps:    r.Counter("central_ops"),
+		localOps:      r.Counter("local_ops"),
+		remoteOps:     r.Counter("remote_ops"),
+		steals:        r.Counter("steals"),
+		migratedIters: r.Counter("migrated_iters"),
+		iterations:    r.Counter("iterations"),
+		chunkSize:     r.Histogram("chunk_size", sizes),
+		queueWait:     r.Histogram("queue_wait_ns", ns),
+		stealLatency:  r.Histogram("steal_latency_ns", ns),
+	}
+}
+
+// metricsObserver caches the registry's metric objects so the hot path
+// never does a map lookup.
+type metricsObserver struct {
+	reg *Registry
+
+	centralOps, localOps, remoteOps    *Counter
+	steals, migratedIters, iterations  *Counter
+	chunkSize, queueWait, stealLatency *Histogram
+}
+
+func (o *metricsObserver) Chunk(p Prov) { o.chunkSize.Observe(float64(p.Iters())) }
+
+func (o *metricsObserver) Dispatch(e Event) {
+	switch e.Kind {
+	case KindSteal:
+		o.stealLatency.Observe(e.End - e.Start)
+	case KindQueueWait:
+		o.queueWait.Observe(e.End - e.Start)
+	}
+}
+
+func (o *metricsObserver) Phase(m PhaseMark) {
+	if !m.Barrier {
+		return
+	}
+	o.centralOps.Add(m.Ops.CentralOps)
+	o.localOps.Add(m.Ops.LocalOps)
+	o.remoteOps.Add(m.Ops.RemoteOps)
+	o.steals.Add(m.Ops.Steals)
+	o.migratedIters.Add(m.Ops.MigratedIters)
+	o.iterations.Add(m.Ops.Iterations)
+	o.reg.Snapshot(m.Step)
+}
+
+// TeeObservers composes observers, dropping nils: nil when none
+// remain, the single observer itself when one does, so callers keep
+// the single-nil-check fast path. Only a true fan-out allocates.
+func TeeObservers(obs ...Observer) Observer {
+	var n int
+	var last Observer
+	for _, o := range obs {
+		if o != nil {
+			n, last = n+1, o
+		}
+	}
+	if n < 2 {
+		return last
+	}
+	out := make(multiObserver, 0, n)
+	for _, o := range obs {
+		if o != nil {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+type multiObserver []Observer
+
+func (m multiObserver) Phase(p PhaseMark) {
+	for _, o := range m {
+		o.Phase(p)
+	}
+}
+
+func (m multiObserver) Chunk(p Prov) {
+	for _, o := range m {
+		o.Chunk(p)
+	}
+}
+
+func (m multiObserver) Dispatch(e Event) {
+	for _, o := range m {
+		o.Dispatch(e)
+	}
+}

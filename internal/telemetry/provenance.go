@@ -89,35 +89,6 @@ func (s *ProvStream) Len() int { return len(s.recs) }
 // Reset discards all accumulated records, keeping capacity.
 func (s *ProvStream) Reset() { s.recs = s.recs[:0] }
 
-// MultiProvSink fans records out to several sinks.
-type MultiProvSink []ProvSink
-
-// EmitProv forwards to every sink.
-func (m MultiProvSink) EmitProv(p Prov) {
-	for _, s := range m {
-		s.EmitProv(p)
-	}
-}
-
-// TeeProv combines provenance sinks, dropping nils; returns nil when
-// none remain so callers keep the single-nil-check fast path. The
-// provenance counterpart of Tee.
-func TeeProv(sinks ...ProvSink) ProvSink {
-	var out MultiProvSink
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 // SyncProvStream is a mutex-protected ProvStream safe for the
 // concurrent workers of the real goroutine runtime.
 type SyncProvStream struct {

@@ -118,8 +118,8 @@ func KernelNames() []string { return job.Names() }
 // Option configures ParallelFor / ForPhases / Executor submissions.
 // The serializable settings (scheduler, procs, grain, tenant, ...)
 // lower onto the config's JobSpec; the remaining options attach the
-// process-local machinery a wire format cannot carry (sinks, hooks,
-// context, cost models).
+// process-local machinery a wire format cannot carry (sinks, planes,
+// tracers, context, cost models).
 type Option func(*config)
 
 type config struct {
@@ -317,9 +317,9 @@ func NewObservability(opts ObservabilityOptions) *Observability {
 }
 
 // WithObservability attaches a plane. At NewExecutor it observes every
-// subsequent submission (latencies, hot-path hooks, flight recorder,
-// live queue depths); on a one-shot call it observes that run. The
-// caller owns the plane and Closes it.
+// subsequent submission (latencies, per-chunk instruments, flight
+// recorder, live queue depths); on a one-shot call it observes that
+// run. The caller owns the plane and Closes it.
 func WithObservability(p *Observability) Option {
 	return func(c *config) { c.obs = p }
 }
@@ -419,9 +419,8 @@ func (c *config) lower() (core.Config, error) {
 	cc.Ctx = c.ctx
 	cc.CostHint = c.costHint
 	cc.StartDelay = c.startDelay
-	cc.Events = c.events
-	cc.Metrics = c.metrics
-	cc.Prov = c.prov
+	cc.Observer = telemetry.TeeObservers(telemetry.ObserveEvents(c.events),
+		telemetry.ObserveMetrics(c.metrics), telemetry.ObserveProv(c.prov))
 	cc.QueueDepthEvery = c.queueDepthEvery
 	return cc, nil
 }
@@ -439,87 +438,24 @@ func buildConfig(opts []Option) (config, error) {
 	return cfg, cfg.err
 }
 
-// applyObs wires a one-shot run's core config into the plane: hot-path
-// hooks plus telemetry/provenance tees into the flight recorder (an
-// Executor's plane is instead wired by internal/pool per submission).
-func applyObs(cfg config) core.Config {
-	cc := cfg.cc
-	if cfg.obs != nil {
-		cc.Hooks = cfg.obs.Collector()
-		ev, pv := cfg.obs.Recorder().ForSubmission()
-		cc.Events = telemetry.Tee(cc.Events, ev)
-		cc.Prov = telemetry.TeeProv(cc.Prov, pv)
-	}
-	return cc
-}
-
-// spanHooks composes a one-shot run's plane hooks (which may be
-// absent) with its span collection, so one Config.Hooks value
-// satisfies both core.ObsHooks and core.SpanObserver. The Executor
-// path has its own copy in internal/pool.
-type spanHooks struct {
-	inner core.ObsHooks
-	*spantrace.Active
-}
-
-func (h spanHooks) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveChunk(proc, owner, stolen, iters, durNS)
-	}
-}
-
-func (h spanHooks) ObserveSteal(thief, victim, iters int, latNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveSteal(thief, victim, iters, latNS)
-	}
-}
-
-func oneShotOutcome(err error) string {
-	if err != nil {
-		return "cancelled"
-	}
-	return "ok"
-}
-
 // runObserved runs one one-shot loop under the config's plane and
-// tracer: it times the run and reports it to the plane as a submission
+// tracer through the same attach/seal routine an Executor submission
+// takes (pool.Observed): the run reports to the plane as a submission
 // (a cancelled run counts as an anomaly and freezes the flight
-// recorder), and seals the span tree carrying the trace ID into the
-// plane's latency exemplars. With neither attached, f runs bare. A
-// body panic propagates (one-shot semantics); the trace of a panicked
-// run is dropped with its Active.
-func runObserved(cfg config, phases int, f func(cc core.Config) (RunStats, error)) (RunStats, error) {
-	cc := applyObs(cfg)
-	var at *spantrace.Active
-	if cfg.tracer != nil {
-		if cfg.obs != nil {
-			cfg.obs.SetTracer(cfg.tracer)
-		}
-		at = cfg.tracer.StartSubmission(spantrace.SubmissionInfo{
-			Scheduler: cfg.cc.Spec.Name, Procs: procsOf(cfg.cc), Phases: phases,
+// recorder) and its sealed span tree's trace ID becomes a latency
+// exemplar. With neither attached, run executes bare. A body panic
+// propagates (one-shot semantics); the trace of a panicked run is
+// dropped with its Active.
+func runObserved(cfg config, phases int, run func(cc core.Config) (RunStats, error)) (RunStats, error) {
+	if cfg.tracer != nil && cfg.obs != nil {
+		cfg.obs.SetTracer(cfg.tracer)
+	}
+	res, err := pool.Observed(cfg.cc, cfg.obs, cfg.tracer, procsOf(cfg.cc), phases,
+		func(cc core.Config) (core.Result, error) {
+			st, err := run(cc)
+			return core.Result{Stats: st}, err
 		})
-		cc.Hooks = spanHooks{inner: cc.Hooks, Active: at}
-	}
-	if cfg.obs == nil {
-		st, err := f(cc)
-		if at != nil {
-			at.End(oneShotOutcome(err))
-		}
-		return st, err
-	}
-	start := time.Now()
-	st, err := f(cc)
-	elapsed := time.Since(start)
-	var traceID uint64
-	if at != nil {
-		traceID = at.End(oneShotOutcome(err)).TraceID
-	}
-	if err != nil {
-		cfg.obs.ObserveSubmission(elapsed, livemetrics.OutcomeCancelled, err.Error(), traceID)
-	} else {
-		cfg.obs.ObserveSubmission(elapsed, livemetrics.OutcomeOK, "", traceID)
-	}
-	return st, err
+	return res.Stats, err
 }
 
 // ParallelFor executes body(i) for every i in [0, n) on a pool of
@@ -675,7 +611,7 @@ func (e *Executor) submitConfig(opts []Option) (core.Config, error) {
 		return core.Config{}, err
 	}
 	if cfg.obs != nil && cfg.obs != e.px.Observability() && e.px.Observability() == nil {
-		return applyObs(cfg), nil
+		cfg.cc.Observer = telemetry.TeeObservers(cfg.cc.Observer, cfg.obs.Observer())
 	}
 	return cfg.cc, nil
 }

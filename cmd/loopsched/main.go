@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -95,7 +96,7 @@ func main() {
 		p := procs[len(procs)-1]
 		spec := specs[len(specs)-1]
 		tr := trace.New(p)
-		if _, err := sim.RunOpts(m, p, spec, build(), sim.Options{Trace: tr}); err != nil {
+		if _, err := sim.RunOpts(m, p, spec, build(), sim.Options{Observer: telemetry.ObserveEvents(tr)}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nexecution trace: %s, %d processors\n", spec.Name, p)

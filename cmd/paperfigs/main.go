@@ -139,7 +139,9 @@ func tracedSim(kernel, machName, algo string, procs, n, phases int, traceOut, me
 	}
 	stream := telemetry.NewStream()
 	reg := telemetry.NewRegistry()
-	res, err := sim.RunOpts(m, procs, specs[0], build(), sim.Options{Events: stream, Metrics: reg})
+	res, err := sim.RunOpts(m, procs, specs[0], build(), sim.Options{
+		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(stream), telemetry.ObserveMetrics(reg, "cycles")),
+	})
 	if err != nil {
 		return err
 	}

@@ -316,16 +316,9 @@ func (r *runner) phaseOps() telemetry.OpCounts {
 		now.LocalOps += r.stats.LocalOps[i]
 		now.RemoteOps += r.stats.RemoteOps[i]
 	}
-	last := r.lastOps
+	d := now.Sub(r.lastOps)
 	r.lastOps = now
-	return telemetry.OpCounts{
-		CentralOps:    now.CentralOps - last.CentralOps,
-		LocalOps:      now.LocalOps - last.LocalOps,
-		RemoteOps:     now.RemoteOps - last.RemoteOps,
-		Steals:        now.Steals - last.Steals,
-		MigratedIters: now.MigratedIters - last.MigratedIters,
-		Iterations:    now.Iterations - last.Iterations,
-	}
+	return d
 }
 
 // A dispatcher hands out chunks to workers for the current phase.

@@ -39,7 +39,7 @@ func TestRealRuntimeTelemetryCheck(t *testing.T) {
 		}
 		stream := telemetry.NewSyncStream()
 		reg := telemetry.NewRegistry()
-		cfg := Config{Procs: 4, Spec: spec, Observer: telemetry.TeeObservers(telemetry.ObserveEvents(stream), telemetry.ObserveMetrics(reg))}
+		cfg := Config{Procs: 4, Spec: spec, Observer: telemetry.TeeObservers(telemetry.ObserveEvents(stream), telemetry.ObserveMetrics(reg, "ns"))}
 		st, err := Run(cfg, 5, func(int) int { return 128 }, imbalancedBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -42,7 +42,7 @@ func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
 	events := telemetry.NewStream()
 	prov := telemetry.NewProvStream()
 	met, err := sim.RunOpts(m, spec.Procs, s, build(), sim.Options{
-		Events: events, Prov: prov,
+		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
 	})
 	if err != nil {
 		return nil, sim.Metrics{}, fmt.Errorf("simulate %s/%s/%s: %w",

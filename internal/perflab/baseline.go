@@ -24,16 +24,17 @@ const SchemaVersion = 1
 // the performance trajectory lives in version control next to the code
 // it measures.
 type Baseline struct {
-	Schema    int          `json:"schema"`
-	Seq       int          `json:"seq"` // the <n> of BENCH_<n>.json, set on write/load
-	GitSHA    string       `json:"git_sha"`
-	Timestamp time.Time    `json:"timestamp"`
-	Host      string       `json:"host"`
-	GoVersion string       `json:"go_version"`
-	NumCPU    int          `json:"num_cpu"`
-	Short     bool         `json:"short"`
-	Seed      uint64       `json:"seed,omitempty"` // runner BaseSeed; 0 in pre-seed baselines
-	Cases     []CaseResult `json:"cases"`
+	Schema     int          `json:"schema"`
+	Seq        int          `json:"seq"` // the <n> of BENCH_<n>.json, set on write/load
+	GitSHA     string       `json:"git_sha"`
+	Timestamp  time.Time    `json:"timestamp"`
+	Host       string       `json:"host"`
+	GoVersion  string       `json:"go_version"`
+	NumCPU     int          `json:"num_cpu"`
+	GOMAXPROCS int          `json:"gomaxprocs,omitempty"` // 0 in baselines that predate it
+	Short      bool         `json:"short"`
+	Seed       uint64       `json:"seed,omitempty"` // runner BaseSeed; 0 in pre-seed baselines
+	Cases      []CaseResult `json:"cases"`
 }
 
 // NewBaseline stamps results with provenance gathered from the
@@ -42,15 +43,16 @@ type Baseline struct {
 func NewBaseline(dir string, short bool, seed uint64, results []CaseResult) *Baseline {
 	host, _ := os.Hostname()
 	return &Baseline{
-		Schema:    SchemaVersion,
-		GitSHA:    gitSHA(dir),
-		Timestamp: time.Now().UTC(),
-		Host:      host,
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Short:     short,
-		Seed:      seed,
-		Cases:     results,
+		Schema:     SchemaVersion,
+		GitSHA:     gitSHA(dir),
+		Timestamp:  time.Now().UTC(),
+		Host:       host,
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Short:      short,
+		Seed:       seed,
+		Cases:      results,
 	}
 }
 
@@ -71,6 +73,16 @@ func (b *Baseline) CheckCompatible(short bool, seed uint64) error {
 			b.Seq, b.Seed, seed)
 	}
 	return nil
+}
+
+// UsableCPUs is how many workers the recording host could run at
+// once: min(NumCPU, GOMAXPROCS), NumCPU alone when GOMAXPROCS was not
+// recorded, 0 when neither was.
+func (b *Baseline) UsableCPUs() int {
+	if b.GOMAXPROCS > 0 && b.GOMAXPROCS < b.NumCPU {
+		return b.GOMAXPROCS
+	}
+	return b.NumCPU
 }
 
 // gitSHA returns dir's HEAD commit, or "unknown" outside a repo.

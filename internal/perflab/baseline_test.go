@@ -3,6 +3,7 @@ package perflab
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,6 +41,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 		"sim/a": {1.0, 1.1, 0.9},
 		"sim/b": {2.0, 2.0, 2.0},
 	})
+	b.NumCPU, b.GOMAXPROCS = 4, 2
 	path, err := WriteNext(dir, b)
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +55,13 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	if got.Seq != 1 || got.Schema != SchemaVersion || len(got.Cases) != 2 {
 		t.Fatalf("round trip lost data: %+v", got)
+	}
+	if got.NumCPU != 4 || got.GOMAXPROCS != 2 || got.UsableCPUs() != 2 {
+		t.Errorf("round trip CPUs: num_cpu %d, gomaxprocs %d, usable %d; want 4, 2, 2",
+			got.NumCPU, got.GOMAXPROCS, got.UsableCPUs())
+	}
+	if nb := NewBaseline(dir, true, 1, nil); nb.GOMAXPROCS != runtime.GOMAXPROCS(0) || nb.NumCPU != runtime.NumCPU() {
+		t.Errorf("NewBaseline stamped num_cpu %d, gomaxprocs %d", nb.NumCPU, nb.GOMAXPROCS)
 	}
 	for i := range b.Cases {
 		if got.Cases[i].ID != b.Cases[i].ID {
@@ -299,5 +308,45 @@ func TestWriteReportAndTrends(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "<svg") || !strings.Contains(string(data), "polyline") {
 		t.Errorf("trend SVG malformed: %.120s", data)
+	}
+}
+
+// TestReportWarnsOversubscribedRealCases: the report prints one warning
+// line per real case with more workers than a recording host's usable
+// CPUs (min of num_cpu and gomaxprocs; num_cpu alone for old
+// baselines), and none for simulator cases.
+func TestReportWarnsOversubscribedRealCases(t *testing.T) {
+	mk := func(seq, numCPU, gomaxprocs int) *Baseline {
+		b := synthetic(seq, map[string][]float64{
+			"real/x/p2": {1, 1, 1}, "real/y/p4": {1, 1, 1}, "real/z/p1": {1, 1, 1}, "sim/w/p8": {1, 1, 1},
+		})
+		procs := map[string]int{"real/x/p2": 2, "real/y/p4": 4, "real/z/p1": 1, "sim/w/p8": 8}
+		for i := range b.Cases {
+			c := &b.Cases[i]
+			c.Procs = procs[c.ID]
+			if strings.HasPrefix(c.ID, "real/") {
+				c.Substrate = SubstrateReal
+			}
+		}
+		b.NumCPU, b.GOMAXPROCS = numCPU, gomaxprocs
+		return b
+	}
+	old, new_ := mk(1, 1, 0), mk(2, 4, 2)
+	var b strings.Builder
+	WriteReport(&b, Compare(old, new_, 0), old, new_)
+	var warnings []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.Contains(line, "warning:") {
+			warnings = append(warnings, line)
+		}
+	}
+	if len(warnings) != 2 {
+		t.Fatalf("got %d warning lines, want 2 (real/x, real/y):\n%s", len(warnings), b.String())
+	}
+	if !strings.Contains(warnings[0], "real/x/p2 runs 2 workers") || !strings.Contains(warnings[0], "baseline 1: 1)") {
+		t.Errorf("real/x warning: %s", warnings[0])
+	}
+	if !strings.Contains(warnings[1], "real/y/p4 runs 4 workers") || !strings.Contains(warnings[1], "baseline 1: 1, baseline 2: 2") {
+		t.Errorf("real/y warning: %s", warnings[1])
 	}
 }

@@ -21,6 +21,7 @@ func WriteReport(w io.Writer, cmp *Comparison, old, new_ *Baseline) {
 	fmt.Fprintf(w, "- new: `%s` (%s)\n", short(cmp.NewSHA), new_.Timestamp.Format("2006-01-02 15:04"))
 	fmt.Fprintf(w, "- significance: median moved >%.0f%% with disjoint bootstrap 95%% CIs\n\n",
 		cmp.Threshold*100)
+	writeOversubscribed(w, cmp, old, new_)
 
 	regs, imps := cmp.Regressions(), cmp.Improvements()
 	switch {
@@ -64,6 +65,33 @@ func WriteReport(w io.Writer, cmp *Comparison, old, new_ *Baseline) {
 			fmt.Fprintln(w)
 		}
 		WriteForensicsDelta(w, d.ID, oc.Forensics, nc.Forensics)
+	}
+}
+
+// writeOversubscribed prints one warning line per real case that ran
+// more workers than a recording host could run at once: its wall times
+// measure time-slicing, not parallel execution.
+func writeOversubscribed(w io.Writer, cmp *Comparison, old, new_ *Baseline) {
+	warned := false
+	for _, d := range cmp.Deltas {
+		var hosts []string
+		procs := 0
+		for _, b := range []*Baseline{old, new_} {
+			c := b.Lookup(d.ID)
+			if c == nil || c.Substrate != SubstrateReal || b.UsableCPUs() == 0 || c.Procs <= b.UsableCPUs() {
+				continue
+			}
+			procs = c.Procs
+			hosts = append(hosts, fmt.Sprintf("baseline %d: %d", b.Seq, b.UsableCPUs()))
+		}
+		if len(hosts) > 0 {
+			fmt.Fprintf(w, "- warning: %s runs %d workers on fewer usable CPUs (%s); its wall times measure oversubscription\n",
+				d.ID, procs, strings.Join(hosts, ", "))
+			warned = true
+		}
+	}
+	if warned {
+		fmt.Fprintln(w)
 	}
 }
 

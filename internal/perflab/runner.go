@@ -90,7 +90,7 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	if c.Repeats < 1 {
 		return CaseResult{}, fmt.Errorf("repeats must be >= 1 (got %d)", c.Repeats)
 	}
-	var once func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error)
+	var once func(rep int, obs telemetry.Observer) (float64, error)
 	switch c.Substrate {
 	case SubstrateSim:
 		m, err := machine.ByName(c.Machine)
@@ -105,11 +105,10 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		if err != nil {
 			return CaseResult{}, err
 		}
-		once = func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error) {
+		once = func(rep int, obs telemetry.Observer) (float64, error) {
 			met, err := sim.RunOpts(m, c.Procs, spec, build(), sim.Options{
-				Seed:    r.seedFor(c.ID) + uint64(rep),
-				Metrics: reg,
-				Prov:    prov,
+				Seed:     r.seedFor(c.ID) + uint64(rep),
+				Observer: obs,
 			})
 			if err != nil {
 				return 0, err
@@ -121,8 +120,8 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		if err != nil {
 			return CaseResult{}, err
 		}
-		once = func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error) {
-			st, err := run(reg, prov)
+		once = func(rep int, obs telemetry.Observer) (float64, error) {
+			st, err := run(obs)
 			if err != nil {
 				return 0, err
 			}
@@ -133,7 +132,7 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	}
 
 	for w := 0; w < c.Warmup; w++ {
-		if _, err := once(-1-w, nil, nil); err != nil {
+		if _, err := once(-1-w, nil); err != nil {
 			return CaseResult{}, err
 		}
 	}
@@ -142,24 +141,19 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	var provRecords []telemetry.Prov
 	for rep := 0; rep < c.Repeats; rep++ {
 		var reg *telemetry.Registry
-		var prov provRecorder
+		var prov *telemetry.SyncProvStream // the real runtime's workers are concurrent
+		var obs telemetry.Observer
 		if rep == c.Repeats-1 {
-			reg = telemetry.NewRegistry()
-			if c.Substrate == SubstrateReal {
-				prov = telemetry.NewSyncProvStream() // concurrent workers
-			} else {
-				prov = telemetry.NewProvStream()
-			}
+			reg, prov = telemetry.NewRegistry(), telemetry.NewSyncProvStream()
+			obs = telemetry.TeeObservers(telemetry.ObserveMetrics(reg, c.timeUnit()), telemetry.ObserveProv(prov))
 		}
-		s, err := once(rep, reg, sinkOrNil(prov))
+		s, err := once(rep, obs)
 		if err != nil {
 			return CaseResult{}, err
 		}
 		samples = append(samples, s)
 		if reg != nil {
 			counters = currentValues(reg)
-		}
-		if prov != nil {
 			provRecords = prov.Records()
 		}
 	}
@@ -177,20 +171,13 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	}, nil
 }
 
-// provRecorder is the intersection of ProvStream and SyncProvStream
-// the runner needs: emit during the run, read back after.
-type provRecorder interface {
-	telemetry.ProvSink
-	Records() []telemetry.Prov
-}
-
-// sinkOrNil avoids handing the substrates a non-nil interface wrapping
-// a nil recorder (which would defeat their `sink != nil` fast path).
-func sinkOrNil(p provRecorder) telemetry.ProvSink {
-	if p == nil {
-		return nil
+// timeUnit is the case's substrate clock: simulated cycles or real
+// nanoseconds.
+func (c Case) timeUnit() string {
+	if c.Substrate == SubstrateReal {
+		return "ns"
 	}
-	return p
+	return "cycles"
 }
 
 // forensicsSummary condenses the final repeat's provenance into the
@@ -199,14 +186,10 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	if len(recs) == 0 {
 		return nil
 	}
-	unit := "cycles"
-	if c.Substrate == SubstrateReal {
-		unit = "ns"
-	}
 	a, err := forensics.Analyze(&forensics.Trace{
 		Meta: forensics.Meta{
 			Label: c.ID, Substrate: c.Substrate, Machine: c.Machine,
-			Kernel: c.Kernel, Algo: c.Algo, Procs: c.Procs, TimeUnit: unit,
+			Kernel: c.Kernel, Algo: c.Algo, Procs: c.Procs, TimeUnit: c.timeUnit(),
 		},
 		Prov: recs,
 	})
@@ -231,34 +214,33 @@ func currentValues(reg *telemetry.Registry) map[string]float64 {
 // realKernel builds a closure running one full execution of the case's
 // kernel on the real goroutine runtime, mirroring cmd/realbench's
 // kernel set (the subset that is fast enough for a standing suite).
-func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+func realKernel(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	if c.Kernel == "many-small-loops" || c.Kernel == "steady-loops" {
 		return manySmallLoops(c)
 	}
 	if c.Kernel == "serve-steady" {
 		return serveSteady(c)
 	}
-	opts := func(reg *telemetry.Registry, prov telemetry.ProvSink) core.Config {
+	opts := func(obs telemetry.Observer) core.Config {
 		spec, _ := sched.ByName(c.Algo)
-		return core.Config{Procs: c.Procs, Spec: spec,
-			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg), telemetry.ObserveProv(prov))}
+		return core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
 	}
 	if _, err := sched.ByName(c.Algo); err != nil {
 		return nil, err
 	}
 	switch c.Kernel {
 	case "gauss":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			g := kernels.NewGaussMatrix(c.N)
-			return core.Run(opts(reg, prov), c.N-1, g.PhaseIterations,
+			return core.Run(opts(obs), c.N-1, g.PhaseIterations,
 				func(ph, i int) { g.EliminateRow(ph, i) })
 		}, nil
 	case "sor":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			g := kernels.NewSORGrid(c.N)
 			var total core.Stats
 			for ph := 0; ph < c.Phases; ph++ {
-				st, err := core.ParallelFor(opts(reg, prov), c.N, g.UpdateRow)
+				st, err := core.ParallelFor(opts(obs), c.N, g.UpdateRow)
 				if err != nil {
 					return total, err
 				}
@@ -270,9 +252,9 @@ func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) 
 			return total, nil
 		}, nil
 	case "adjoint":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			d := kernels.NewAdjointData(c.N, false)
-			return core.ParallelFor(opts(reg, prov), d.Iterations(), d.Body)
+			return core.ParallelFor(opts(obs), d.Iterations(), d.Body)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown real-substrate kernel %q (gauss, sor, adjoint, many-small-loops, steady-loops)", c.Kernel)
@@ -301,7 +283,7 @@ func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) 
 // deliberate worst case — chunk bodies of ~100ns against fixed
 // per-chunk instrument cost; with steady-loops sizes the chunks are
 // tens of microseconds and the same instruments amortise to noise.
-func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	switch c.Algo {
 	case "executor", "percall", "executor-obs", "executor-traced", "executor-triage":
 	default:
@@ -311,11 +293,10 @@ func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSi
 	if err != nil {
 		return nil, err
 	}
-	return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+	return func(obs telemetry.Observer) (core.Stats, error) {
 		data := make([]float64, c.N)
 		body := func(i int) { data[i] += 1 / (1 + data[i]) }
-		cfg := core.Config{Procs: c.Procs, Spec: spec,
-			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg), telemetry.ObserveProv(prov))}
+		cfg := core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
 		var total core.Stats
 		start := time.Now()
 		if c.Algo != "percall" {

@@ -40,7 +40,7 @@ import (
 // Neither arm wires the case telemetry registry — the served arm's
 // pipeline has no seam for one, and instrumenting only the direct arm
 // would bias the gated ratio.
-func serveSteady(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+func serveSteady(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	switch c.Algo {
 	case "direct", "served":
 	default:
@@ -52,7 +52,7 @@ func serveSteady(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink)
 		Scheduler: "afs",
 		Procs:     c.Procs,
 	}
-	return func(_ *telemetry.Registry, _ telemetry.ProvSink) (core.Stats, error) {
+	return func(telemetry.Observer) (core.Stats, error) {
 		ctx := context.Background()
 		var total core.Stats
 		start := time.Now()

@@ -195,7 +195,7 @@ func skewedBody(_, i int) {
 func TestSharedRegistrySumsSubmissions(t *testing.T) {
 	x := newExec(t, 4)
 	reg := telemetry.NewRegistry()
-	cfg := core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveMetrics(reg)}
+	cfg := core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveMetrics(reg, "ns")}
 	const subs, phases, n = 4, 3, 256
 	var central, local, remote, steals, migrated, iters int64
 	for s := 0; s < subs; s++ {

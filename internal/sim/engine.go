@@ -14,7 +14,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Options tunes one simulation run.
@@ -27,24 +26,17 @@ type Options struct {
 	// machine.Machine.StartJitterCycles). Runs with equal seeds are
 	// bit-identical.
 	Seed uint64
-	// Trace, when non-nil, records every chunk execution and steal for
-	// post-mortem inspection (internal/trace). It is wired in as one
-	// consumer of the unified telemetry event stream.
-	Trace *trace.Trace
-	// Events, when non-nil, receives the full structured telemetry
-	// stream: exec, steal, queue-wait, cache-flush and phase-boundary
-	// events (internal/telemetry). The simulator is single-threaded,
-	// so an unsynchronised telemetry.Stream is fine.
-	Events telemetry.Sink
-	// Prov, when non-nil, receives one provenance record per executed
-	// chunk: owner queue, stolen flag, and the exact decomposition of
-	// the chunk's window into compute, cache-reload and bus-wait
-	// cycles — the input internal/forensics attributes slowdowns from.
-	Prov telemetry.ProvSink
-	// Metrics, when non-nil, is updated with counters and histograms
-	// (sync ops, chunk sizes, queue waits, steal latency) and receives
-	// a time-series snapshot at every step barrier.
-	Metrics *telemetry.Registry
+	// Observer, when non-nil, receives the run as the same three
+	// records the real runtime emits (telemetry.Observer), with times
+	// in cycles: a PhaseMark at each step's begin and after its
+	// barrier (carrying the step's OpCounts), one Prov per executed
+	// chunk with the exact decomposition of its window into compute,
+	// cache-reload and bus-wait cycles, and a Dispatch event per
+	// steal, nonzero queue wait and cache flush. Compose consumers
+	// with telemetry.TeeObservers (ObserveEvents, ObserveProv,
+	// ObserveMetrics with unit "cycles", a spantrace.Active). The
+	// simulator is single-threaded, so unsynchronised sinks are fine.
+	Observer telemetry.Observer
 	// ActiveProcs, when non-nil, gives the number of processors
 	// available during each step (clamped to [1, P]) — modelling a
 	// space-sharing operating system growing or shrinking the
@@ -81,18 +73,7 @@ func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Opti
 		return Metrics{}, fmt.Errorf("sim: at most 64 processors supported (coherence directory uses 64-bit holder masks), got %d", p)
 	}
 	e := newEngine(m, p, spec, prog)
-	var sinks []telemetry.Sink
-	if opts.Trace != nil {
-		sinks = append(sinks, opts.Trace)
-	}
-	if opts.Events != nil {
-		sinks = append(sinks, opts.Events)
-	}
-	e.sink = telemetry.Tee(sinks...)
-	e.prov = opts.Prov
-	if opts.Metrics != nil {
-		e.rh = newRegHandles(opts.Metrics)
-	}
+	e.obs = opts.Observer
 	e.activeFn = opts.ActiveProcs
 	e.flushEvery = opts.FlushEverySteps
 	e.seed = opts.Seed ^ 0x9e3779b97f4a7c15
@@ -164,9 +145,7 @@ type engine struct {
 	seq   int64
 	seed  uint64
 	step  int
-	sink  telemetry.Sink
-	prov  telemetry.ProvSink
-	rh    *regHandles
+	obs   telemetry.Observer
 
 	// fetchOwner/fetchStolen describe the chunk the most recent
 	// fetcher call returned: which queue it came from (-1 for the
@@ -196,6 +175,11 @@ type engine struct {
 	bytesMoved    int64
 	busWait       float64
 	queueWait     float64
+	iterations    int
+
+	// lastOps is the scheduling counters' value at the previous
+	// barrier, so each barrier mark reports only its step's growth.
+	lastOps telemetry.OpCounts
 }
 
 func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine {
@@ -252,30 +236,44 @@ func (e *engine) run() {
 				e.caches[q].Clear()
 			}
 			e.dir = newDirectory()
-			if e.sink != nil {
+			if e.obs != nil {
 				t := e.minClock()
-				e.sink.Emit(telemetry.Event{Kind: telemetry.KindCacheFlush,
+				e.obs.Dispatch(telemetry.Event{Kind: telemetry.KindCacheFlush,
 					Proc: -1, Victim: -1, Step: s, Start: t, End: t})
 			}
 		}
-		if e.sink != nil {
-			t := e.minClock()
-			e.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin,
-				Proc: -1, Victim: -1, Step: s, Hi: e.loop.N, Start: t, End: t})
+		var begin float64
+		if e.obs != nil {
+			begin = e.minClock()
+			e.obs.Phase(telemetry.PhaseMark{Step: s, N: e.loop.N, Start: begin, End: begin})
 		}
 		e.applyJitter()
 		e.f.initStep(&e.loop)
 		e.runStep()
 		e.barrier()
-		if e.sink != nil {
-			t := e.state[0].clock // all clocks equal after the barrier
-			e.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd,
-				Proc: -1, Victim: -1, Step: s, Start: t, End: t})
-		}
-		if e.rh != nil {
-			e.snapshotStep(s)
+		e.iterations += e.loop.N
+		if e.obs != nil {
+			// All clocks are equal after the barrier.
+			e.obs.Phase(telemetry.PhaseMark{Step: s, N: e.loop.N, Start: begin, End: e.state[0].clock,
+				Barrier: true, Ops: e.stepOps()})
 		}
 	}
+}
+
+// stepOps returns the scheduling counters' growth since the previous
+// barrier.
+func (e *engine) stepOps() telemetry.OpCounts {
+	now := telemetry.OpCounts{
+		CentralOps:    int64(e.centralOps),
+		LocalOps:      int64(sum(e.localOps)),
+		RemoteOps:     int64(sum(e.remoteOps)),
+		Steals:        int64(e.steals),
+		MigratedIters: int64(e.migratedIters),
+		Iterations:    int64(e.iterations),
+	}
+	d := now.Sub(e.lastOps)
+	e.lastOps = now
+	return d
 }
 
 // minClock returns the earliest processor clock — the step's logical
@@ -342,17 +340,11 @@ func (e *engine) runStep() {
 			e.queueWait += ready - st.clock
 			st.chunkQueueWait = ready - st.clock
 			if ready > st.clock {
-				if e.sink != nil {
-					e.sink.Emit(telemetry.Event{Kind: telemetry.KindQueueWait,
+				if e.obs != nil {
+					e.obs.Dispatch(telemetry.Event{Kind: telemetry.KindQueueWait,
 						Proc: p, Victim: -1, Step: e.step, Start: st.clock, End: ready})
 				}
-				if e.rh != nil {
-					e.rh.queueWaitHist.Observe(ready - st.clock)
-				}
 				st.clock = ready
-			}
-			if e.rh != nil {
-				e.rh.chunkSize.Observe(float64(c.Len()))
 			}
 			st.chunk = c
 			st.chunkStart = st.clock
@@ -435,17 +427,11 @@ func (e *engine) execIteration(p int, st *procState) {
 	}
 }
 
-// traceExec records a finished chunk in the telemetry stream and, when
-// provenance is on, emits the chunk's cost-decomposed record.
+// traceExec reports a finished chunk's cost-decomposed record to the
+// observer.
 func (e *engine) traceExec(p int, st *procState) {
-	if e.sink != nil {
-		e.sink.Emit(telemetry.Event{
-			Kind: telemetry.KindExec, Proc: p, Victim: -1, Step: e.step,
-			Lo: st.chunk.Lo, Hi: st.chunk.Hi, Start: st.chunkStart, End: st.clock,
-		})
-	}
-	if e.prov != nil {
-		e.prov.EmitProv(telemetry.Prov{
+	if e.obs != nil {
+		e.obs.Chunk(telemetry.Prov{
 			Step: e.step, Proc: p, Owner: st.chunkOwner, Stolen: st.chunkStolen,
 			Lo: st.chunk.Lo, Hi: st.chunk.Hi,
 			Start: st.chunkStart, End: st.clock,
@@ -712,14 +698,11 @@ func (f *afsFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
 	f.e.steals++
 	f.e.migratedIters += c.Len()
 	f.e.fetchOwner, f.e.fetchStolen = v, true
-	if f.e.sink != nil {
-		f.e.sink.Emit(telemetry.Event{
+	if f.e.obs != nil {
+		f.e.obs.Dispatch(telemetry.Event{
 			Kind: telemetry.KindSteal, Proc: p, Victim: v, Step: f.e.step,
 			Lo: c.Lo, Hi: c.Hi, Start: now, End: end,
 		})
-	}
-	if f.e.rh != nil {
-		f.e.rh.stealLatency.Observe(end - now)
 	}
 	return c, end, true
 }

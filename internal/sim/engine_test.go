@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -542,7 +543,7 @@ func TestEngineTraceRecording(t *testing.T) {
 			return 1
 		},
 	})
-	if _, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Trace: tr}); err != nil {
+	if _, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.ObserveEvents(tr)}); err != nil {
 		t.Fatal(err)
 	}
 	owner := tr.ExecutedBy(0, 512)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // paperKernels builds small instances of the paper's five kernels.
@@ -47,7 +46,7 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	for kname, build := range kernels {
 		for _, spec := range sched.AllSpecs() {
 			stream := telemetry.NewStream()
-			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Events: stream})
+			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, spec.Name, err)
 			}
@@ -70,75 +69,81 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	}
 }
 
-// TestTelemetryMatchesLegacyTrace: wiring both a legacy trace and an
-// event stream records identical exec/steal sequences (the trace is
-// re-based on the stream).
-func TestTelemetryMatchesLegacyTrace(t *testing.T) {
-	m := machine.Ideal(8)
-	prog := sim.SingleLoop("imb", sim.ParLoop{
-		N: 256,
-		Cost: func(i int) float64 {
-			if i < 32 {
-				return 400
-			}
-			return 1
-		},
-	})
-	tr := trace.New(8)
-	stream := telemetry.NewStream()
-	if _, err := sim.RunOpts(m, 8, sched.SpecAFS(), prog, sim.Options{Trace: tr, Events: stream}); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := trace.FromStream(8, stream.Events())
-	if len(rebuilt.Events) != len(tr.Events) {
-		t.Fatalf("trace has %d events, rebuilt stream %d", len(tr.Events), len(rebuilt.Events))
-	}
-	for i := range tr.Events {
-		a, b := tr.Events[i], rebuilt.Events[i]
-		if a != b {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if len(tr.Steals()) == 0 {
-		t.Error("imbalanced AFS run recorded no steals")
+// simTotals is what a metrics registry must hold after some runs:
+// the runs' summed Metrics, iterations and provenance records.
+type simTotals struct {
+	central, local, remote, steals, migrated, iters, chunks int
+}
+
+func (t *simTotals) add(res sim.Metrics, prov []telemetry.Prov) {
+	t.central += res.CentralOps
+	t.local += sumInts(res.LocalOps)
+	t.remote += sumInts(res.RemoteOps)
+	t.steals += res.Steals
+	t.migrated += res.MigratedIters
+	t.chunks += len(prov)
+	for _, p := range prov {
+		t.iters += p.Iters()
 	}
 }
 
 // TestSimRegistryTimeSeries: the metrics registry snapshots once per
-// step and its cumulative counters match the final metrics.
+// non-empty step, its counters agree with the final metrics and with
+// their histograms, and a registry shared by several runs holds their
+// sum rather than the largest run.
 func TestSimRegistryTimeSeries(t *testing.T) {
 	m := machine.Iris()
 	build, _, err := cli.BuildKernel("sor", 32, 5, 1, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	res, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := reg.Series()
-	if len(series) != res.Steps {
-		t.Fatalf("%d samples for %d steps", len(series), res.Steps)
-	}
-	last := series[len(series)-1].Values
-	if got := int(last["steals"]); got != res.Steals {
-		t.Errorf("registry steals %d vs metrics %d", got, res.Steals)
-	}
-	if got := int(last["local_ops"]); got != sumInts(res.LocalOps) {
-		t.Errorf("registry local_ops %d vs metrics %d", got, sumInts(res.LocalOps))
-	}
-	// Counters are cumulative, so the series must be non-decreasing.
-	prev := -1.0
-	for _, s := range series {
-		v := s.Values["local_ops"]
-		if v < prev {
-			t.Fatalf("local_ops series decreased: %v then %v", prev, v)
+	prog := build()
+	wantIters, nonEmpty := 0, 0
+	for s := 0; s < prog.Steps; s++ {
+		if n := prog.Step(s).N; n > 0 {
+			wantIters += n
+			nonEmpty++
 		}
-		prev = v
 	}
-	if reg.Histogram("chunk_size", nil).Count() == 0 {
-		t.Error("no chunk sizes observed")
+	reg := telemetry.NewRegistry()
+	var want simTotals
+	for run, seed := range []uint64{1, 2} {
+		prov := telemetry.NewProvStream()
+		res, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Seed: seed,
+			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg, "cycles"), telemetry.ObserveProv(prov))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.add(res, prov.Records())
+		if want.iters != (run+1)*wantIters {
+			t.Fatalf("run %d: provenance covers %d iterations, want %d", run, want.iters, (run+1)*wantIters)
+		}
+		series := reg.Series()
+		if len(series) != (run+1)*nonEmpty {
+			t.Fatalf("run %d: %d samples for %d non-empty steps per run", run, len(series), nonEmpty)
+		}
+		last := series[len(series)-1].Values
+		for name, w := range map[string]int{
+			"central_ops": want.central, "local_ops": want.local, "remote_ops": want.remote,
+			"steals": want.steals, "migrated_iters": want.migrated, "iterations": want.iters,
+			"steal_latency_cycles_count": want.steals, "chunk_size_count": want.chunks,
+		} {
+			if got := int(last[name]); got != w {
+				t.Errorf("after run %d: registry %s %d, want %d", run, name, got, w)
+			}
+		}
+		// Counters are cumulative, so the series must be non-decreasing.
+		prev := -1.0
+		for _, s := range series {
+			v := s.Values["local_ops"]
+			if v < prev {
+				t.Fatalf("local_ops series decreased: %v then %v", prev, v)
+			}
+			prev = v
+		}
+	}
+	if want.steals == 0 {
+		t.Error("no steals: the shared-registry sums are untested")
 	}
 }
 
@@ -151,7 +156,7 @@ func TestPhaseAndQueueWaitEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewStream()
-	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Events: stream})
+	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestCacheFlushEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewStream()
-	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Events: stream, FlushEverySteps: 2}); err != nil {
+	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream), FlushEverySteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	flushes := 0

@@ -57,7 +57,7 @@ func TestTracecheckStealHeavyAFS(t *testing.T) {
 			events := telemetry.NewStream()
 			prov := telemetry.NewProvStream()
 			if _, err := sim.RunOpts(m, c.procs, spec, build(), sim.Options{
-				Events: events, Prov: prov,
+				Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
 			}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

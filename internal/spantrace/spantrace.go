@@ -12,9 +12,9 @@
 // appends to its own pre-grown span buffer (single writer; the phase
 // barrier publishes the writes before End merges them), span IDs are
 // derived deterministically from (worker, local index), and the only
-// shared mutable state is an atomic drop counter. On the simulator
-// substrate the same trees are rebuilt from telemetry streams
-// (FromTelemetry), bit-identical across runs at a fixed seed.
+// shared mutable state is an atomic drop counter. The simulator takes
+// the same observer (sim.Options.Observer), so its trees are built the
+// same way, in cycles, bit-identical across runs at a fixed seed.
 package spantrace
 
 import (

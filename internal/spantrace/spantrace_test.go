@@ -153,13 +153,11 @@ func TestForensicsRoundTrip(t *testing.T) {
 	}
 }
 
-// simTrace runs one seeded simulation and rebuilds its span tree from
-// the telemetry stream.
+// simTrace runs one seeded simulation with a live span collection
+// attached as its observer and returns the sealed tree.
 func simTrace(t *testing.T, seed uint64) *spantrace.Trace {
 	t.Helper()
 	m := machine.Iris()
-	evs := telemetry.NewStream()
-	pvs := telemetry.NewProvStream()
 	prog := sim.Program{
 		Name:  "det",
 		Steps: 3,
@@ -167,15 +165,14 @@ func simTrace(t *testing.T, seed uint64) *spantrace.Trace {
 			return sim.ParLoop{N: 128, Cost: func(i int) float64 { return 100 + float64(i%7)*30 }}
 		},
 	}
-	_, err := sim.RunOpts(m, 4, sched.SpecAFS(), prog, sim.Options{
-		Seed: seed, Events: evs, Prov: pvs,
+	active := spantrace.NewTracer(spantrace.Options{}).StartSubmission(spantrace.SubmissionInfo{
+		Label: "det", Scheduler: "AFS", Procs: 4, Phases: 3,
 	})
-	if err != nil {
+	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), prog, sim.Options{Seed: seed, Observer: active}); err != nil {
+		active.Abandon()
 		t.Fatal(err)
 	}
-	return spantrace.FromTelemetry(spantrace.SubmissionInfo{
-		Label: "det", Scheduler: "AFS", Procs: 4, Phases: 3,
-	}, evs.Events(), pvs.Records())
+	return active.End("ok")
 }
 
 // TestSimTraceDeterminism locks the simulator-substrate guarantee: at

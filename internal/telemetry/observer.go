@@ -1,33 +1,38 @@
 package telemetry
 
-// Observer is the real goroutine runtime's single instrumentation
-// surface (core.Config.Observer). The runtime reports each
-// submission as three record shapes, and every consumer — the event
-// stream, the provenance stream, the metrics registry, the live plane
-// and the span tracer — derives what it needs from them:
+// Observer is the single instrumentation surface of both execution
+// substrates (core.Config.Observer, sim.Options.Observer). A run
+// reports itself as three record shapes, and every consumer — the
+// event stream, the provenance stream, the metrics registry, the live
+// plane and the span tracer — derives what it needs from them:
 //
 //   - Chunk: one Prov per executed chunk, the per-chunk record of
 //     (step, proc, owner, stolen, lo, hi, start, end, queue wait);
-//   - Dispatch: one Event per successful steal (KindSteal) and per
-//     central-queue acquisition (KindQueueWait), carrying the measured
-//     wait as [Start, End];
+//   - Dispatch: one Event per successful steal (KindSteal), per
+//     queue wait (KindQueueWait; the real runtime reports every
+//     central-queue acquisition, the simulator every nonzero wait)
+//     carrying the wait as [Start, End], and, on the simulator, per
+//     forced cache flush (KindCacheFlush);
 //   - Phase: a PhaseMark at each phase begin and at its barrier.
 //
-// Chunk and Dispatch are called inline from worker goroutines, so
-// implementations must be safe for concurrent use and cheap; Phase is
-// called by the submitting goroutine. Times are nanoseconds since the
-// submission started. Compose several observers with TeeObservers.
+// On the real runtime Chunk and Dispatch are called inline from
+// worker goroutines, so implementations must be safe for concurrent
+// use and cheap; Phase is called by the submitting goroutine. Times
+// are nanoseconds since the submission started on the real runtime
+// and simulated cycles on the simulator. Compose several observers
+// with TeeObservers.
 type Observer interface {
 	Phase(PhaseMark)
 	Chunk(Prov)
 	Dispatch(Event)
 }
 
-// PhaseMark is one phase boundary of a real-runtime submission. Each
-// phase produces two: at begin, once the phase's queues are filled
-// (Barrier false, End == Start), and after the barrier drains
-// (Barrier true), when Start still carries the begin time and every
-// chunk of the phase happens-before the call.
+// PhaseMark is one phase boundary of a run. Each phase produces two:
+// at begin, once the phase's queues are filled (Barrier false, End ==
+// Start), and after the barrier drains (Barrier true), when Start
+// still carries the begin time and every chunk of the phase
+// happens-before the call. Start and End are nanoseconds on the real
+// runtime and cycles on the simulator.
 type PhaseMark struct {
 	Step    int
 	N       int // the phase's iteration count
@@ -47,6 +52,18 @@ type OpCounts struct {
 	Steals, MigratedIters, Iterations int64
 }
 
+// Sub returns the growth from o to c.
+func (c OpCounts) Sub(o OpCounts) OpCounts {
+	return OpCounts{
+		CentralOps:    c.CentralOps - o.CentralOps,
+		LocalOps:      c.LocalOps - o.LocalOps,
+		RemoteOps:     c.RemoteOps - o.RemoteOps,
+		Steals:        c.Steals - o.Steals,
+		MigratedIters: c.MigratedIters - o.MigratedIters,
+		Iterations:    c.Iterations - o.Iterations,
+	}
+}
+
 // Event returns the mark as a phase-boundary event: KindPhaseBegin
 // (Hi = N) at begin, KindPhaseEnd at the barrier.
 func (m PhaseMark) Event() Event {
@@ -61,17 +78,17 @@ func (p Prov) ExecEvent() Event {
 	return Event{Kind: KindExec, Proc: p.Proc, Victim: -1, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End}
 }
 
-// Notable reports whether a dispatch event belongs in an event stream:
-// every steal, but only contended queue waits (longer than 1µs) — an
-// uncontended mutex acquisition on every fetch would drown the stream
-// in noise.
+// Notable reports whether a real-runtime dispatch event belongs in an
+// event stream: every steal, but only contended queue waits (longer
+// than 1µs, so the times must be nanoseconds) — an uncontended mutex
+// acquisition on every fetch would drown the stream in noise.
 func (e Event) Notable() bool {
 	return e.Kind != KindQueueWait || e.End-e.Start > 1e3
 }
 
 // ObserveEvents adapts an event sink: exec events derived from chunk
-// records, notable dispatch events, and phase-boundary events. nil
-// for a nil sink.
+// records, every dispatch event, and phase-boundary events. nil for a
+// nil sink.
 func ObserveEvents(s Sink) Observer {
 	if s == nil {
 		return nil
@@ -83,11 +100,7 @@ type eventObserver struct{ s Sink }
 
 func (o eventObserver) Phase(m PhaseMark) { o.s.Emit(m.Event()) }
 func (o eventObserver) Chunk(p Prov)      { o.s.Emit(p.ExecEvent()) }
-func (o eventObserver) Dispatch(e Event) {
-	if e.Notable() {
-		o.s.Emit(e)
-	}
-}
+func (o eventObserver) Dispatch(e Event)  { o.s.Emit(e) }
 
 // ObserveProv adapts a provenance sink: one record per executed chunk.
 // nil for a nil sink.
@@ -106,16 +119,27 @@ func (o provObserver) Dispatch(e Event) {}
 
 // ObserveMetrics adapts a registry: counters central_ops, local_ops,
 // remote_ops, steals, migrated_iters and iterations grow by each
-// barrier's OpCounts, so one registry shared by many submissions holds
-// their sum; histograms chunk_size, queue_wait_ns and
-// steal_latency_ns observe every chunk and dispatch event; and every
-// barrier records one time-series sample at its step. nil for a nil
+// barrier's OpCounts, so one registry shared by many runs holds their
+// sum; histograms chunk_size, queue_wait_<unit> and
+// steal_latency_<unit> observe every chunk and dispatch event; and
+// every barrier records one time-series sample at its step. unit is
+// the substrate's time unit, "ns" (real runtime; wait buckets from
+// 100ns) or "cycles" (simulator; from 1 cycle). nil for a nil
 // registry.
-func ObserveMetrics(r *Registry) Observer {
+func ObserveMetrics(r *Registry, unit string) Observer {
 	if r == nil {
 		return nil
 	}
-	ns := ExpBuckets(100, 4, 12)  // 100ns .. ~1.6s
+	var first float64
+	switch unit {
+	case "ns":
+		first = 100 // 100ns .. ~1.6s
+	case "cycles":
+		first = 1 // 1 cycle .. ~4M cycles
+	default:
+		panic("telemetry: ObserveMetrics unit must be \"ns\" or \"cycles\", got " + unit)
+	}
+	waits := ExpBuckets(first, 4, 12)
 	sizes := ExpBuckets(1, 2, 16) // 1 .. 32768 iterations
 	return &metricsObserver{
 		reg:           r,
@@ -126,8 +150,8 @@ func ObserveMetrics(r *Registry) Observer {
 		migratedIters: r.Counter("migrated_iters"),
 		iterations:    r.Counter("iterations"),
 		chunkSize:     r.Histogram("chunk_size", sizes),
-		queueWait:     r.Histogram("queue_wait_ns", ns),
-		stealLatency:  r.Histogram("steal_latency_ns", ns),
+		queueWait:     r.Histogram("queue_wait_"+unit, waits),
+		stealLatency:  r.Histogram("steal_latency_"+unit, waits),
 	}
 }
 

@@ -4,10 +4,12 @@
 //
 // It provides:
 //
+//   - the Observer both engines report through (observer.go), nil by
+//     default so instrumented hot paths pay exactly one nil check when
+//     telemetry is off, with adapters feeding the consumers below;
 //   - a structured event stream (exec / steal / queue-wait /
 //     cache-flush / phase-boundary events) behind a pluggable Sink
-//     interface, nil by default so instrumented hot paths pay exactly
-//     one nil check when telemetry is off;
+//     interface;
 //   - a metrics Registry of named counters, gauges and fixed-bucket
 //     histograms with per-step time-series snapshots (registry.go);
 //   - exporters: JSONL and CSV event dumps (export.go) and the Chrome
@@ -134,34 +136,6 @@ func (s *SyncStream) Reset() {
 	s.mu.Lock()
 	s.s.Reset()
 	s.mu.Unlock()
-}
-
-// MultiSink fans one event out to several sinks.
-type MultiSink []Sink
-
-// Emit forwards to every sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// Tee combines sinks, dropping nils; returns nil when none remain so
-// callers keep the single-nil-check fast path.
-func Tee(sinks ...Sink) Sink {
-	var out MultiSink
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
 }
 
 // Rebase shifts every event's step and time base before forwarding —

@@ -53,19 +53,47 @@ func TestSyncStreamConcurrent(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Error("Tee of nothing should be nil")
+func TestTeeObservers(t *testing.T) {
+	if TeeObservers() != nil || TeeObservers(nil, nil) != nil {
+		t.Error("TeeObservers of nothing should be nil")
 	}
 	a, b := NewStream(), NewStream()
-	if Tee(a, nil) != Sink(a) {
-		t.Error("single sink should pass through")
+	oa := ObserveEvents(a)
+	if TeeObservers(oa, nil) != oa {
+		t.Error("single observer should pass through")
 	}
-	both := Tee(a, b)
-	both.Emit(Event{Kind: KindExec})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Error("fan-out failed")
+	both := TeeObservers(oa, ObserveEvents(b))
+	both.Chunk(Prov{Lo: 0, Hi: 4})
+	both.Dispatch(Event{Kind: KindQueueWait, Start: 0, End: 1})
+	both.Phase(PhaseMark{Barrier: true})
+	if a.Len() != 3 || b.Len() != 3 {
+		t.Errorf("fan-out delivered %d and %d events, want 3 each", a.Len(), b.Len())
 	}
+}
+
+// TestObserveMetricsUnits: the time unit picks the wait histograms'
+// names and first bucket, so a registry never holds cycles under an
+// _ns name.
+func TestObserveMetricsUnits(t *testing.T) {
+	for unit, first := range map[string]float64{"ns": 100, "cycles": 1} {
+		reg := NewRegistry()
+		ObserveMetrics(reg, unit).Dispatch(Event{Kind: KindSteal, Start: 0, End: 3})
+		for _, name := range []string{"queue_wait_" + unit, "steal_latency_" + unit} {
+			b := reg.Histogram(name, nil).Bounds()
+			if len(b) != 12 || b[0] != first || b[1] != 4*first {
+				t.Errorf("%s buckets %v, want 12 from %v by 4", name, b, first)
+			}
+		}
+		if got := reg.Histogram("steal_latency_"+unit, nil).Count(); got != 1 {
+			t.Errorf("steal_latency_%s count %d, want 1", unit, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown unit should panic")
+		}
+	}()
+	ObserveMetrics(NewRegistry(), "ms")
 }
 
 func TestRebase(t *testing.T) {

@@ -7,10 +7,10 @@
 // reassigned twice".
 //
 // The package is a consumer of the unified telemetry event stream
-// (internal/telemetry): a *Trace is a telemetry.Sink, so it can be
-// plugged directly into either execution substrate, and FromStream
-// rebuilds a Trace from any recorded stream. Exec and steal events
-// are retained; other event kinds are ignored.
+// (internal/telemetry): a *Trace is a telemetry.Sink, so
+// telemetry.ObserveEvents attaches it to either execution substrate's
+// observer. Exec and steal events are retained; other event kinds are
+// ignored.
 package trace
 
 import (
@@ -79,16 +79,6 @@ func (t *Trace) Emit(e telemetry.Event) {
 		t.Add(Event{Kind: Steal, Proc: e.Proc, Victim: e.Victim, Step: e.Step,
 			Chunk: sched.Chunk{Lo: e.Lo, Hi: e.Hi}, Start: e.Start, End: e.End})
 	}
-}
-
-// FromStream rebuilds a Trace for p processors from a recorded
-// telemetry event stream.
-func FromStream(p int, events []telemetry.Event) *Trace {
-	t := New(p)
-	for _, e := range events {
-		t.Emit(e)
-	}
-	return t
 }
 
 // Steals returns only the steal events.

@@ -257,8 +257,8 @@ func WithGrain(min int) Option {
 }
 
 // WithEvents attaches a telemetry sink receiving the structured event
-// stream (exec / steal / queue-wait / phase-boundary events with
-// nanosecond timestamps). The sink must be safe for concurrent use —
+// stream (exec / steal / phase-boundary events and queue waits longer
+// than 1µs, with nanosecond timestamps). The sink must be safe for concurrent use —
 // NewEventStream returns a suitable one. With no sink the hot path
 // pays a single nil check.
 func WithEvents(s EventSink) Option {
@@ -419,10 +419,28 @@ func (c *config) lower() (core.Config, error) {
 	cc.Ctx = c.ctx
 	cc.CostHint = c.costHint
 	cc.StartDelay = c.startDelay
-	cc.Observer = telemetry.TeeObservers(telemetry.ObserveEvents(c.events),
-		telemetry.ObserveMetrics(c.metrics), telemetry.ObserveProv(c.prov))
+	cc.Observer = telemetry.TeeObservers(notableEvents(c.events),
+		telemetry.ObserveMetrics(c.metrics, "ns"), telemetry.ObserveProv(c.prov))
 	cc.QueueDepthEvery = c.queueDepthEvery
 	return cc, nil
+}
+
+// notableEvents adapts a real-runtime event sink, keeping only notable
+// dispatch events (Event.Notable): an uncontended queue acquisition on
+// every fetch would drown the stream.
+func notableEvents(s EventSink) telemetry.Observer {
+	if s == nil {
+		return nil
+	}
+	return telemetry.ObserveEvents(notableSink{s})
+}
+
+type notableSink struct{ EventSink }
+
+func (s notableSink) Emit(e TelemetryEvent) {
+	if e.Notable() {
+		s.EventSink.Emit(e)
+	}
 }
 
 func buildConfig(opts []Option) (config, error) {
@@ -711,11 +729,11 @@ type SimTouch = sim.Touch
 type SimResult = sim.Metrics
 
 // SimOptions tunes a simulation run (per-processor start delays,
-// jitter seed, optional trace).
+// jitter seed, optional observer).
 type SimOptions = sim.Options
 
 // Trace records chunk executions and steals during a simulation; pass
-// NewTrace(p) via SimOptions.Trace and render with Gantt/Summary.
+// NewTrace(p) via WithSimTrace and render with Gantt/Summary.
 type Trace = trace.Trace
 
 // NewTrace creates a trace for p processors.
@@ -730,7 +748,7 @@ type EventSink = telemetry.Sink
 
 // EventStream is a concurrent-safe in-memory event sink, usable with
 // both the real runtime (WithEvents) and the simulator
-// (SimOptions.Events).
+// (WithSimEvents).
 type EventStream = telemetry.SyncStream
 
 // NewEventStream creates an empty concurrent-safe event stream.
@@ -747,7 +765,7 @@ type ProvenanceSink = telemetry.ProvSink
 
 // ProvenanceStream is a concurrent-safe in-memory provenance sink,
 // usable with both the real runtime (WithProvenance) and the simulator
-// (SimOptions.Prov accepts any ProvenanceSink).
+// (WithSimProvenance accepts any ProvenanceSink).
 type ProvenanceStream = telemetry.SyncProvStream
 
 // NewProvenanceStream creates an empty concurrent-safe provenance
@@ -800,28 +818,37 @@ func WithSimStartDelay(delays ...float64) SimOption {
 	return func(o *sim.Options) { o.StartDelay = delays }
 }
 
+// simObserve adds obs to the run's observer.
+func simObserve(obs telemetry.Observer) SimOption {
+	return func(o *sim.Options) { o.Observer = telemetry.TeeObservers(o.Observer, obs) }
+}
+
 // WithSimTrace records every chunk execution and steal into t.
 func WithSimTrace(t *Trace) SimOption {
-	return func(o *sim.Options) { o.Trace = t }
+	if t == nil {
+		return simObserve(nil)
+	}
+	return simObserve(telemetry.ObserveEvents(t))
 }
 
 // WithSimEvents attaches a telemetry sink receiving the structured
-// event stream (the simulator is single-threaded, so an
-// unsynchronised stream is fine).
+// event stream, every queue wait included (the simulator is
+// single-threaded, so an unsynchronised stream is fine).
 func WithSimEvents(s EventSink) SimOption {
-	return func(o *sim.Options) { o.Events = s }
+	return simObserve(telemetry.ObserveEvents(s))
 }
 
 // WithSimMetrics attaches a metrics registry snapshotted at every step
-// barrier.
+// barrier; its wait histograms are queue_wait_cycles and
+// steal_latency_cycles.
 func WithSimMetrics(r *MetricsRegistry) SimOption {
-	return func(o *sim.Options) { o.Metrics = r }
+	return simObserve(telemetry.ObserveMetrics(r, "cycles"))
 }
 
 // WithSimProvenance attaches a provenance sink receiving one record
 // per executed chunk with its exact cost decomposition.
 func WithSimProvenance(s ProvenanceSink) SimOption {
-	return func(o *sim.Options) { o.Prov = s }
+	return simObserve(telemetry.ObserveProv(s))
 }
 
 // WithSimActiveProcs models a space-sharing OS growing and shrinking

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/telemetry"
 )
 
 func TestParallelForDefaults(t *testing.T) {
@@ -332,6 +333,34 @@ func TestSimulateVariadicOptions(t *testing.T) {
 	}
 	if len(reg.Series()) == 0 {
 		t.Error("WithSimMetrics recorded no series")
+	}
+}
+
+// TestOneShotEventsDropShortQueueWaits: a one-shot WithEvents stream
+// carries no queue wait of 1µs or less — uncontended central-queue
+// acquisitions stay out of real-runtime streams — while every chunk is
+// still there. (Simulator streams keep every wait; TestSimOutputsPinned
+// pins them.)
+func TestOneShotEventsDropShortQueueWaits(t *testing.T) {
+	stream := repro.NewEventStream()
+	const n = 4096
+	if _, err := repro.ParallelFor(n, func(int) {},
+		repro.WithProcs(2), repro.WithScheduler("ss"), repro.WithEvents(stream)); err != nil {
+		t.Fatal(err)
+	}
+	iters := 0
+	for _, e := range stream.Events() {
+		switch e.Kind {
+		case telemetry.KindQueueWait:
+			if e.End-e.Start <= 1e3 {
+				t.Fatalf("queue wait of %.0fns in a one-shot stream: %+v", e.End-e.Start, e)
+			}
+		case telemetry.KindExec:
+			iters += e.Hi - e.Lo
+		}
+	}
+	if iters != n {
+		t.Errorf("exec events cover %d iterations, want %d", iters, n)
 	}
 }
 

@@ -307,7 +307,7 @@ func cmdDuel(args []string) error {
 		}
 		duel = append(duel, c)
 	}
-	runner := &perflab.Runner{BaseSeed: *seed}
+	runner := &perflab.Runner{BaseSeed: *seed, Bare: true}
 	runner.Progress = func(done, total int, res perflab.CaseResult) {
 		fmt.Fprintf(os.Stderr, "[%d/%d] %s  median %.4gs\n", done, total, res.ID, res.Summary.Median)
 	}
@@ -360,7 +360,7 @@ func cmdOverhead(args []string) error {
 		}
 		pair = append(pair, c)
 	}
-	runner := &perflab.Runner{BaseSeed: *seed}
+	runner := &perflab.Runner{BaseSeed: *seed, Bare: true}
 	runner.Progress = func(done, total int, res perflab.CaseResult) {
 		fmt.Fprintf(os.Stderr, "[%d/%d] %s  median %.4gs\n", done, total, res.ID, res.Summary.Median)
 	}

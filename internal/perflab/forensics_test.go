@@ -6,6 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/machine"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func simCase(algo string) Case {
@@ -71,6 +77,64 @@ func TestRunnerAttachesForensics(t *testing.T) {
 			t.Errorf("%s: makespan %g != %g after round trip",
 				res.ID, lc.Forensics.Makespan, res.Forensics.Makespan)
 		}
+	}
+}
+
+// TestDigestDescribesMedianRepeat re-simulates every repeat of a
+// case whose repeats differ (each repeat perturbs the start-jitter
+// seed) and requires the stored digest and counters to be the median
+// repeat's, not the final one's.
+func TestDigestDescribesMedianRepeat(t *testing.T) {
+	r := &Runner{BaseSeed: 1}
+	c := NewRegistry().Add(Case{Substrate: SubstrateSim, Machine: "iris", Kernel: "tc-skew", Algo: "gss",
+		N: 64, Phases: 1, Procs: 8, Repeats: 5})
+	res, err := r.runCase(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.ByName(c.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, _, err := cli.BuildKernel(c.Kernel, c.N, c.Phases, int64(r.seedFor(c.ID)), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sched.ByName(c.Algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	makespans := make([]float64, c.Repeats)
+	waits := make([]float64, c.Repeats)
+	med := -1
+	for rep := range makespans {
+		reg, prov := telemetry.NewRegistry(), telemetry.NewProvStream()
+		met, err := sim.RunOpts(m, c.Procs, spec, build(), sim.Options{
+			Seed:     r.seedFor(c.ID) + uint64(rep),
+			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg, "cycles"), telemetry.ObserveProv(prov)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.Seconds != res.Samples[rep] {
+			t.Fatalf("repeat %d: re-simulated %gs, runner sampled %gs", rep, met.Seconds, res.Samples[rep])
+		}
+		makespans[rep] = forensicsSummary(c, prov.Records()).Makespan
+		waits[rep] = currentValues(reg)["queue_wait_cycles_sum"]
+		if met.Seconds == res.Summary.Median {
+			med = rep
+		}
+	}
+	last := c.Repeats - 1
+	if med < 0 || med == last || makespans[med] == makespans[last] {
+		t.Fatalf("case does not separate the median repeat from the final one: samples %v, makespans %v",
+			res.Samples, makespans)
+	}
+	if got := res.Forensics.Makespan; got != makespans[med] {
+		t.Errorf("digest makespan %g, want the median repeat's %g (final repeat: %g)", got, makespans[med], makespans[last])
+	}
+	if got := res.Counters["queue_wait_cycles_sum"]; got != waits[med] {
+		t.Errorf("counter queue_wait_cycles_sum %g, want the median repeat's %g (all repeats: %v)", got, waits[med], waits)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/bundle"
@@ -26,14 +27,14 @@ import (
 
 // CaseResult is one case's measured distribution: raw samples (seconds
 // — simulated seconds for the sim substrate, wall seconds for real),
-// their robust summary, and the telemetry counters of the final
+// their robust summary, and the telemetry counters of the median
 // measured repeat.
 type CaseResult struct {
 	Case
 	Samples  []float64          `json:"samples_sec"`
 	Summary  stats.Summary      `json:"summary"`
 	Counters map[string]float64 `json:"counters,omitempty"`
-	// Forensics is the attribution digest of the final measured repeat
+	// Forensics is the attribution digest of the median measured repeat
 	// (per-processor-average compute / cache-reload / interconnect /
 	// queue-wait / idle buckets). Optional: absent from baselines
 	// written before execution forensics existed — the schema is
@@ -50,6 +51,10 @@ type Runner struct {
 	// the synthetic-slowdown hook the gate's own tests (and CI smoke)
 	// use to prove a regression would be caught.
 	Inject map[string]float64
+	// Bare runs every repeat without an observer, leaving Counters and
+	// Forensics empty. The timing duels (duel, overhead) set it so each
+	// arm's samples carry only the instrumentation the arm names.
+	Bare bool
 	// Progress, when non-nil, is called after each case completes.
 	Progress func(done, total int, res CaseResult)
 }
@@ -85,7 +90,8 @@ func (r *Runner) Run(cases []Case) ([]CaseResult, error) {
 }
 
 // runCase measures one case: warmup repeats discarded, measured repeats
-// recorded, telemetry counters captured from the last measured repeat.
+// recorded, telemetry counters and the forensics digest taken from the
+// median measured repeat.
 func (r *Runner) runCase(c Case) (CaseResult, error) {
 	if c.Repeats < 1 {
 		return CaseResult{}, fmt.Errorf("repeats must be >= 1 (got %d)", c.Repeats)
@@ -136,14 +142,18 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 			return CaseResult{}, err
 		}
 	}
+	// Every measured repeat is observed (unless Bare), so the real
+	// substrate's samples all carry the same observer cost and the
+	// digest can describe the median repeat rather than an arbitrary
+	// one. Simulated samples are simulated time: observing is free.
 	samples := make([]float64, 0, c.Repeats)
-	var counters map[string]float64
-	var provRecords []telemetry.Prov
+	counters := make([]map[string]float64, 0, c.Repeats)
+	digests := make([]*forensics.Summary, 0, c.Repeats)
 	for rep := 0; rep < c.Repeats; rep++ {
 		var reg *telemetry.Registry
 		var prov *telemetry.SyncProvStream // the real runtime's workers are concurrent
 		var obs telemetry.Observer
-		if rep == c.Repeats-1 {
+		if !r.Bare {
 			reg, prov = telemetry.NewRegistry(), telemetry.NewSyncProvStream()
 			obs = telemetry.TeeObservers(telemetry.ObserveMetrics(reg, c.timeUnit()), telemetry.ObserveProv(prov))
 		}
@@ -153,8 +163,8 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		}
 		samples = append(samples, s)
 		if reg != nil {
-			counters = currentValues(reg)
-			provRecords = prov.Records()
+			counters = append(counters, currentValues(reg))
+			digests = append(digests, forensicsSummary(c, prov.Records()))
 		}
 	}
 	if f, ok := r.Inject[c.ID]; ok && f > 0 {
@@ -162,13 +172,23 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 			samples[i] *= f
 		}
 	}
-	return CaseResult{
-		Case:      c,
-		Samples:   samples,
-		Summary:   stats.Summarize(samples, r.seedFor(c.ID)),
-		Counters:  counters,
-		Forensics: forensicsSummary(c, provRecords),
-	}, nil
+	res := CaseResult{Case: c, Samples: samples, Summary: stats.Summarize(samples, r.seedFor(c.ID))}
+	if !r.Bare {
+		med := medianRepeat(samples)
+		res.Counters, res.Forensics = counters[med], digests[med]
+	}
+	return res, nil
+}
+
+// medianRepeat returns the index of the repeat whose sample is the
+// median (the lower middle for an even count; the first on ties).
+func medianRepeat(samples []float64) int {
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return samples[idx[a]] < samples[idx[b]] })
+	return idx[(len(idx)-1)/2]
 }
 
 // timeUnit is the case's substrate clock: simulated cycles or real
@@ -180,7 +200,7 @@ func (c Case) timeUnit() string {
 	return "cycles"
 }
 
-// forensicsSummary condenses the final repeat's provenance into the
+// forensicsSummary condenses one repeat's provenance into the
 // attribution digest stored with the baseline.
 func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	if len(recs) == 0 {

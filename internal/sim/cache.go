@@ -5,161 +5,160 @@ package sim
 // iteration touches, e.g. "row i of matrix A". This matches the
 // granularity at which the paper reasons about affinity and keeps large
 // problems simulable (see DESIGN.md §2). Replacement is LRU by bytes.
+//
+// Footprints are addressed by dense slot numbers (the engine interns
+// each footprint ID once per run), so residency and the LRU list live
+// in a slice indexed by slot: a touch costs no map lookup, and a slot
+// reused after eviction or invalidation reuses its storage.
 type Cache struct {
 	capacity int
 	used     int
-	entries  map[uint64]*cacheEntry
-	// Doubly-linked LRU list; head is most recently used.
-	head, tail *cacheEntry
+	n        int
+	entries  []entry
+	// Doubly-linked LRU list threaded through entries; head is the most
+	// recently used slot, -1 ends the list.
+	head, tail int32
 }
 
-type cacheEntry struct {
-	id         uint64
+// entry is one slot's residency record.
+type entry struct {
 	bytes      int
-	prev, next *cacheEntry
+	prev, next int32
+	resident   bool
 }
 
 // NewCache creates a cache with the given byte capacity. Capacity 0
 // models a machine that never caches shared data locally.
 func NewCache(capacity int) *Cache {
-	return &Cache{capacity: capacity, entries: make(map[uint64]*cacheEntry)}
+	return &Cache{capacity: capacity, head: -1, tail: -1}
 }
 
-// Contains reports whether footprint id is resident.
-func (c *Cache) Contains(id uint64) bool {
-	_, ok := c.entries[id]
-	return ok
+// Contains reports whether footprint slot s is resident.
+func (c *Cache) Contains(s int32) bool {
+	return int(s) < len(c.entries) && c.entries[s].resident
 }
 
 // Used returns resident bytes.
 func (c *Cache) Used() int { return c.used }
 
 // Len returns the number of resident footprints.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.n }
 
-// Touch records a reference to footprint id of the given size. If the
-// footprint is resident it becomes most-recently-used and Touch returns
-// true (a hit). Otherwise the footprint is loaded, evicting LRU entries
-// as needed (onEvict is called for each, if non-nil), and Touch returns
-// false. Footprints larger than the whole cache are never retained.
-func (c *Cache) Touch(id uint64, bytes int, onEvict func(id uint64)) bool {
-	if e, ok := c.entries[id]; ok {
-		if bytes > e.bytes {
+// Touch records a reference to footprint slot s of the given size. If
+// the footprint is resident it becomes most-recently-used and Touch
+// returns true (a hit). Otherwise the footprint is loaded, evicting LRU
+// entries as needed (onEvict is called for each, if non-nil), and
+// Touch returns false. Footprints larger than the whole cache are never
+// retained.
+func (c *Cache) Touch(s int32, bytes int, onEvict func(s int32)) bool {
+	if c.Contains(s) {
+		if e := &c.entries[s]; bytes > e.bytes {
 			// Footprint grew (e.g. a row touched more widely); account
 			// for the extra bytes.
 			c.used += bytes - e.bytes
 			e.bytes = bytes
-			c.evictOver(id, onEvict)
+			c.evictOver(s, onEvict)
 		}
-		c.moveToFront(e)
+		c.moveToFront(s)
 		return true
 	}
 	if bytes > c.capacity {
 		return false
 	}
-	e := &cacheEntry{id: id, bytes: bytes}
-	c.entries[id] = e
-	c.pushFront(e)
+	if int(s) >= len(c.entries) {
+		c.entries = append(c.entries, make([]entry, int(s)+1-len(c.entries))...)
+	}
+	c.entries[s].bytes, c.entries[s].resident = bytes, true
+	c.n++
+	c.pushFront(s)
 	c.used += bytes
-	c.evictOver(id, onEvict)
+	c.evictOver(s, onEvict)
 	return false
 }
 
 // evictOver evicts LRU entries (never `keep`) until used <= capacity.
-func (c *Cache) evictOver(keep uint64, onEvict func(id uint64)) {
-	for c.used > c.capacity && c.tail != nil {
+func (c *Cache) evictOver(keep int32, onEvict func(s int32)) {
+	for c.used > c.capacity && c.tail >= 0 {
 		victim := c.tail
-		if victim.id == keep {
+		if victim == keep {
 			// keep is the only entry left; nothing else to evict.
-			if victim.prev == nil {
+			if c.entries[victim].prev < 0 {
 				return
 			}
-			victim = victim.prev
+			victim = c.entries[victim].prev
 		}
 		c.remove(victim)
 		if onEvict != nil {
-			onEvict(victim.id)
+			onEvict(victim)
 		}
 	}
 }
 
-// Invalidate removes footprint id (coherence invalidation on a remote
-// write). It is a no-op if the footprint is not resident.
-func (c *Cache) Invalidate(id uint64) {
-	if e, ok := c.entries[id]; ok {
-		c.remove(e)
+// Invalidate removes footprint slot s (coherence invalidation on a
+// remote write). It is a no-op if the footprint is not resident.
+func (c *Cache) Invalidate(s int32) {
+	if c.Contains(s) {
+		c.remove(s)
 	}
 }
 
-// Clear drops everything (used when a program wants cold caches).
+// Clear drops everything (used when a program wants cold caches),
+// keeping the slot storage.
 func (c *Cache) Clear() {
-	c.entries = make(map[uint64]*cacheEntry)
-	c.head, c.tail, c.used = nil, nil, 0
+	clear(c.entries)
+	c.head, c.tail, c.used, c.n = -1, -1, 0, 0
 }
 
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+func (c *Cache) pushFront(s int32) {
+	c.entries[s].prev = -1
+	c.entries[s].next = c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = s
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = s
+	if c.tail < 0 {
+		c.tail = s
 	}
 }
 
-func (c *Cache) remove(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink detaches s from the LRU list.
+func (c *Cache) unlink(s int32) {
+	e := &c.entries[s]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	delete(c.entries, e.id)
-	c.used -= e.bytes
-	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
+func (c *Cache) remove(s int32) {
+	c.unlink(s)
+	c.entries[s].resident = false
+	c.used -= c.entries[s].bytes
+	c.n--
+}
+
+func (c *Cache) moveToFront(s int32) {
+	if c.head != s {
+		c.unlink(s)
+		c.pushFront(s)
 	}
-	// Detach.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	// Reattach at head.
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
 }
 
 // directory tracks which processors hold a copy of each footprint, for
-// write-invalidate coherence. Processor sets are bitmasks, so the
-// simulator supports up to 64 processors — enough for the paper's
-// largest machine (the 64-processor KSR-1).
+// write-invalidate coherence, indexed by footprint slot. Processor sets
+// are bitmasks, so the simulator supports up to 64 processors — enough
+// for the paper's largest machine (the 64-processor KSR-1).
 type directory struct {
-	holders map[uint64]uint64
+	holders []uint64
 }
 
-func newDirectory() *directory {
-	return &directory{holders: make(map[uint64]uint64)}
-}
-
-func (d *directory) addHolder(id uint64, p int)    { d.holders[id] |= 1 << uint(p) }
-func (d *directory) dropHolder(id uint64, p int)   { d.holders[id] &^= 1 << uint(p) }
-func (d *directory) holdersOf(id uint64) uint64    { return d.holders[id] }
-func (d *directory) setExclusive(id uint64, p int) { d.holders[id] = 1 << uint(p) }
+func (d *directory) addHolder(s int32, p int)    { d.holders[s] |= 1 << uint(p) }
+func (d *directory) dropHolder(s int32, p int)   { d.holders[s] &^= 1 << uint(p) }
+func (d *directory) holdersOf(s int32) uint64    { return d.holders[s] }
+func (d *directory) setExclusive(s int32, p int) { d.holders[s] = 1 << uint(p) }

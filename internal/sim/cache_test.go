@@ -20,8 +20,8 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(1000)
-	var evicted []uint64
-	onEvict := func(id uint64) { evicted = append(evicted, id) }
+	var evicted []int32
+	onEvict := func(s int32) { evicted = append(evicted, s) }
 	c.Touch(1, 400, onEvict)
 	c.Touch(2, 400, onEvict)
 	c.Touch(1, 400, onEvict) // 1 becomes MRU
@@ -92,8 +92,11 @@ func TestCacheInvalidate(t *testing.T) {
 	c.Invalidate(42) // absent: no-op
 	c.Touch(2, 100, nil)
 	c.Clear()
-	if c.Len() != 0 || c.Used() != 0 {
+	if c.Len() != 0 || c.Used() != 0 || c.Contains(2) {
 		t.Error("clear failed")
+	}
+	if c.Touch(2, 100, nil) || !c.Touch(2, 100, nil) || c.Len() != 1 {
+		t.Error("cache unusable after clear")
 	}
 }
 
@@ -104,7 +107,7 @@ func TestCacheCapacityInvariant(t *testing.T) {
 		const cap = 2048
 		c := NewCache(cap)
 		for _, op := range ops {
-			id := uint64(op % 37)
+			id := int32(op % 37)
 			size := int(op%7)*100 + 50
 			switch op % 3 {
 			case 0, 1:
@@ -123,33 +126,43 @@ func TestCacheCapacityInvariant(t *testing.T) {
 	}
 }
 
-// TestCacheListMapConsistency: every map entry is reachable by walking
-// the LRU list and vice versa.
+// TestCacheListMapConsistency: every resident slot is reachable by
+// walking the LRU list (in both directions) and vice versa.
 func TestCacheListMapConsistency(t *testing.T) {
 	c := NewCache(10000)
 	for i := 0; i < 50; i++ {
-		c.Touch(uint64(i%13), (i%5)*100+100, nil)
+		c.Touch(int32(i%13), (i%5)*100+100, nil)
 		if i%7 == 0 {
-			c.Invalidate(uint64(i % 13))
+			c.Invalidate(int32(i % 13))
 		}
-		n := 0
-		bytes := 0
-		for e := c.head; e != nil; e = e.next {
+		n, bytes := 0, 0
+		prev := int32(-1)
+		for s := c.head; s >= 0; s = c.entries[s].next {
 			n++
-			bytes += e.bytes
-			if got, ok := c.entries[e.id]; !ok || got != e {
-				t.Fatalf("list node %d not in map", e.id)
+			bytes += c.entries[s].bytes
+			if !c.entries[s].resident || c.entries[s].prev != prev {
+				t.Fatalf("list node %d: resident=%v prev=%d, want prev %d", s, c.entries[s].resident, c.entries[s].prev, prev)
+			}
+			prev = s
+		}
+		if prev != c.tail {
+			t.Fatalf("list ends at %d, tail is %d", prev, c.tail)
+		}
+		resident := 0
+		for _, l := range c.entries {
+			if l.resident {
+				resident++
 			}
 		}
-		if n != c.Len() || bytes != c.Used() {
-			t.Fatalf("list/map mismatch: list n=%d bytes=%d, map len=%d used=%d",
-				n, bytes, c.Len(), c.Used())
+		if n != c.Len() || n != resident || bytes != c.Used() {
+			t.Fatalf("list/slot mismatch: list n=%d bytes=%d, resident slots=%d len=%d used=%d",
+				n, bytes, resident, c.Len(), c.Used())
 		}
 	}
 }
 
 func TestDirectory(t *testing.T) {
-	d := newDirectory()
+	d := directory{holders: make([]uint64, 100)}
 	d.addHolder(1, 0)
 	d.addHolder(1, 5)
 	if d.holdersOf(1) != (1 | 1<<5) {

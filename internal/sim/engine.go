@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/machine"
@@ -93,21 +92,54 @@ type event struct {
 	proc int
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq).
+// seq is unique, so the order is total: any correct heap pops the same
+// sequence. Typed push and pop keep events out of interfaces, so the
+// event loop allocates nothing once the slice has grown to P entries.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) peek() event   { return h[0] }
-func (h *eventHeap) push(t float64, seq int64, p int) {
-	heap.Push(h, event{t, seq, p})
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.less(r, child) {
+			child = r
+		}
+		if !s.less(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	*h = s
+	return top
 }
 
 // procState is one processor's execution state within a step.
@@ -137,8 +169,11 @@ type engine struct {
 	prog Program
 
 	caches []*Cache
-	dir    *directory
+	dir    directory
 	bus    Resource
+	// slots interns footprint IDs into the dense slot numbers the
+	// caches and the directory are indexed by.
+	slots map[uint64]int32
 
 	state []procState
 	heap  eventHeap
@@ -160,6 +195,15 @@ type engine struct {
 	f    fetcher
 	loop ParLoop
 
+	// The touch walk's bound callbacks: visit (e.touch) and evict are
+	// bound once in newEngine, so handing them to loop.Touches and
+	// Cache.Touch allocates nothing. cur and curSt name the processor
+	// executing the current iteration.
+	visit func(Touch)
+	evict func(s int32)
+	cur   int
+	curSt *procState
+
 	// AFS-LE execution history: lastExec[globalID] = last executing
 	// processor, or -1.
 	lastExec []int32
@@ -176,6 +220,7 @@ type engine struct {
 	busWait       float64
 	queueWait     float64
 	iterations    int
+	serialCycles  float64
 
 	// lastOps is the scheduling counters' value at the previous
 	// barrier, so each barrier mark reports only its step's growth.
@@ -184,11 +229,11 @@ type engine struct {
 
 func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine {
 	e := &engine{
-		m:    m,
-		p:    p,
-		spec: spec,
-		prog: prog,
-		dir:  newDirectory(),
+		m:     m,
+		p:     p,
+		spec:  spec,
+		prog:  prog,
+		slots: make(map[uint64]int32),
 	}
 	e.caches = make([]*Cache, p)
 	for i := range e.caches {
@@ -199,6 +244,8 @@ func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine
 	e.remoteOps = make([]int, p)
 	e.procBusy = make([]float64, p)
 	e.active = p
+	e.visit = e.touch
+	e.evict = func(s int32) { e.dir.dropHolder(s, e.cur) }
 	switch spec.Family {
 	case sched.FamilyCentral:
 		e.f = &centralFetcher{e: e}
@@ -221,6 +268,12 @@ func (e *engine) run() {
 			continue
 		}
 		e.step = s
+		// Sum the serial compute here, in (step, i) ascending order,
+		// so Metrics.SerialComputeCycles equals Program.SerialCycles
+		// bit for bit without generating every step a second time.
+		for i := 0; i < e.loop.N; i++ {
+			e.serialCycles += e.loop.Cost(i)
+		}
 		e.active = e.p
 		if e.activeFn != nil {
 			if a := e.activeFn(s); a < 1 {
@@ -235,7 +288,7 @@ func (e *engine) run() {
 			for q := range e.caches {
 				e.caches[q].Clear()
 			}
-			e.dir = newDirectory()
+			clear(e.dir.holders)
 			if e.obs != nil {
 				t := e.minClock()
 				e.obs.Dispatch(telemetry.Event{Kind: telemetry.KindCacheFlush,
@@ -319,13 +372,10 @@ func (e *engine) runStep() {
 	for p := 0; p < e.active; p++ {
 		e.state[p].hasChunk = false
 		e.state[p].done = false
-		e.seq++
-		e.heap.push(e.state[p].clock, e.seq, p)
+		e.schedule(p)
 	}
-	heap.Init(&e.heap)
-	for e.heap.Len() > 0 {
-		ev := heap.Pop(&e.heap).(event)
-		p := ev.proc
+	for len(e.heap) > 0 {
+		p := e.heap.pop().proc
 		st := &e.state[p]
 		if st.done {
 			continue
@@ -367,63 +417,83 @@ func (e *engine) runStep() {
 		} else {
 			e.execIteration(p, st)
 		}
-		e.seq++
-		e.heap.push(st.clock, e.seq, p)
+		e.schedule(p)
 	}
+}
+
+// schedule queues processor p's next action at its current clock.
+func (e *engine) schedule(p int) {
+	e.seq++
+	e.heap.push(event{e.state[p].clock, e.seq, p})
 }
 
 // execIteration executes one iteration of st's current chunk, advancing
 // the processor's clock by memory-system costs and compute cost.
 func (e *engine) execIteration(p int, st *procState) {
 	i := st.idx
-	cache := e.caches[p]
 	if e.loop.Touches != nil {
-		e.loop.Touches(i, func(t Touch) {
-			hit := cache.Touch(t.ID, t.Bytes, func(ev uint64) { e.dir.dropHolder(ev, p) })
-			if hit {
-				e.hits++
-			} else {
-				e.misses++
-				st.chunkMisses++
-				e.bytesMoved += int64(t.Bytes)
-				if bc := e.m.BusCycles(t.Bytes); bc > 0 {
-					start, _ := e.bus.Acquire(st.clock, bc)
-					e.busWait += start - st.clock
-					st.chunkBus += start - st.clock
-					st.chunkCache += e.m.TransferCycles(t.Bytes)
-					st.clock = start + e.m.TransferCycles(t.Bytes)
-				} else {
-					st.chunkCache += e.m.TransferCycles(t.Bytes)
-					st.clock += e.m.TransferCycles(t.Bytes)
-				}
-				if cache.Contains(t.ID) {
-					e.dir.addHolder(t.ID, p)
-				}
-			}
-			if t.Write {
-				others := e.dir.holdersOf(t.ID) &^ (1 << uint(p))
-				for q := 0; others != 0; q++ {
-					if others&(1<<uint(q)) != 0 {
-						e.caches[q].Invalidate(t.ID)
-						others &^= 1 << uint(q)
-					}
-				}
-				if cache.Contains(t.ID) {
-					e.dir.setExclusive(t.ID, p)
-				} else {
-					e.dir.holders[t.ID] = 0
-				}
-			}
-		})
+		e.cur, e.curSt = p, st
+		e.loop.Touches(i, e.visit)
 	}
-	st.clock += e.loop.Cost(i)
-	st.chunkCompute += e.loop.Cost(i)
+	cost := e.loop.Cost(i)
+	st.clock += cost
+	st.chunkCompute += cost
 	e.recordExec(i, p)
 	st.idx++
 	if st.idx >= st.chunk.Hi {
 		e.procBusy[p] += st.clock - st.chunkStart
 		st.hasChunk = false
 		e.traceExec(p, st)
+	}
+}
+
+// touch applies one footprint reference of the current iteration to
+// the memory system: the cache lookup, the reload and its bus
+// transfer on a miss, and write-invalidation of the other holders.
+// The footprint's slot is its one map lookup; a footprint seen for the
+// first time gets the next slot, and the directory grows with it.
+func (e *engine) touch(t Touch) {
+	p, st := e.cur, e.curSt
+	s, ok := e.slots[t.ID]
+	if !ok {
+		s = int32(len(e.dir.holders))
+		e.slots[t.ID] = s
+		e.dir.holders = append(e.dir.holders, 0)
+	}
+	cache := e.caches[p]
+	if cache.Touch(s, t.Bytes, e.evict) {
+		e.hits++
+	} else {
+		e.misses++
+		st.chunkMisses++
+		e.bytesMoved += int64(t.Bytes)
+		if bc := e.m.BusCycles(t.Bytes); bc > 0 {
+			start, _ := e.bus.Acquire(st.clock, bc)
+			e.busWait += start - st.clock
+			st.chunkBus += start - st.clock
+			st.chunkCache += e.m.TransferCycles(t.Bytes)
+			st.clock = start + e.m.TransferCycles(t.Bytes)
+		} else {
+			st.chunkCache += e.m.TransferCycles(t.Bytes)
+			st.clock += e.m.TransferCycles(t.Bytes)
+		}
+		if cache.Contains(s) {
+			e.dir.addHolder(s, p)
+		}
+	}
+	if t.Write {
+		others := e.dir.holdersOf(s) &^ (1 << uint(p))
+		for q := 0; others != 0; q++ {
+			if others&(1<<uint(q)) != 0 {
+				e.caches[q].Invalidate(s)
+				others &^= 1 << uint(q)
+			}
+		}
+		if cache.Contains(s) {
+			e.dir.setExclusive(s, p)
+		} else {
+			e.dir.holders[s] = 0
+		}
 	}
 }
 
@@ -505,7 +575,7 @@ func (e *engine) metrics() Metrics {
 
 		ProcBusyCycles: append([]float64(nil), e.procBusy...),
 
-		SerialComputeCycles: e.prog.SerialCycles(),
+		SerialComputeCycles: e.serialCycles,
 	}
 }
 

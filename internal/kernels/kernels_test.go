@@ -196,20 +196,53 @@ func testTCParallelMatchesSerial(t *testing.T, g *workload.Graph) {
 
 func TestTCModelBranchesMatchExecution(t *testing.T) {
 	// The model's precomputed branch bits must equal what a serial run
-	// of the real kernel observes phase by phase.
-	g := workload.CliqueGraph(24, 12)
-	taken, n := TClosure{Input: g}.branches()
-	ref := NewTCGraph(g)
-	for ph := 0; ph < n; ph++ {
-		ref.BeginPhase(ph)
-		for j := 0; j < n; j++ {
-			if ref.col[j] != taken[ph][j] {
-				t.Fatalf("phase %d row %d: model %v, real %v", ph, j, taken[ph][j], ref.col[j])
+	// of the real kernel observes phase by phase. The sizes straddle
+	// the 64-node words of the model's bitset rows.
+	m := machine.Iris()
+	for _, n := range []int{1, 63, 64, 65, 130, 200} {
+		for _, g := range []*workload.Graph{
+			workload.CliqueGraph(n, n/2+1),
+			workload.RandomGraph(n, 0.03, int64(n)),
+		} {
+			before := g.Clone()
+			TClosure{Input: g}.Program(m)
+			if !g.Equal(before) {
+				t.Fatalf("n=%d: Program modified its Input", n)
+			}
+			taken, got := TClosure{Input: g}.branches()
+			if got != n {
+				t.Fatalf("n=%d: branches reports %d nodes", n, got)
+			}
+			ref := NewTCGraph(g)
+			for ph := 0; ph < n; ph++ {
+				ref.BeginPhase(ph)
+				for j := 0; j < n; j++ {
+					if ref.col[j] != taken[ph][j] {
+						t.Fatalf("n=%d edges=%d phase %d row %d: model %v, real %v",
+							n, g.Edges(), ph, j, taken[ph][j], ref.col[j])
+					}
+				}
+				for j := 0; j < n; j++ {
+					ref.UpdateRow(ph, j)
+				}
 			}
 		}
-		for j := 0; j < n; j++ {
-			ref.UpdateRow(ph, j)
-		}
+	}
+}
+
+// TestTCModelBuildAllocations pins the model build's allocations to a
+// constant: the bitset, the branch table and its row headers are one
+// allocation each whatever N is, so one allocation per row or per
+// phase would make n=256 allocate more than n=64.
+func TestTCModelBuildAllocations(t *testing.T) {
+	m := machine.Iris()
+	build := func(n int) float64 {
+		g := workload.CliqueGraph(n, n/2)
+		return testing.AllocsPerRun(5, func() { TClosure{Input: g}.Program(m) })
+	}
+	small, large := build(64), build(256)
+	if small != large || small > 8 {
+		t.Errorf("model build allocates %v at n=64 and %v at n=256; want the same small constant", small, large)
 	}
 }
 

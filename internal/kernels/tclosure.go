@@ -14,7 +14,7 @@ import (
 // rows. Iteration j always touches row j, so there is affinity to
 // exploit.
 type TClosure struct {
-	// Input is consumed (cloned) at model-build time.
+	// Input is read, never modified, at model-build time.
 	Input *workload.Graph
 	// InnerCycles is the per-element cost of the OR loop (default 8:
 	// load, test, store and index arithmetic on a 1992 RISC).
@@ -29,27 +29,40 @@ type TClosure struct {
 // the only writer of row j within a phase, and reads A[j][k] before
 // writing), so the schedule cannot change it — which is what makes the
 // precomputation valid for any simulated execution order.
+//
+// The working matrix is a bitset of ⌈N/64⌉ words per row, so the OR of
+// row k into row j goes a word at a time, and taken[k] is a row of one
+// backing array.
 func (k TClosure) branches() ([][]bool, int) {
-	g := k.Input.Clone()
-	n := g.N
-	taken := make([][]bool, n)
-	for ph := 0; ph < n; ph++ {
-		col := make([]bool, n)
-		for j := 0; j < n; j++ {
-			col[j] = g.Adj[j][ph]
+	n := k.Input.N
+	words := (n + 63) / 64
+	bits := make([]uint64, n*words)
+	for j, row := range k.Input.Adj {
+		rowJ := bits[j*words : (j+1)*words]
+		for i, set := range row {
+			if set {
+				rowJ[i/64] |= 1 << (i % 64)
+			}
 		}
-		taken[ph] = col
-		rowK := g.Adj[ph]
-		for j := 0; j < n; j++ {
-			if col[j] {
-				rowJ := g.Adj[j]
-				for i := 0; i < n; i++ {
-					if rowK[i] {
-						rowJ[i] = true
-					}
+	}
+	backing := make([]bool, n*n)
+	taken := make([][]bool, n)
+	for ph := range taken {
+		col := backing[ph*n : (ph+1)*n : (ph+1)*n]
+		word, mask := ph/64, uint64(1)<<(ph%64)
+		rowK := bits[ph*words : (ph+1)*words]
+		for j := range col {
+			// Row j is unchanged this phase until iteration j, so this
+			// reads A[j][ph]'s phase-start value.
+			rowJ := bits[j*words : (j+1)*words]
+			if rowJ[word]&mask != 0 {
+				col[j] = true
+				for i, w := range rowK {
+					rowJ[i] |= w
 				}
 			}
 		}
+		taken[ph] = col
 	}
 	return taken, n
 }

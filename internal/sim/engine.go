@@ -94,8 +94,12 @@ type event struct {
 
 // eventHeap is a binary min-heap of events ordered by (time, seq).
 // seq is unique, so the order is total: any correct heap pops the same
-// sequence. Typed push and pop keep events out of interfaces, so the
-// event loop allocates nothing once the slice has grown to P entries.
+// sequence. Typed methods keep events out of interfaces, so the event
+// loop allocates nothing once the slice has grown to P entries. The
+// loop handles the top event in place: replaceTop re-keys it with the
+// processor's next action in one sift-down, which leaves the same set
+// of events as a pop followed by a push, so the pop sequence is
+// unchanged.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -123,23 +127,34 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s = s[:n]
+	*h = s[:n]
+	h.down()
+	return top
+}
+
+// replaceTop overwrites the minimum with ev and restores the order.
+func (h eventHeap) replaceTop(ev event) {
+	h[0] = ev
+	h.down()
+}
+
+// down sifts the root to its place.
+func (h eventHeap) down() {
+	n := len(h)
 	for i := 0; ; {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && s.less(r, child) {
+		if r := child + 1; r < n && h.less(r, child) {
 			child = r
 		}
-		if !s.less(child, i) {
+		if !h.less(child, i) {
 			break
 		}
-		s[i], s[child] = s[child], s[i]
+		h[i], h[child] = h[child], h[i]
 		i = child
 	}
-	*h = s
-	return top
 }
 
 // procState is one processor's execution state within a step.
@@ -149,7 +164,6 @@ type procState struct {
 	chunkStart float64
 	idx        int
 	hasChunk   bool
-	done       bool
 
 	// Per-chunk provenance: where the chunk came from and how its
 	// execution window decomposes (reset at every fetch).
@@ -173,7 +187,7 @@ type engine struct {
 	bus    Resource
 	// slots interns footprint IDs into the dense slot numbers the
 	// caches and the directory are indexed by.
-	slots map[uint64]int32
+	slots slotTable
 
 	state []procState
 	heap  eventHeap
@@ -229,11 +243,10 @@ type engine struct {
 
 func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine {
 	e := &engine{
-		m:     m,
-		p:     p,
-		spec:  spec,
-		prog:  prog,
-		slots: make(map[uint64]int32),
+		m:    m,
+		p:    p,
+		spec: spec,
+		prog: prog,
 	}
 	e.caches = make([]*Cache, p)
 	for i := range e.caches {
@@ -366,25 +379,25 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// runStep executes the current parallel loop to completion.
+// runStep executes the current parallel loop to completion. Each
+// active processor has exactly one event queued until it runs out of
+// work: the loop handles the earliest, then re-keys it in place with
+// the processor's next action, and pops it only when fetch finds
+// nothing left.
 func (e *engine) runStep() {
 	e.heap = e.heap[:0]
 	for p := 0; p < e.active; p++ {
 		e.state[p].hasChunk = false
-		e.state[p].done = false
-		e.schedule(p)
+		e.heap.push(e.next(p))
 	}
 	for len(e.heap) > 0 {
-		p := e.heap.pop().proc
+		p := e.heap[0].proc
 		st := &e.state[p]
-		if st.done {
-			continue
-		}
 		if !st.hasChunk {
 			e.fetchOwner, e.fetchStolen = -1, false
 			c, ready, ok := e.f.fetch(p, st.clock)
 			if !ok {
-				st.done = true
+				e.heap.pop()
 				continue
 			}
 			e.queueWait += ready - st.clock
@@ -417,14 +430,14 @@ func (e *engine) runStep() {
 		} else {
 			e.execIteration(p, st)
 		}
-		e.schedule(p)
+		e.heap.replaceTop(e.next(p))
 	}
 }
 
-// schedule queues processor p's next action at its current clock.
-func (e *engine) schedule(p int) {
+// next returns processor p's next action, at its current clock.
+func (e *engine) next(p int) event {
 	e.seq++
-	e.heap.push(event{e.state[p].clock, e.seq, p})
+	return event{e.state[p].clock, e.seq, p}
 }
 
 // execIteration executes one iteration of st's current chunk, advancing
@@ -450,14 +463,13 @@ func (e *engine) execIteration(p int, st *procState) {
 // touch applies one footprint reference of the current iteration to
 // the memory system: the cache lookup, the reload and its bus
 // transfer on a miss, and write-invalidation of the other holders.
-// The footprint's slot is its one map lookup; a footprint seen for the
-// first time gets the next slot, and the directory grows with it.
+// The footprint's slot costs one probe sequence in the open-addressed
+// slot table; a footprint seen for the first time gets the next slot,
+// and the directory grows with it.
 func (e *engine) touch(t Touch) {
 	p, st := e.cur, e.curSt
-	s, ok := e.slots[t.ID]
-	if !ok {
-		s = int32(len(e.dir.holders))
-		e.slots[t.ID] = s
+	s, fresh := e.slots.intern(t.ID)
+	if fresh {
 		e.dir.holders = append(e.dir.holders, 0)
 	}
 	cache := e.caches[p]

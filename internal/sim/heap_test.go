@@ -7,7 +7,8 @@ import (
 )
 
 // refHeap is container/heap over the same (time, seq) order: the
-// reference the typed eventHeap must reproduce pop for pop.
+// reference the typed eventHeap must reproduce pop for pop, with
+// replaceTop standing for a Pop followed by a Push.
 type refHeap []event
 
 func (h refHeap) Len() int { return len(h) }
@@ -39,16 +40,26 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			if len(got) != ref.Len() {
 				t.Fatalf("trial %d op %d: len %d, reference %d", trial, op, len(got), ref.Len())
 			}
-			if len(got) > 0 && rng.Intn(3) == 0 {
+			ev := event{time: float64(rng.Intn(distinct)), seq: int64(seqs[op]), proc: rng.Intn(64)}
+			switch choice := rng.Intn(4); {
+			case len(got) > 0 && choice == 0:
 				g, r := got.pop(), heap.Pop(&ref).(event)
 				if g != r {
 					t.Fatalf("trial %d op %d: popped %+v, reference %+v", trial, op, g, r)
 				}
-				continue
+			case len(got) > 0 && choice == 1:
+				// The event loop's in-place re-key: the reference pops
+				// the top and pushes the replacement.
+				if got[0] != ref[0] {
+					t.Fatalf("trial %d op %d: top %+v, reference %+v", trial, op, got[0], ref[0])
+				}
+				got.replaceTop(ev)
+				heap.Pop(&ref)
+				heap.Push(&ref, ev)
+			default:
+				got.push(ev)
+				heap.Push(&ref, ev)
 			}
-			ev := event{time: float64(rng.Intn(distinct)), seq: int64(seqs[op]), proc: rng.Intn(64)}
-			got.push(ev)
-			heap.Push(&ref, ev)
 		}
 		for ref.Len() > 0 {
 			if g, r := got.pop(), heap.Pop(&ref).(event); g != r {

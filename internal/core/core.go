@@ -473,7 +473,7 @@ func newAFSDispatch(p int, a sched.AFS, victim sched.VictimPolicy) *afsDispatch 
 func (d *afsDispatch) initPhase(r *runner, ph, n int) {
 	for i, chs := range sched.Static(n, r.p) {
 		q := &d.queues[i]
-		q.q = sched.Queue{}
+		q.q.Reset()
 		for _, c := range chs {
 			q.q.Push(c)
 		}

@@ -209,7 +209,7 @@ func TestTCModelBranchesMatchExecution(t *testing.T) {
 			if !g.Equal(before) {
 				t.Fatalf("n=%d: Program modified its Input", n)
 			}
-			taken, got := TClosure{Input: g}.branches()
+			table, got := TClosure{Input: g}.branches()
 			if got != n {
 				t.Fatalf("n=%d: branches reports %d nodes", n, got)
 			}
@@ -217,9 +217,9 @@ func TestTCModelBranchesMatchExecution(t *testing.T) {
 			for ph := 0; ph < n; ph++ {
 				ref.BeginPhase(ph)
 				for j := 0; j < n; j++ {
-					if ref.col[j] != taken[ph][j] {
+					if ref.col[j] != bitAt(table.row(ph), j) {
 						t.Fatalf("n=%d edges=%d phase %d row %d: model %v, real %v",
-							n, g.Edges(), ph, j, taken[ph][j], ref.col[j])
+							n, g.Edges(), ph, j, bitAt(table.row(ph), j), ref.col[j])
 					}
 				}
 				for j := 0; j < n; j++ {
@@ -231,7 +231,7 @@ func TestTCModelBranchesMatchExecution(t *testing.T) {
 }
 
 // TestTCModelBuildAllocations pins the model build's allocations to a
-// constant: the bitset, the branch table and its row headers are one
+// constant: the working bitset and the branch-table bitset are one
 // allocation each whatever N is, so one allocation per row or per
 // phase would make n=256 allocate more than n=64.
 func TestTCModelBuildAllocations(t *testing.T) {

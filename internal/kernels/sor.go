@@ -22,29 +22,30 @@ type SOR struct {
 // and one floating-point division (the division is what makes Fig 17's
 // KSR-1 anomaly: software division inflates compute so affinity matters
 // relatively less). Iteration j writes row j and reads rows j-1, j+1.
+// Every phase is the same loop, so it is built once and every Step
+// returns it.
 func (k SOR) Program(m *machine.Machine) sim.Program {
 	rowBytes := k.N * 8
 	perElem := 5*m.FPOpCycles + m.FPDivCycles
 	cost := float64(k.N) * perElem
 	n := k.N
+	loop := sim.ParLoop{
+		N:    n,
+		Cost: func(int) float64 { return cost },
+		Touches: func(i int, visit func(sim.Touch)) {
+			if i > 0 {
+				visit(sim.Touch{ID: fp(arrA, i-1), Bytes: rowBytes})
+			}
+			if i < n-1 {
+				visit(sim.Touch{ID: fp(arrA, i+1), Bytes: rowBytes})
+			}
+			visit(sim.Touch{ID: fp(arrA, i), Bytes: rowBytes, Write: true})
+		},
+	}
 	return sim.Program{
 		Name:  "SOR",
 		Steps: k.Phases,
-		Step: func(int) sim.ParLoop {
-			return sim.ParLoop{
-				N:    n,
-				Cost: func(int) float64 { return cost },
-				Touches: func(i int, visit func(sim.Touch)) {
-					if i > 0 {
-						visit(sim.Touch{ID: fp(arrA, i-1), Bytes: rowBytes})
-					}
-					if i < n-1 {
-						visit(sim.Touch{ID: fp(arrA, i+1), Bytes: rowBytes})
-					}
-					visit(sim.Touch{ID: fp(arrA, i), Bytes: rowBytes, Write: true})
-				},
-			}
-		},
+		Step:  func(int) sim.ParLoop { return loop },
 	}
 }
 

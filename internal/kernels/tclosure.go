@@ -23,6 +23,19 @@ type TClosure struct {
 	BranchCycles float64
 }
 
+// branchTable records, for every phase k and row j, whether iteration
+// j's branch is taken: bit j of row k, ⌈N/64⌉ words per row.
+type branchTable struct {
+	bits  []uint64
+	words int
+}
+
+// row returns phase ph's bits.
+func (b branchTable) row(ph int) []uint64 { return b.bits[ph*b.words : (ph+1)*b.words] }
+
+// bitAt reports whether bit j of a bitset row is set.
+func bitAt(row []uint64, j int) bool { return row[uint(j)/64]&(1<<(uint(j)%64)) != 0 }
+
 // branches precomputes, for every phase k and row j, whether iteration
 // j's branch A[j][k] is taken, by running the algorithm sequentially.
 // The branch value is the phase-start value of A[j][k] (iteration j is
@@ -31,9 +44,9 @@ type TClosure struct {
 // precomputation valid for any simulated execution order.
 //
 // The working matrix is a bitset of ⌈N/64⌉ words per row, so the OR of
-// row k into row j goes a word at a time, and taken[k] is a row of one
-// backing array.
-func (k TClosure) branches() ([][]bool, int) {
+// row k into row j goes a word at a time; the branch table is a second
+// bitset of the same shape.
+func (k TClosure) branches() (branchTable, int) {
 	n := k.Input.N
 	words := (n + 63) / 64
 	bits := make([]uint64, n*words)
@@ -45,26 +58,24 @@ func (k TClosure) branches() ([][]bool, int) {
 			}
 		}
 	}
-	backing := make([]bool, n*n)
-	taken := make([][]bool, n)
-	for ph := range taken {
-		col := backing[ph*n : (ph+1)*n : (ph+1)*n]
+	table := branchTable{bits: make([]uint64, n*words), words: words}
+	for ph := 0; ph < n; ph++ {
+		col := table.row(ph)
 		word, mask := ph/64, uint64(1)<<(ph%64)
 		rowK := bits[ph*words : (ph+1)*words]
-		for j := range col {
+		for j := 0; j < n; j++ {
 			// Row j is unchanged this phase until iteration j, so this
 			// reads A[j][ph]'s phase-start value.
 			rowJ := bits[j*words : (j+1)*words]
 			if rowJ[word]&mask != 0 {
-				col[j] = true
+				col[j/64] |= 1 << (j % 64)
 				for i, w := range rowK {
 					rowJ[i] |= w
 				}
 			}
 		}
-		taken[ph] = col
 	}
-	return taken, n
+	return table, n
 }
 
 // Program returns the simulator model on machine m. Row footprints are
@@ -78,24 +89,24 @@ func (k TClosure) Program(m *machine.Machine) sim.Program {
 	if branch == 0 {
 		branch = 10
 	}
-	taken, n := k.branches()
+	table, n := k.branches()
 	rowBytes := n
 	lineBytes := m.LineBytes
 	return sim.Program{
 		Name:  "TC",
 		Steps: n,
 		Step: func(ph int) sim.ParLoop {
-			col := taken[ph]
+			taken := table.row(ph)
 			return sim.ParLoop{
 				N: n,
 				Cost: func(j int) float64 {
-					if col[j] {
+					if bitAt(taken, j) {
 						return branch + inner*float64(n)
 					}
 					return branch
 				},
 				Touches: func(j int, visit func(sim.Touch)) {
-					if col[j] {
+					if bitAt(taken, j) {
 						visit(sim.Touch{ID: fp(arrA, ph), Bytes: rowBytes})
 						visit(sim.Touch{ID: fp(arrA, j), Bytes: rowBytes, Write: true})
 					} else {

@@ -17,8 +17,14 @@ package sched
 // non-empty chunks. The zero value is an empty queue. Queue performs no
 // locking; engines layer their own synchronisation (whose cost is the
 // measured quantity).
+//
+// The queued chunks are chunks[head:]. Taking from the front advances
+// head rather than reslicing, and a queue that empties rewinds to the
+// start of its array, so a queue refilled every phase reuses the same
+// storage.
 type Queue struct {
 	chunks []Chunk
+	head   int
 	total  int
 }
 
@@ -27,7 +33,12 @@ func (q *Queue) Len() int { return q.total }
 
 // NumChunks returns how many discontiguous chunks the queue holds
 // (fragmentation metric for the AFS-LE extension).
-func (q *Queue) NumChunks() int { return len(q.chunks) }
+func (q *Queue) NumChunks() int { return len(q.chunks) - q.head }
+
+// Reset empties the queue, keeping its storage for the next pushes.
+func (q *Queue) Reset() {
+	q.chunks, q.head, q.total = q.chunks[:0], 0, 0
+}
 
 // Push appends a chunk to the back of the queue. Empty chunks are
 // ignored. Adjacent pushes that extend the tail are coalesced, keeping
@@ -36,7 +47,7 @@ func (q *Queue) Push(c Chunk) {
 	if c.Empty() {
 		return
 	}
-	if n := len(q.chunks); n > 0 && q.chunks[n-1].Hi == c.Lo {
+	if n := len(q.chunks); n > q.head && q.chunks[n-1].Hi == c.Lo {
 		q.chunks[n-1].Hi = c.Hi
 	} else {
 		q.chunks = append(q.chunks, c)
@@ -52,7 +63,7 @@ func (q *Queue) TakeFront(max int) (Chunk, bool) {
 	if q.total == 0 || max <= 0 {
 		return Chunk{}, false
 	}
-	head := &q.chunks[0]
+	head := &q.chunks[q.head]
 	n := max
 	if n > head.Len() {
 		n = head.Len()
@@ -60,8 +71,10 @@ func (q *Queue) TakeFront(max int) (Chunk, bool) {
 	c := Chunk{head.Lo, head.Lo + n}
 	head.Lo += n
 	q.total -= n
-	if head.Empty() {
-		q.chunks = q.chunks[1:]
+	if q.total == 0 {
+		q.Reset()
+	} else if head.Empty() {
+		q.head++
 	}
 	return c, true
 }
@@ -81,7 +94,9 @@ func (q *Queue) TakeBack(max int) (Chunk, bool) {
 	c := Chunk{tail.Hi - n, tail.Hi}
 	tail.Hi -= n
 	q.total -= n
-	if tail.Empty() {
+	if q.total == 0 {
+		q.Reset()
+	} else if tail.Empty() {
 		q.chunks = q.chunks[:len(q.chunks)-1]
 	}
 	return c, true

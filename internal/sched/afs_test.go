@@ -72,10 +72,13 @@ func TestQueueTakeBack(t *testing.T) {
 }
 
 // TestQueueNeverLoses drains a queue with random front/back takes and
-// verifies every pushed iteration comes out exactly once.
+// verifies every pushed iteration comes out exactly once. One queue
+// serves every case, Reset in between, so whatever state a case leaves
+// behind must not leak into the next.
 func TestQueueNeverLoses(t *testing.T) {
+	var q Queue
 	f := func(takes []uint8) bool {
-		var q Queue
+		q.Reset()
 		q.Push(Chunk{0, 100})
 		q.Push(Chunk{150, 400})
 		seen := make([]int, 450)
@@ -119,6 +122,31 @@ func TestQueueNeverLoses(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQueueResetReusesStorage: a queue refilled every phase keeps its
+// array, front takes included, and coalescing still sees only the
+// queued chunks.
+func TestQueueResetReusesStorage(t *testing.T) {
+	var q Queue
+	phase := func() {
+		q.Reset()
+		q.Push(Chunk{0, 10})
+		q.Push(Chunk{20, 30})
+		q.Push(Chunk{40, 50})
+		q.TakeFront(10) // drops [0,10) from the front
+		q.Push(Chunk{50, 60})
+		if q.NumChunks() != 2 || q.Len() != 30 {
+			t.Fatalf("after a front take and a coalescing push: %d chunks, len %d; want 2, 30", q.NumChunks(), q.Len())
+		}
+		for q.Len() > 0 {
+			q.TakeBack(7)
+		}
+	}
+	phase()
+	if allocs := testing.AllocsPerRun(10, phase); allocs != 0 {
+		t.Errorf("refilling a Reset queue allocates %v times per phase, want 0", allocs)
 	}
 }
 

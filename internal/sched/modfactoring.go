@@ -26,7 +26,8 @@ func NewModFactoring() *ModFactoring { return &ModFactoring{} }
 // Name returns the display name.
 func (m *ModFactoring) Name() string { return "MOD-FACTORING" }
 
-// Init prepares one execution of a loop of n iterations on p processors.
+// Init prepares one execution of a loop of n iterations on p processors,
+// reusing the board's storage when it is large enough.
 func (m *ModFactoring) Init(n, p int) {
 	if p < 1 {
 		p = 1
@@ -34,7 +35,11 @@ func (m *ModFactoring) Init(n, p int) {
 	m.p = p
 	m.remaining = n
 	m.nextLo = 0
-	m.board = make([]Chunk, p)
+	if cap(m.board) < p {
+		m.board = make([]Chunk, p)
+	}
+	m.board = m.board[:p]
+	clear(m.board)
 	m.avail = 0
 }
 

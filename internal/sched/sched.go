@@ -93,8 +93,16 @@ type Dispenser struct {
 
 // NewDispenser creates a dispenser over [0, n) for p processors.
 func NewDispenser(s Sizer, n, p int) *Dispenser {
+	d := &Dispenser{}
+	d.Reset(s, n, p)
+	return d
+}
+
+// Reset re-arms the dispenser over [0, n) for p processors, initialising
+// s for the new loop, so one Dispenser can serve every phase.
+func (d *Dispenser) Reset(s Sizer, n, p int) {
 	s.Init(n, p)
-	return &Dispenser{sizer: s, n: n}
+	*d = Dispenser{sizer: s, n: n}
 }
 
 // Next returns the next chunk, or ok=false when the loop is exhausted.

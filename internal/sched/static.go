@@ -26,16 +26,23 @@ func (a Assignment) Iterations() int {
 func Static(n, p int) Assignment {
 	a := make(Assignment, p)
 	for i := 0; i < p; i++ {
-		lo := CeilDiv(i*n, p)
-		hi := CeilDiv((i+1)*n, p)
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			a[i] = []Chunk{{lo, hi}}
+		if c := StaticBlock(i, n, p); !c.Empty() {
+			a[i] = []Chunk{c}
 		}
 	}
 	return a
+}
+
+// StaticBlock returns processor i's block of Static(n, p), empty when
+// there are more processors than iterations. Engines that rebuild the
+// placement every phase use it to fill their own storage.
+func StaticBlock(i, n, p int) Chunk {
+	lo := CeilDiv(i*n, p)
+	hi := CeilDiv((i+1)*n, p)
+	if hi > n {
+		hi = n
+	}
+	return Chunk{lo, hi}
 }
 
 // BestStatic is the paper's hand-optimised baseline (§4.1): a static
@@ -50,7 +57,23 @@ func BestStatic(n, p int, cost func(i int) float64) Assignment {
 	if p < 1 {
 		p = 1
 	}
-	prefix := make([]float64, n+1)
+	a := make(Assignment, p)
+	for i, c := range BestStaticBlocks(make([]Chunk, p), make([]float64, n+1), cost) {
+		if !c.Empty() {
+			a[i] = []Chunk{c}
+		}
+	}
+	return a
+}
+
+// BestStaticBlocks computes BestStatic's assignment of n = len(prefix)-1
+// iterations to p = len(blocks) processors in place: blocks[i] becomes
+// processor i's block, empty when the iterations run out first. prefix
+// is scratch for the cost prefix sums. It allocates nothing, so an
+// engine can recompute the assignment every phase in storage it keeps.
+func BestStaticBlocks(blocks []Chunk, prefix []float64, cost func(i int) float64) []Chunk {
+	n, p := len(prefix)-1, len(blocks)
+	prefix[0] = 0
 	for i := 0; i < n; i++ {
 		c := cost(i)
 		if c < 0 {
@@ -59,7 +82,7 @@ func BestStatic(n, p int, cost func(i int) float64) Assignment {
 		prefix[i+1] = prefix[i] + c
 	}
 	total := prefix[n]
-	a := make(Assignment, p)
+	clear(blocks)
 	lo := 0
 	for i := 0; i < p && lo < n; i++ {
 		target := total * float64(i+1) / float64(p)
@@ -73,10 +96,10 @@ func BestStatic(n, p int, cost func(i int) float64) Assignment {
 		if hi <= lo {
 			hi = lo + 1
 		}
-		a[i] = []Chunk{{lo, hi}}
+		blocks[i] = Chunk{lo, hi}
 		lo = hi
 	}
-	return a
+	return blocks
 }
 
 // BestStaticInterleaved is the variant of BEST-STATIC the paper uses for

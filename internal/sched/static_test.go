@@ -173,9 +173,11 @@ func TestBestStaticInterleaved(t *testing.T) {
 }
 
 func TestModFactoringCoverage(t *testing.T) {
+	// One instance serves every loop, as engines reuse it across
+	// phases; Init must reset it whatever p the last loop had.
+	m := NewModFactoring()
 	for _, n := range []int{1, 10, 100, 1000} {
 		for _, p := range []int{1, 2, 8} {
-			m := NewModFactoring()
 			m.Init(n, p)
 			seen := make([]int, n)
 			proc := 0

@@ -9,13 +9,20 @@ import (
 	"repro/internal/sim"
 )
 
-// TestNoPerIterationAllocation holds the event loop allocation-free:
-// what an extra SOR phase allocates (step closures, per-step scheduler
-// state) must not grow with N. One allocation per event, iteration or
-// touch would add hundreds per phase between N=64 and N=256; the slack
-// of one absorbs map and free-list growth spread over the phases.
+// TestNoPerIterationAllocation holds a warm run's steady state
+// allocation-free. The Program's Step returns one prebuilt ParLoop, so
+// everything RunOpts allocates is per run (the Metrics slices, a
+// central policy's Sizer): the count must be exactly the same at 4 and
+// 16 phases and at N=64 and N=256, for every fetcher family. One
+// allocation per step, event, iteration or touch would show.
 func TestNoPerIterationAllocation(t *testing.T) {
 	m := machine.Iris()
+	run := runPooled
+	if raceEnabled {
+		// The pool drops engines at random under -race, so measure the
+		// same steady state on one held engine.
+		run = sim.HeldEngine()
+	}
 	// One policy per fetcher: affinity queues, central queue, static
 	// assignment and the modified-factoring board.
 	for _, name := range []string{"afs", "gss", "static", "mod-factoring"} {
@@ -23,22 +30,20 @@ func TestNoPerIterationAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perPhase := func(n int) float64 {
-			var allocs [2]float64
-			for k, phases := range []int{4, 16} {
-				prog := kernels.SOR{N: n, Phases: phases}.Program(m)
-				allocs[k] = testing.AllocsPerRun(5, func() {
-					if _, err := sim.RunOpts(m, 4, spec, prog, sim.Options{Seed: 1}); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			return (allocs[1] - allocs[0]) / 12
+		var counts [4]float64
+		for k, shape := range [4][2]int{{64, 4}, {64, 16}, {256, 4}, {256, 16}} {
+			loop := kernels.SOR{N: shape[0], Phases: 1}.Program(m).Step(0)
+			prog := sim.Program{Name: "SOR", Steps: shape[1], Step: func(int) sim.ParLoop { return loop }}
+			counts[k] = testing.AllocsPerRun(5, func() {
+				run(m, 4, spec, prog, sim.Options{Seed: 1})
+			})
 		}
-		small, large := perPhase(64), perPhase(256)
-		if large > small+1 {
-			t.Errorf("%s: %.2f allocations per phase at N=256 vs %.2f at N=64; something allocates per iteration",
-				name, large, small)
+		for k := 1; k < len(counts); k++ {
+			if counts[k] != counts[0] {
+				t.Errorf("%s: allocations per run at (N, phases) = (64,4) (64,16) (256,4) (256,16): %v; want all equal",
+					name, counts)
+				break
+			}
 		}
 	}
 }

@@ -53,6 +53,15 @@ func (c *Cache) Len() int { return c.n }
 func (c *Cache) Touch(s int32, bytes int, onEvict func(s int32)) bool {
 	if c.Contains(s) {
 		if e := &c.entries[s]; bytes > e.bytes {
+			if bytes > c.capacity {
+				// Grown past the whole cache: like any footprint that
+				// large it cannot stay, so this reference misses.
+				c.remove(s)
+				if onEvict != nil {
+					onEvict(s)
+				}
+				return false
+			}
 			// Footprint grew (e.g. a row touched more widely); account
 			// for the extra bytes.
 			c.used += bytes - e.bytes
@@ -65,8 +74,9 @@ func (c *Cache) Touch(s int32, bytes int, onEvict func(s int32)) bool {
 	if bytes > c.capacity {
 		return false
 	}
-	if int(s) >= len(c.entries) {
-		c.entries = append(c.entries, make([]entry, int(s)+1-len(c.entries))...)
+	if n := len(c.entries); int(s) >= n {
+		c.entries = grown(c.entries, int(s)+1)
+		clear(c.entries[n:])
 	}
 	c.entries[s].bytes, c.entries[s].resident = bytes, true
 	c.n++
@@ -105,8 +115,14 @@ func (c *Cache) Invalidate(s int32) {
 // Clear drops everything (used when a program wants cold caches),
 // keeping the slot storage.
 func (c *Cache) Clear() {
-	clear(c.entries)
+	c.entries = c.entries[:0]
 	c.head, c.tail, c.used, c.n = -1, -1, 0, 0
+}
+
+// reset empties the cache and sets its capacity for a new run.
+func (c *Cache) reset(capacity int) {
+	c.Clear()
+	c.capacity = capacity
 }
 
 func (c *Cache) pushFront(s int32) {

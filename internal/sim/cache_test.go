@@ -69,6 +69,29 @@ func TestCacheGrowingFootprint(t *testing.T) {
 	}
 }
 
+// TestCacheGrowthPastCapacity: a resident footprint that grows larger
+// than the whole cache is dropped, like any footprint that large, and
+// its eviction is reported so the directory forgets the holder.
+func TestCacheGrowthPastCapacity(t *testing.T) {
+	c := NewCache(100)
+	var evicted []int32
+	onEvict := func(s int32) { evicted = append(evicted, s) }
+	c.Touch(0, 50, onEvict)
+	c.Touch(1, 40, onEvict)
+	if c.Touch(0, 150, onEvict) {
+		t.Error("footprint grown past capacity reported a hit")
+	}
+	if c.Contains(0) {
+		t.Error("footprint grown past capacity stayed resident")
+	}
+	if len(evicted) != 1 || evicted[0] != 0 {
+		t.Errorf("evicted %v, want [0]", evicted)
+	}
+	if !c.Contains(1) || c.Used() != 40 || c.Len() != 1 {
+		t.Errorf("contains(1)=%v used=%d len=%d, want true 40 1", c.Contains(1), c.Used(), c.Len())
+	}
+}
+
 func TestCacheGrowthEvictsOthers(t *testing.T) {
 	c := NewCache(1000)
 	c.Touch(1, 400, nil)

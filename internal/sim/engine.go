@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -60,7 +61,10 @@ func Run(m *machine.Machine, p int, spec sched.Spec, prog Program) (Metrics, err
 	return RunOpts(m, p, spec, prog, Options{})
 }
 
-// RunOpts is Run with explicit options.
+// RunOpts is Run with explicit options. It takes an engine from a
+// pool and resets it in place, so back-to-back runs reuse the caches,
+// directory, slot table, event heap and scheduler queues of earlier
+// runs; the result does not depend on which runs came before.
 func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Options) (Metrics, error) {
 	if err := m.Validate(); err != nil {
 		return Metrics{}, err
@@ -71,7 +75,20 @@ func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Opti
 	if p > 64 {
 		return Metrics{}, fmt.Errorf("sim: at most 64 processors supported (coherence directory uses 64-bit holder masks), got %d", p)
 	}
-	e := newEngine(m, p, spec, prog)
+	e := enginePool.Get().(*engine)
+	met := e.simulate(m, p, spec, prog, opts)
+	enginePool.Put(e)
+	return met, nil
+}
+
+// enginePool holds idle engines with the storage their last run grew.
+var enginePool = sync.Pool{New: func() any { return newEngine() }}
+
+// simulate resets e for one run, executes it and returns its metrics.
+// On return e holds no reference to the caller's machine, program,
+// spec or options.
+func (e *engine) simulate(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Options) Metrics {
+	e.reset(m, p, spec, prog)
 	e.obs = opts.Observer
 	e.activeFn = opts.ActiveProcs
 	e.flushEvery = opts.FlushEverySteps
@@ -82,7 +99,9 @@ func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Opti
 		}
 	}
 	e.run()
-	return e.metrics(), nil
+	met := e.metrics()
+	e.release()
+	return met
 }
 
 // event is one scheduled processor action.
@@ -206,7 +225,14 @@ type engine struct {
 	activeFn    func(step int) int
 	active      int
 
-	f    fetcher
+	// f is the spec family's fetcher: one of the four below, which
+	// persist across pooled runs so their storage is reused.
+	f       fetcher
+	central centralFetcher
+	static  staticFetcher
+	afs     afsFetcher
+	modfact modfactFetcher
+
 	loop ParLoop
 
 	// The touch walk's bound callbacks: visit (e.touch) and evict are
@@ -241,37 +267,88 @@ type engine struct {
 	lastOps telemetry.OpCounts
 }
 
-func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine {
-	e := &engine{
-		m:    m,
-		p:    p,
-		spec: spec,
-		prog: prog,
-	}
-	e.caches = make([]*Cache, p)
-	for i := range e.caches {
-		e.caches[i] = NewCache(m.CacheBytes)
-	}
-	e.state = make([]procState, p)
-	e.localOps = make([]int, p)
-	e.remoteOps = make([]int, p)
-	e.procBusy = make([]float64, p)
-	e.active = p
+// newEngine returns an empty engine with its callbacks bound; reset
+// readies it for a run.
+func newEngine() *engine {
+	e := &engine{}
 	e.visit = e.touch
 	e.evict = func(s int32) { e.dir.dropHolder(s, e.cur) }
+	e.central.e, e.static.e, e.afs.e, e.modfact.e = e, e, e, e
+	return e
+}
+
+// reset readies e for a run of prog on p processors of m. Every field
+// starts from its zero value except the storage earlier runs grew —
+// caches, directory, slot table, processor states, event heap, counter
+// slices and the fetchers' queues — which is emptied and resized in
+// place.
+func (e *engine) reset(m *machine.Machine, p int, spec sched.Spec, prog Program) {
+	*e = engine{
+		m: m, p: p, spec: spec, prog: prog,
+		caches:   grown(e.caches, p),
+		dir:      directory{holders: e.dir.holders[:0]},
+		slots:    e.slots,
+		state:    zeroed(e.state, p),
+		heap:     e.heap[:0],
+		active:   p,
+		central:  centralFetcher{e: e},
+		static:   e.static,
+		afs:      e.afs,
+		modfact:  modfactFetcher{e: e, mf: e.modfact.mf},
+		visit:    e.visit,
+		evict:    e.evict,
+		lastExec: e.lastExec[:0],
+		localOps: zeroed(e.localOps, p), remoteOps: zeroed(e.remoteOps, p),
+		procBusy: zeroed(e.procBusy, p),
+	}
+	for i, c := range e.caches {
+		if c == nil {
+			e.caches[i] = NewCache(m.CacheBytes)
+		} else {
+			c.reset(m.CacheBytes)
+		}
+	}
+	e.slots.reset()
 	switch spec.Family {
 	case sched.FamilyCentral:
-		e.f = &centralFetcher{e: e}
+		e.f = &e.central
 	case sched.FamilyStatic:
-		e.f = &staticFetcher{e: e}
+		e.f = &e.static
 	case sched.FamilyAFS:
-		e.f = &afsFetcher{e: e, afs: spec.AFS}
+		e.afs.reset(spec.AFS, p)
+		e.f = &e.afs
 	case sched.FamilyModFactoring:
-		e.f = &modfactFetcher{e: e, mf: sched.NewModFactoring()}
+		e.f = &e.modfact
 	default:
 		panic(fmt.Sprintf("sim: unknown scheduler family %v", spec.Family))
 	}
-	return e
+}
+
+// release drops every reference e holds to the caller's memory — the
+// machine, program, spec (and the Sizer it built), observer,
+// ActiveProcs and the current loop — so a pooled engine pins nothing
+// but its own storage.
+func (e *engine) release() {
+	e.m, e.prog, e.spec, e.loop = nil, Program{}, sched.Spec{}, ParLoop{}
+	e.obs, e.activeFn = nil, nil
+	e.central = centralFetcher{e: e}
+}
+
+// grown returns s with length n, keeping its elements and reusing its
+// backing array when that is large enough.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// backing array when that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = grown(s, n)
+	clear(s)
+	return s
 }
 
 func (e *engine) run() {
@@ -609,7 +686,7 @@ type fetcher interface {
 type centralFetcher struct {
 	e     *engine
 	sizer sched.Sizer
-	disp  *sched.Dispenser
+	disp  sched.Dispenser
 	queue Resource
 }
 
@@ -617,7 +694,7 @@ func (f *centralFetcher) initStep(loop *ParLoop) {
 	if f.sizer == nil {
 		f.sizer = f.e.spec.NewSizer()
 	}
-	f.disp = sched.NewDispenser(f.sizer, loop.N, f.e.active)
+	f.disp.Reset(f.sizer, loop.N, f.e.active)
 }
 
 func (f *centralFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
@@ -651,28 +728,33 @@ func (e *engine) queueBusTraffic(t float64) float64 {
 }
 
 // staticFetcher serves precomputed assignments with no queue costs.
+// Both static policies give each processor at most one contiguous
+// block, so blocks[p] is processor p's block until it fetches it.
+// prefix is BEST-STATIC's prefix-sum scratch.
 type staticFetcher struct {
 	e      *engine
-	assign sched.Assignment
-	next   []int
+	blocks []sched.Chunk
+	prefix []float64
 }
 
 func (f *staticFetcher) initStep(loop *ParLoop) {
+	f.blocks = grown(f.blocks, f.e.active)
 	if f.e.spec.BestStatic {
-		f.assign = sched.BestStatic(loop.N, f.e.active, func(i int) float64 { return loop.Cost(i) })
-	} else {
-		f.assign = sched.Static(loop.N, f.e.active)
+		f.prefix = grown(f.prefix, loop.N+1)
+		sched.BestStaticBlocks(f.blocks, f.prefix, loop.Cost)
+		return
 	}
-	f.next = make([]int, f.e.active)
+	for i := range f.blocks {
+		f.blocks[i] = sched.StaticBlock(i, loop.N, f.e.active)
+	}
 }
 
 func (f *staticFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
-	chs := f.assign[p]
-	if f.next[p] >= len(chs) {
+	c := f.blocks[p]
+	if c.Empty() {
 		return sched.Chunk{}, now, false
 	}
-	c := chs[f.next[p]]
-	f.next[p]++
+	f.blocks[p] = sched.Chunk{}
 	f.e.fetchOwner = p // static assignments never migrate
 	return c, now, true
 }
@@ -688,6 +770,18 @@ type afsFetcher struct {
 	qres     []Resource
 	lens     []int
 	rngState uint64
+	// staticOwner is AFS-LE's per-step scratch: each iteration's
+	// static owner.
+	staticOwner []int32
+}
+
+// reset readies the fetcher for a run on p processors, keeping the
+// queues' storage.
+func (f *afsFetcher) reset(a sched.AFS, p int) {
+	f.afs, f.rngState = a, 0
+	f.queues = grown(f.queues, p)
+	f.qres = zeroed(f.qres, p)
+	f.lens = grown(f.lens, p)
 }
 
 // rng draws a deterministic pseudo-random value in [0, n) for the
@@ -698,23 +792,15 @@ func (f *afsFetcher) rng(n int) int {
 }
 
 func (f *afsFetcher) initStep(loop *ParLoop) {
-	p := f.e.p
-	if f.queues == nil {
-		f.queues = make([]sched.Queue, p)
-		f.qres = make([]Resource, p)
-		f.lens = make([]int, p)
-	}
 	for i := range f.queues {
-		f.queues[i] = sched.Queue{}
+		f.queues[i].Reset()
 	}
 	if f.e.spec.LastExecuted && len(f.e.lastExec) > 0 {
 		f.assignByHistory(loop)
 		return
 	}
-	for i, chs := range sched.Static(loop.N, f.e.active) {
-		for _, c := range chs {
-			f.queues[i].Push(c)
-		}
+	for i := 0; i < f.e.active; i++ {
+		f.queues[i].Push(sched.StaticBlock(i, loop.N, f.e.active))
 	}
 }
 
@@ -724,13 +810,12 @@ func (f *afsFetcher) initStep(loop *ParLoop) {
 // pushed as single chunks.
 func (f *afsFetcher) assignByHistory(loop *ParLoop) {
 	p := f.e.active
-	static := sched.Static(loop.N, p)
-	staticOwner := make([]int32, loop.N)
-	for proc, chs := range static {
-		for _, c := range chs {
-			for i := c.Lo; i < c.Hi; i++ {
-				staticOwner[i] = int32(proc)
-			}
+	staticOwner := grown(f.staticOwner, loop.N)
+	f.staticOwner = staticOwner
+	for proc := 0; proc < p; proc++ {
+		c := sched.StaticBlock(proc, loop.N, p)
+		for i := c.Lo; i < c.Hi; i++ {
+			staticOwner[i] = int32(proc)
 		}
 	}
 	owner := func(i int) int32 {
@@ -793,7 +878,7 @@ func (f *afsFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
 // the central queue resource.
 type modfactFetcher struct {
 	e     *engine
-	mf    *sched.ModFactoring
+	mf    sched.ModFactoring
 	queue Resource
 }
 

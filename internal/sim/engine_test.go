@@ -885,3 +885,19 @@ func TestProcBusyMetrics(t *testing.T) {
 		t.Error("zero metrics imbalance")
 	}
 }
+
+// TestEngineReleasesCallerMemory: after a run, the engine that goes
+// back to the pool holds nothing the caller passed in.
+func TestEngineReleasesCallerMemory(t *testing.T) {
+	executed := make([]int, 40)
+	prog := Program{Name: "counted", Steps: 2, Step: func(int) ParLoop { return countedLoop(40, 10, executed) }}
+	e := newEngine()
+	e.simulate(machine.Iris(), 4, sched.SpecGSS(), prog, Options{
+		Observer:    telemetry.ObserveEvents(telemetry.NewStream()),
+		ActiveProcs: func(int) int { return 3 },
+	})
+	if e.m != nil || e.prog.Step != nil || e.spec.NewSizer != nil || e.loop.Cost != nil || e.loop.Touches != nil ||
+		e.obs != nil || e.activeFn != nil || e.central.sizer != nil {
+		t.Error("engine kept a reference to the caller's machine, program, spec, observer, ActiveProcs or loop")
+	}
+}

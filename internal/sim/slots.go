@@ -44,6 +44,12 @@ func (t *slotTable) intern(id uint64) (slot int32, fresh bool) {
 	}
 }
 
+// reset forgets every ID, keeping the cells for the next run.
+func (t *slotTable) reset() {
+	clear(t.cells)
+	t.n = 0
+}
+
 func (t *slotTable) home(id uint64) int {
 	return int((id * 0x9e3779b97f4a7c15) >> t.shift)
 }

@@ -70,3 +70,27 @@ func TestSlotTableMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotTableReset: a reset table, as a pooled engine's is between
+// runs, forgets every ID, keeps its cells and numbers slots from 0
+// again.
+func TestSlotTableReset(t *testing.T) {
+	var tab slotTable
+	for id := uint64(0); id < 100; id++ {
+		tab.intern(id * 7919)
+	}
+	cells := len(tab.cells)
+	tab.reset()
+	for k, id := range []uint64{99 * 7919, 5, 0, 5} {
+		want, wantFresh := int32(k), true
+		if k == 3 {
+			want, wantFresh = 1, false
+		}
+		if s, fresh := tab.intern(id); s != want || fresh != wantFresh {
+			t.Fatalf("after reset, intern(%d) = slot %d fresh %v; want %d %v", id, s, fresh, want, wantFresh)
+		}
+	}
+	if len(tab.cells) != cells {
+		t.Errorf("reset resized the table from %d to %d cells", cells, len(tab.cells))
+	}
+}

@@ -9,13 +9,14 @@
 //	/             auto-refreshing HTML view
 //	/metrics      rolling p50/p90/p99 latencies, counters, worker
 //	              gauges, slow-submission exemplars with trace IDs
-//	/metrics.prom Prometheus text exposition (plane + SLO series)
+//	/metrics.prom Prometheus text exposition (plane, SLO, watchdog and
+//	              runtime series)
 //	/workers      per-worker ownership, affinity-hit ratio, steal
 //	              rate, queue depth
 //	/flight       flight-recorder dump (?format=jsonl|chrome|trace,
 //	              ?which=live|anomaly)
 //	/traces       recent span traces; /trace?id=N one span tree
-//	              (?format=json|gantt|trace)
+//	              (?format=json|trace)
 //	/slo          SLO burn-rate report (?format=json)
 //	/watchdog     online anomaly detector status (rules, baselines,
 //	              recent triggers)
@@ -31,22 +32,19 @@
 // same for one traced submission named by a /metrics exemplar.
 // Embedders serving their own executor use repro.WithObservability +
 // repro.ObservabilityHandler instead; this command is the
-// batteries-included harness around them.
+// batteries-included harness around them, assembled by internal/daemon
+// like loopserved.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
 	"repro"
-	"repro/internal/bundle"
 	"repro/internal/cli"
-	"repro/internal/runtimeobs"
+	"repro/internal/daemon"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
 )
@@ -59,17 +57,12 @@ func main() {
 }
 
 type options struct {
-	addr       string
+	daemon.Flags
 	procs      int
 	n          int
 	phases     int
 	algos      []string
 	pause      time.Duration
-	window     time.Duration
-	flight     int
-	duration   time.Duration
-	bundles    string
-	wdTick     time.Duration
 	stormAfter time.Duration
 	stormFor   time.Duration
 }
@@ -78,24 +71,18 @@ type options struct {
 // validators, so bad values name their flag).
 func parseArgs(args []string) (options, error) {
 	fs := flag.NewFlagSet("engineview", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:8077", "HTTP listen address (host:port)")
+	var o options
+	o.Register(fs, "localhost:8077")
 	procs := fs.Int("p", 4, "worker goroutines")
 	n := fs.Int("n", 1<<16, "iterations per parallel loop")
 	phases := fs.Int("phases", 8, "phases per submission")
 	algos := fs.String("algos", "afs,gss", "comma-separated schedulers the demo workload alternates")
 	pause := fs.Duration("pause", 50*time.Millisecond, "pause between submissions")
-	window := fs.Duration("window", 10*time.Second, "rolling-quantile window")
-	flight := fs.Int("flight", 4096, "flight-recorder event capacity")
-	duration := fs.Duration("duration", 0, "stop after this long (0 = run until killed)")
-	bundles := fs.String("bundles", "", "capture watchdog diagnostic bundles into this directory (empty = watchdog only, no capture)")
-	wdTick := fs.Duration("watchdog-tick", 250*time.Millisecond, "watchdog detector tick interval")
 	stormAfter := fs.Duration("storm-after", 0, "inject a synthetic steal storm this long after start (0 = never; CI anomaly self-test)")
 	stormFor := fs.Duration("storm-for", 10*time.Second, "how long the injected storm lasts")
 	fs.Parse(args)
 
-	var o options
-	var err error
-	if o.addr, err = cli.AddrFlag("-addr", *addr); err != nil {
+	if err := o.Validate(); err != nil {
 		return o, err
 	}
 	specs, err := cli.AlgosFlag("-algos", *algos)
@@ -106,22 +93,20 @@ func parseArgs(args []string) (options, error) {
 		cli.PositiveInt("-p", *procs),
 		cli.PositiveInt("-n", *n),
 		cli.PositiveInt("-phases", *phases),
-		cli.PositiveInt("-flight", *flight),
+		cli.NonNegativeDuration("-storm-after", *stormAfter),
 	); err != nil {
 		return o, err
 	}
-	if len(specs) == 0 {
-		return o, fmt.Errorf("-algos must name at least one scheduler")
+	// An armed storm that lasts no time would never fire.
+	if *stormAfter > 0 {
+		if err := cli.PositiveDuration("-storm-for", *stormFor); err != nil {
+			return o, err
+		}
 	}
 	for _, s := range specs {
 		o.algos = append(o.algos, s.Name)
 	}
-	if err := cli.PositiveDuration("-watchdog-tick", *wdTick); err != nil {
-		return o, err
-	}
-	o.procs, o.n, o.phases = *procs, *n, *phases
-	o.pause, o.window, o.flight, o.duration = *pause, *window, *flight, *duration
-	o.bundles, o.wdTick = *bundles, *wdTick
+	o.procs, o.n, o.phases, o.pause = *procs, *n, *phases, *pause
 	o.stormAfter, o.stormFor = *stormAfter, *stormFor
 	return o, nil
 }
@@ -132,12 +117,14 @@ func run(args []string) error {
 		return err
 	}
 
-	plane := repro.NewObservability(repro.ObservabilityOptions{
-		Window:       o.window,
-		FlightEvents: o.flight,
-		FlightProv:   o.flight / 2,
-	})
-	defer plane.Close()
+	// The stock objectives (submission p99, affinity-hit floor,
+	// steal-share ceiling) and detector rules over the executor's plane.
+	label := fmt.Sprintf("executor p=%d (%v)", o.procs, o.algos)
+	st, err := daemon.Start("engineview", label, o.Flags, slo.DefaultObjectives(), watchdog.DefaultRules())
+	if err != nil {
+		return err
+	}
+	defer st.Close()
 
 	// Size the trace store to outlive the exemplar window: the plane's
 	// slow exemplars name traces from up to -window ago, so the store
@@ -146,17 +133,12 @@ func run(args []string) error {
 	// been evicted.
 	store := 4096
 	if o.pause > 0 {
-		if s := 4 * int(o.window/o.pause); s < store {
-			store = s
-		}
+		store = min(store, 4*int(o.Window/o.pause))
 	}
-	if store < 64 {
-		store = 64
-	}
-	tracer := repro.NewTracing(repro.TracingOptions{Store: store})
+	tracer := repro.NewTracing(repro.TracingOptions{Store: max(store, 64)})
 	ex, err := repro.NewExecutor(
 		repro.WithProcs(o.procs),
-		repro.WithObservability(plane),
+		repro.WithObservability(st.Plane),
 		repro.WithTracing(tracer),
 	)
 	if err != nil {
@@ -164,65 +146,8 @@ func run(args []string) error {
 	}
 	defer ex.Close()
 
-	// The SLO engine scores the plane's snapshots against the default
-	// objectives (submission p99, affinity-hit floor, steal-share
-	// ceiling) once a second; /slo serves the burn-rate report and
-	// /metrics.prom carries the loopsched_slo_* series.
-	sloEng, err := slo.New(plane.Snapshot, slo.DefaultObjectives(), slo.Options{})
-	if err != nil {
-		return err
-	}
-	stopSLO := sloEng.Start(time.Second)
-	defer stopSLO()
-
-	// The Go-runtime correlation source: GC pause and scheduler-latency
-	// quantiles ride along in every plane snapshot and the combined
-	// scrape, so an affinity collapse and runtime pressure are one view.
-	sampler := runtimeobs.NewSampler()
-	stopSampler := sampler.Start(time.Second)
-	defer stopSampler()
-	plane.SetRuntimeSource(sampler.SnapshotAny)
-
-	label := fmt.Sprintf("executor p=%d (%v)", o.procs, o.algos)
-
-	// The auto-triage loop: the watchdog watches the plane's own
-	// signals; when a rule fires, the attached capturer freezes a
-	// diagnostic bundle into the bounded -bundles store.
-	wd, err := watchdog.New(plane.Snapshot, watchdog.DefaultRules(), watchdog.Options{
-		SLO:        sloEng,
-		AnomalySeq: plane.Recorder().AnomalySeq,
-	})
-	if err != nil {
-		return err
-	}
-	var bstore *bundle.Store
-	if o.bundles != "" {
-		bstore, err = bundle.OpenStore(o.bundles, bundle.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		capt, err := bundle.NewCapturer(bstore, bundle.Sources{
-			Plane: plane, SLO: sloEng, Runtime: sampler, Label: label,
-		}, bundle.Options{})
-		if err != nil {
-			return err
-		}
-		bundle.Attach(wd, capt, func(err error) {
-			fmt.Fprintln(os.Stderr, "engineview: bundle capture:", err)
-		})
-	}
-	wd.OnTrigger(func(t watchdog.Trigger) {
-		fmt.Fprintf(os.Stderr, "engineview: watchdog fired: %s (%s)\n", t.Rule, t.Reason)
-	})
-	stopWD := wd.Start(o.wdTick)
-	defer stopWD()
-
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := o.Context()
 	defer cancel()
-	if o.duration > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.duration)
-		defer cancel()
-	}
 
 	// The demo workload: a stream of phased submissions over one shared
 	// index space, alternating schedulers so /workers shows the paper's
@@ -274,64 +199,10 @@ func run(args []string) error {
 		}
 	}()
 
-	obsHandler := repro.ObservabilityHandler(plane, label)
-	mux := http.NewServeMux()
-	mux.Handle("/", obsHandler)
-	mux.Handle("/slo", slo.Handler(sloEng, label))
-	serveJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	}
-	mux.HandleFunc("/watchdog", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, wd.Status())
-	})
-	mux.HandleFunc("/runtime", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, sampler.Snapshot())
-	})
-	mux.HandleFunc("/bundles", func(w http.ResponseWriter, r *http.Request) {
-		if bstore == nil {
-			http.Error(w, "bundle capture disabled (start engineview with -bundles DIR)", http.StatusNotFound)
-			return
-		}
-		bundle.ServeList(w, bstore)
-	})
-	mux.HandleFunc("/bundle", func(w http.ResponseWriter, r *http.Request) {
-		if bstore == nil {
-			http.Error(w, "bundle capture disabled (start engineview with -bundles DIR)", http.StatusNotFound)
-			return
-		}
-		bundle.ServeBundle(w, r, bstore)
-	})
-	// Override the plane's /metrics.prom with a combined exposition —
-	// plane, SLO, watchdog, and runtime series in one scrape, routed
-	// through a family deduper so a family declared by two writers
-	// keeps a single # HELP/# TYPE (real Prometheus rejects repeats).
-	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		bundle.WriteCombinedProm(w, plane, sloEng, wd, sampler)
-	})
-
-	srv := &http.Server{
-		Addr:    o.addr,
-		Handler: mux,
-	}
 	if o.stormAfter > 0 {
 		fmt.Fprintf(os.Stderr, "engineview: steal storm armed: t+%v for %v\n", o.stormAfter, o.stormFor)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "engineview: serving http://%s (workload: %v, p=%d, n=%d)\n",
-		o.addr, o.algos, o.procs, o.n)
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-		<-workloadDone
-		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer shutCancel()
-		return srv.Shutdown(shutCtx)
-	}
+		o.Addr, o.algos, o.procs, o.n)
+	return daemon.Serve(ctx, o.Addr, st.Handler(nil), func() { <-workloadDone })
 }

@@ -38,7 +38,7 @@ func WriteCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine
 }
 
 // ServeList writes the store's retained bundles as JSON, newest
-// first (engineview's /bundles endpoint).
+// first (the daemons' /bundles endpoint, mounted by internal/daemon).
 func ServeList(w http.ResponseWriter, s *Store) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -50,7 +50,7 @@ func ServeList(w http.ResponseWriter, s *Store) {
 	_ = enc.Encode(entries)
 }
 
-// ServeBundle streams one bundle tar by ?id= (engineview's /bundle
+// ServeBundle streams one bundle tar by ?id= (the daemons' /bundle
 // endpoint), so `curl -O` or `loopdoctor bundle <url>` moves the whole
 // evidence set in one request.
 func ServeBundle(w http.ResponseWriter, r *http.Request, s *Store) {

@@ -52,6 +52,16 @@ func PositiveDuration(flagName string, v time.Duration) error {
 	return nil
 }
 
+// NonNegativeDuration rejects negative durations, naming the flag —
+// the validator for run-length flags where zero means "no limit" (a
+// daemon's -duration 0 runs until signalled).
+func NonNegativeDuration(flagName string, v time.Duration) error {
+	if v < 0 {
+		return fmt.Errorf("%s must be >= 0 (got %v)", flagName, v)
+	}
+	return nil
+}
+
 // Uint64Arg parses a positive integer operand (e.g. loopdoctor's
 // trace ID), naming the operand in the error like the flag validators
 // name their flag.

@@ -62,6 +62,21 @@ func TestPositiveDuration(t *testing.T) {
 	}
 }
 
+func TestNonNegativeDuration(t *testing.T) {
+	for _, v := range []time.Duration{0, time.Minute} {
+		if err := NonNegativeDuration("-duration", v); err != nil {
+			t.Errorf("NonNegativeDuration(%v) rejected: %v", v, err)
+		}
+	}
+	err := NonNegativeDuration("-duration", -time.Second)
+	if err == nil {
+		t.Fatal("NonNegativeDuration(-1s): no error")
+	}
+	if !strings.HasPrefix(err.Error(), "-duration ") {
+		t.Errorf("error %q does not lead with the flag name", err)
+	}
+}
+
 func TestUint64Arg(t *testing.T) {
 	if v, err := Uint64Arg("trace ID", "42"); err != nil || v != 42 {
 		t.Errorf("Uint64Arg(42) = %d, %v", v, err)

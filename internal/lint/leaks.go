@@ -7,9 +7,9 @@ import (
 
 // leaksCheck enforces goroutine-lifecycle hygiene in the long-running
 // service packages (internal/serve, internal/pool, internal/watchdog,
-// internal/livemetrics, internal/core): every `go` statement must have
-// a provable shutdown edge, so that Close() really drains the process
-// instead of stranding workers.
+// internal/livemetrics, internal/core, internal/daemon): every `go`
+// statement must have a provable shutdown edge, so that Close() really
+// drains the process instead of stranding workers.
 //
 // The proof obligation is structural, on the spawned body's CFG: some
 // path from entry must reach exit. A dispatcher that ranges over a

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -301,7 +302,7 @@ func (r *runner) sampleDepths() {
 }
 
 // phaseOps returns the counters' growth since the previous barrier.
-// Called at the barrier (workers are parked), so the reads are
+// Called at the barrier (no worker is in a phase), so the reads are
 // race-free; the scalar counters still go through atomic loads to keep
 // one access discipline per field (the per-element LocalOps/RemoteOps
 // reads stay plain — the barrier is their correctness argument).
@@ -430,7 +431,22 @@ type afsDispatch struct {
 	minChunk int
 	queues   []afsQueue
 	rngs     []workerRNG
+	// lens holds every worker's steal-scan snapshot of the queue
+	// lengths, lensStride ints apart (see scanLens).
+	lens       []int
+	lensStride int
 }
+
+// scanLens is worker w's scratch for the steal scan's length
+// snapshot. Each worker's span is the queue count rounded up to whole
+// cache lines plus one line of padding, so no two workers' snapshots
+// share a line.
+func (d *afsDispatch) scanLens(w int) []int {
+	return d.lens[w*d.lensStride : w*d.lensStride+len(d.queues)]
+}
+
+// cacheLineInts is the number of ints in a 64-byte cache line.
+const cacheLineInts = 64 * 8 / bits.UintSize
 
 // grained raises an amount to the configured chunk floor.
 func (d *afsDispatch) grained(amt int) int {
@@ -463,7 +479,9 @@ type afsQueue struct {
 }
 
 func newAFSDispatch(p int, a sched.AFS, victim sched.VictimPolicy) *afsDispatch {
-	d := &afsDispatch{afs: a, victim: victim, queues: make([]afsQueue, p), rngs: make([]workerRNG, p)}
+	stride := (p+cacheLineInts-1)/cacheLineInts*cacheLineInts + cacheLineInts
+	d := &afsDispatch{afs: a, victim: victim, queues: make([]afsQueue, p), rngs: make([]workerRNG, p),
+		lens: make([]int, p*stride), lensStride: stride}
 	for w := range d.rngs {
 		d.rngs[w].state = uint64(w+1) * 0x9e3779b97f4a7c15
 	}
@@ -471,12 +489,10 @@ func newAFSDispatch(p int, a sched.AFS, victim sched.VictimPolicy) *afsDispatch 
 }
 
 func (d *afsDispatch) initPhase(r *runner, ph, n int) {
-	for i, chs := range sched.Static(n, r.p) {
+	for i := range d.queues {
 		q := &d.queues[i]
 		q.q.Reset()
-		for _, c := range chs {
-			q.q.Push(c)
-		}
+		q.q.Push(sched.StaticBlock(i, n, r.p))
 		q.len.Store(int64(q.q.Len()))
 	}
 }
@@ -509,7 +525,7 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		}
 		// Steal: 1/P of a victim chosen without locks from the
 		// atomically-published lengths.
-		lens := make([]int, len(d.queues))
+		lens := d.scanLens(w)
 		empty := true
 		for i := range d.queues {
 			lens[i] = int(d.queues[i].len.Load())

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,11 +67,22 @@ type Engine struct {
 // type (atomic.Value panics on inconsistent types).
 type depthBox struct{ ds depthSampler }
 
-// phaseTask tells a worker to run one phase of one submission.
+// phaseTask tells a worker to run one phase of one submission. last
+// marks the submission's final phase, after which no task follows
+// until the next submission.
 type phaseTask struct {
-	r  *runner
-	ph int
+	r    *runner
+	ph   int
+	last bool
 }
+
+// pollBudget bounds how long a worker polls its start channel between
+// two phases of one submission before it parks. The next phase's task
+// usually arrives within one barrier hand-off, and catching it while
+// still running skips the OS-level wake-up a parked worker costs on
+// every phase. Bounded, because the workers and the submitter may
+// share fewer CPUs than there are goroutines.
+const pollBudget = 50 * time.Microsecond
 
 // NewEngine starts p persistent workers. Callers own the engine and
 // must Close it to stop them.
@@ -107,11 +119,48 @@ func (e *Engine) QueueDepths() []int {
 
 func (e *Engine) worker(w int) {
 	defer e.wg.Done()
-	for t := range e.starts[w] {
+	runWorker(e.starts[w], w)
+}
+
+// runWorker runs worker w's tasks from ch until ch closes. After a
+// submission's last phase the worker blocks at once, so an idle engine
+// never spins; after any other phase it polls first (pollTask). It
+// returns how often the worker yielded its CPU while polling.
+func runWorker(ch <-chan phaseTask, w int) (yields int) {
+	t, ok := <-ch
+	for ok {
 		t.r.delayOnce(w)
 		t.r.work(w, t.ph)
+		last := t.last
 		t.r.phaseWG.Done()
+		if last {
+			t, ok = <-ch
+			continue
+		}
+		var y int
+		t, ok, y = pollTask(ch)
+		yields += y
 	}
+	return yields
+}
+
+// pollTask receives the next phase of the running submission. It polls
+// ch for up to pollBudget, yielding its CPU between polls, and then
+// blocks; a submission that stopped early therefore leaves its workers
+// parked too. yields counts the polls that found nothing.
+func pollTask(ch <-chan phaseTask) (t phaseTask, ok bool, yields int) {
+	start := time.Now()                  //lint:allow determinism the poll budget is host time between real phases; no schedule decision reads it
+	for time.Since(start) < pollBudget { //lint:allow determinism the poll budget is host time between real phases; no schedule decision reads it
+		select {
+		case t, ok = <-ch:
+			return t, ok, yields
+		default:
+		}
+		yields++
+		runtime.Gosched()
+	}
+	t, ok = <-ch
+	return t, ok, yields
 }
 
 // Close stops the workers once the in-flight submission (and any
@@ -232,7 +281,7 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		r.phaseWG.Add(p)
 		for w := 0; w < p; w++ {
-			e.starts[w] <- phaseTask{r, ph} //lint:allow ctxflow workers drain starts until Close, so the send is bounded by the phase protocol; bailing mid-loop would desync the barrier
+			e.starts[w] <- phaseTask{r: r, ph: ph, last: ph == phases-1} //lint:allow ctxflow workers drain starts until Close, so the send is bounded by the phase protocol; bailing mid-loop would desync the barrier
 		}
 		r.phaseWG.Wait() //lint:allow ctxflow cancellation aborts dispatch at chunk granularity and every worker calls Done, so the barrier always drains
 		if r.obs != nil {

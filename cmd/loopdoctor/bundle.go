@@ -15,6 +15,7 @@ import (
 	"repro/internal/forensics"
 	"repro/internal/runtimeobs"
 	"repro/internal/slo"
+	"repro/internal/telemetry"
 )
 
 // runBundle is the offline half of auto-triage: it loads a diagnostic
@@ -112,7 +113,7 @@ type bundleReport struct {
 // analyzeEntry runs the attribution pipeline over one in-bundle trace.
 func analyzeEntry(source string, data []byte) *traceVerdict {
 	v := &traceVerdict{Source: source}
-	tr, err := forensics.ReadTrace(bytes.NewReader(data))
+	tr, err := telemetry.ReadTrace(bytes.NewReader(data))
 	if err == nil {
 		var a *forensics.Analysis
 		if a, err = forensics.Analyze(tr); err == nil {

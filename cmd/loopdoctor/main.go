@@ -10,7 +10,7 @@
 //	loopdoctor diff gss.trace.json afs.trace.json
 //
 // analyze and diff read trace files written by capture (or by any
-// code that serialises a forensics.Trace, e.g. perflab). Output is
+// code that serialises a telemetry.TraceFile, e.g. perflab). Output is
 // markdown by default; -format json emits the full Analysis /
 // DiffReport structures.
 package main
@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/forensics"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -175,7 +176,7 @@ func runAnalyze(args []string) error {
 	if len(pos) != 1 {
 		return fmt.Errorf("analyze wants exactly one trace file, got %d args", len(pos))
 	}
-	tr, err := forensics.ReadTraceFile(pos[0])
+	tr, err := telemetry.ReadTraceFile(pos[0])
 	if err != nil {
 		return err
 	}
@@ -289,7 +290,7 @@ func runAttach(args []string) error {
 // runTrace closes the triage loop that starts at a /metrics exemplar:
 // given the trace ID the exemplar names, it fetches that submission's
 // span tree from the running engine (the spantrace /trace endpoint
-// lowers it to forensics trace format) and runs the standard
+// lowers it to a telemetry.TraceFile) and runs the standard
 // attribution report, so "which submission was slow" becomes "where
 // inside it the time went" in one command.
 func runTrace(args []string) error {
@@ -372,9 +373,9 @@ func httpGet(u string, retries int) (*http.Response, error) {
 	}
 }
 
-// fetchTrace GETs a forensics trace file from an endpoint, with the
+// fetchTrace GETs a telemetry.TraceFile from an endpoint, with the
 // shared retry policy and error shape.
-func fetchTrace(what, u string, retries int) (*forensics.Trace, error) {
+func fetchTrace(what, u string, retries int) (*telemetry.TraceFile, error) {
 	resp, err := httpGet(u, retries)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", what, u, err)
@@ -384,7 +385,7 @@ func fetchTrace(what, u string, retries int) (*forensics.Trace, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("%s %s: %s: %s", what, u, resp.Status, strings.TrimSpace(string(body)))
 	}
-	tr, err := forensics.ReadTrace(resp.Body)
+	tr, err := telemetry.ReadTrace(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", what, u, err)
 	}
@@ -392,15 +393,15 @@ func fetchTrace(what, u string, retries int) (*forensics.Trace, error) {
 }
 
 // fetchSpanTrace GETs URL/trace?id=N&format=trace and parses the
-// forensics trace file the span-trace endpoint serves.
-func fetchSpanTrace(base string, id uint64) (*forensics.Trace, error) {
+// telemetry.TraceFile the span-trace endpoint serves.
+func fetchSpanTrace(base string, id uint64) (*telemetry.TraceFile, error) {
 	u := normalizeURL(base) + fmt.Sprintf("/trace?id=%d&format=trace", id)
 	return fetchTrace("trace", u, 0)
 }
 
 // fetchFlightTrace GETs URL/flight?format=trace&which=… and parses the
-// forensics trace file the endpoint serves.
-func fetchFlightTrace(base, which string, retries int) (*forensics.Trace, error) {
+// telemetry.TraceFile the endpoint serves.
+func fetchFlightTrace(base, which string, retries int) (*telemetry.TraceFile, error) {
 	u := normalizeURL(base) + "/flight?format=trace&which=" + which
 	return fetchTrace("attach", u, retries)
 }
@@ -415,7 +416,7 @@ func runDiff(args []string) error {
 	}
 	var analyses [2]*forensics.Analysis
 	for i := 0; i < 2; i++ {
-		tr, err := forensics.ReadTraceFile(pos[i])
+		tr, err := telemetry.ReadTraceFile(pos[i])
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,14 @@
 //	realbench -kernel gauss -trace-out trace.json      # Chrome/Perfetto trace
 //	realbench -kernel sor -metrics-out series.csv -check
 //	realbench -kernel gauss -pprof :6060               # live pprof + expvar
+//
+// Table 2 (§4.5) on real goroutines — a balanced loop whose worker 0
+// starts late:
+//
+//	realbench -kernel spin -n 200000 -phases 1 -start-delay 10ms -algos 'gss,trapezoid,factoring,afs(k=2),afs'
+//
+// Kernels come from the job registry (internal/job), the same builds
+// that serve and perfbench run; each run is one phased submission.
 package main
 
 import (
@@ -22,21 +30,21 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		kernelName = flag.String("kernel", "gauss", "kernel: sor, gauss, tc-skew, adjoint, adjoint-rev, l4, step")
+		kernelName = flag.String("kernel", "gauss", "kernel: "+strings.Join(job.Names(), ", "))
 		n          = flag.Int("n", 384, "problem size")
-		phases     = flag.Int("phases", 16, "sweeps (sor) / outer iterations (l4)")
+		phases     = flag.Int("phases", 16, "phases for kernels with a free phase count (sor sweeps, l4 outer iterations, spin*)")
 		workers    = flag.String("workers", defaultWorkers(), "comma-separated worker counts")
 		algosFlag  = flag.String("algos", "static,ss,gss,factoring,trapezoid,afs,mod-factoring", "algorithms")
 		repeats    = flag.Int("repeats", 3, "runs per cell (median reported)")
@@ -47,6 +55,7 @@ func main() {
 		traceAlgo  = flag.String("trace-algo", "afs", "algorithm for the instrumented -trace-out/-metrics-out/-check run")
 		queueDepth = flag.Duration("queue-depths", 0, "sample per-queue backlog at this interval during the instrumented run (e.g. 200µs; 0 = off)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060) during the sweep")
+		startDelay = flag.Duration("start-delay", 0, "delay worker 0's start by this long in every run (§4.5 / Table 2)")
 	)
 	// Flag-parse errors must exit non-zero like every other error path:
 	// flag's ExitOnError already exits 2, but a custom Usage keeps the
@@ -60,7 +69,7 @@ func main() {
 	// and loopdoctor via internal/cli): an unknown algorithm or a bad
 	// worker count must exit non-zero with a pointer to the flag,
 	// never fall through to an empty or degenerate sweep.
-	if err := validateArgs(*n, *phases, *repeats); err != nil {
+	if err := validateArgs(*n, *phases, *repeats, *startDelay); err != nil {
 		fatal(err)
 	}
 	counts, err := cli.ProcsFlag("-workers", *workers)
@@ -71,7 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	run, desc, err := realKernel(*kernelName, *n, *phases)
+	run, desc, err := realKernel(*kernelName, *n, *phases, *startDelay)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,17 +107,17 @@ func main() {
 		trow := []string{strconv.Itoa(w)}
 		orow := []string{strconv.Itoa(w)}
 		for _, spec := range specs {
-			var times []time.Duration
+			var times []float64
 			var ops int64
 			for r := 0; r < *repeats; r++ {
-				st, err := run(w, spec.Name, nil)
+				st, err := run(w, spec.Name)
 				if err != nil {
 					fatal(err)
 				}
-				times = append(times, st.Elapsed)
+				times = append(times, float64(st.Elapsed))
 				ops = st.TotalSyncOps()
 			}
-			trow = append(trow, median(times).Round(10*time.Microsecond).String())
+			trow = append(trow, time.Duration(stats.Median(times)).Round(10*time.Microsecond).String())
 			orow = append(orow, strconv.FormatInt(ops, 10))
 		}
 		timeTab.AddRow(trow...)
@@ -131,34 +140,17 @@ func main() {
 	}
 }
 
-// telemetryOpts carries the observability hooks into one run. Kernels
-// that issue one ParallelFor per sweep advance the step/time base
-// between calls so the combined stream reads as one phased execution.
-type telemetryOpts struct {
-	stream     *telemetry.SyncStream
-	reg        *telemetry.Registry
-	depthEvery time.Duration
-	stepOff    int
-	timeOff    float64
-}
-
-// advance shifts the stream's base after one single-phase run.
-func (topt *telemetryOpts) advance(phases int, elapsed time.Duration) {
-	if topt == nil {
-		return
-	}
-	topt.stepOff += phases
-	topt.timeOff += float64(elapsed)
-}
-
 // instrumentedRun executes one extra run at the largest worker count
 // with full telemetry, then exports and/or verifies the stream.
 func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut string, check bool, depthEvery time.Duration) error {
 	w := counts[len(counts)-1]
-	topt := &telemetryOpts{stream: telemetry.NewSyncStream(), reg: telemetry.NewRegistry(),
-		depthEvery: depthEvery}
-	expvar.Publish("telemetry_events", expvar.Func(func() any { return topt.stream.Len() }))
-	st, err := run(w, algo, topt)
+	stream, reg := telemetry.NewSyncStream(), telemetry.NewRegistry()
+	expvar.Publish("telemetry_events", expvar.Func(func() any { return stream.Len() }))
+	opts := []repro.Option{repro.WithEvents(stream), repro.WithMetrics(reg)}
+	if depthEvery > 0 {
+		opts = append(opts, repro.WithQueueDepthSampling(depthEvery))
+	}
+	st, err := run(w, algo, opts...)
 	if err != nil {
 		return err
 	}
@@ -169,7 +161,7 @@ func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut
 			depthTable(st.QueueDepthSamples, algo, w).Render(os.Stdout)
 		}
 	}
-	events := topt.stream.Events()
+	events := stream.Events()
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
@@ -193,7 +185,7 @@ func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut
 		if err != nil {
 			return err
 		}
-		err = telemetry.WriteSeriesCSV(f, topt.reg)
+		err = telemetry.WriteSeriesCSV(f, reg)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -213,24 +205,9 @@ func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut
 	return nil
 }
 
-type runFunc func(workers int, algo string, topt *telemetryOpts) (repro.RunStats, error)
-
-// telemetryOptions expands the optional hooks into repro options,
-// rebasing the sink onto the accumulated step/time offset.
-func telemetryOptions(topt *telemetryOpts) []repro.Option {
-	if topt == nil {
-		return nil
-	}
-	var sink telemetry.Sink = topt.stream
-	if topt.stepOff != 0 || topt.timeOff != 0 {
-		sink = &telemetry.Rebase{Sink: topt.stream, StepOffset: topt.stepOff, TimeOffset: topt.timeOff}
-	}
-	opts := []repro.Option{repro.WithEvents(sink), repro.WithMetrics(topt.reg)}
-	if topt.depthEvery > 0 {
-		opts = append(opts, repro.WithQueueDepthSampling(topt.depthEvery))
-	}
-	return opts
-}
+// runFunc runs one fresh instance of the kernel under a worker count
+// and scheduler name, plus any extra options.
+type runFunc func(workers int, algo string, opts ...repro.Option) (repro.RunStats, error)
 
 // depthTable summarises per-queue backlog samples: how deep each work
 // queue ran over the instrumented run — the real runtime's view of the
@@ -268,128 +245,45 @@ func depthTable(samples []repro.QueueDepthSample, algo string, workers int) *sta
 	return t
 }
 
-// realKernel returns a runner executing the kernel's real form under a
-// given worker count and scheduler name.
-func realKernel(name string, n, phases int) (runFunc, string, error) {
-	switch name {
-	case "sor":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			g := kernels.NewSORGrid(n)
-			var total repro.RunStats
-			for ph := 0; ph < phases; ph++ {
-				st, err := repro.ParallelFor(n, func(j int) { g.UpdateRow(j) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-				g.Swap()
-			}
-			return total, nil
-		}, fmt.Sprintf("SOR %d×%d, %d sweeps", n, n, phases), nil
-	case "gauss":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			g := kernels.NewGaussMatrix(n)
-			return repro.ForPhases(n-1, g.PhaseIterations,
-				func(ph, i int) { g.EliminateRow(ph, i) },
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("Gaussian elimination %d×%d", n, n), nil
-	case "tc-skew":
-		g := workload.CliqueGraph(n, n/2)
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			tc := kernels.NewTCGraph(g)
-			var total repro.RunStats
-			for ph := 0; ph < g.N; ph++ {
-				tc.BeginPhase(ph)
-				st, err := repro.ParallelFor(g.N, func(j int) { tc.UpdateRow(ph, j) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-			}
-			return total, nil
-		}, fmt.Sprintf("transitive closure, %d nodes with %d-clique", n, n/2), nil
-	case "adjoint":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			d := kernels.NewAdjointData(n, false)
-			return repro.ParallelFor(d.Iterations(), d.Body,
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("adjoint convolution N=%d (%d iterations)", n, n*n), nil
-	case "adjoint-rev":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			d := kernels.NewAdjointData(n, true)
-			return repro.ParallelFor(d.Iterations(), d.Body,
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("adjoint convolution (reversed) N=%d", n), nil
-	case "l4":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			r := kernels.NewL4Real(phases, 1, 20)
-			var total repro.RunStats
-			for s := 0; s < r.Loops(); s++ {
-				st, err := repro.ParallelFor(r.LoopN(s), func(i int) { r.Body(s, i) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-			}
-			return total, nil
-		}, fmt.Sprintf("L4, %d outer iterations", phases), nil
-	case "step":
-		cost := workload.Step(n, 0.1, 100, 1)
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			return repro.ParallelFor(n, func(i int) { kernels.Spin(int(cost(i)) * 20) },
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("step workload N=%d", n), nil
+// realKernel builds the named job-registry kernel once, so an unknown
+// name fails before the sweep and the header reports the phase count
+// the kernel really runs, and returns a runner that builds a fresh
+// instance per run and executes it as one phased submission.
+func realKernel(name string, n, phases int, startDelay time.Duration) (runFunc, string, error) {
+	k, err := job.Lookup(name)
+	if err != nil {
+		return nil, "", fmt.Errorf("-kernel: %w", err)
 	}
-	return nil, "", fmt.Errorf("unknown kernel %q for the real runtime", name)
+	spec := job.Spec{Kernel: name, Params: job.Params{N: n, Phases: phases}}
+	probe, err := job.Build(spec)
+	if err != nil {
+		return nil, "", err
+	}
+	desc := fmt.Sprintf("%s: %s, n=%d, phases=%d", name, k.Description, n, probe.Phases)
+	run := func(w int, algo string, opts ...repro.Option) (repro.RunStats, error) {
+		r, err := job.Build(spec)
+		if err != nil {
+			return repro.RunStats{}, err
+		}
+		opts = append(opts, repro.WithScheduler(algo), repro.WithProcs(w))
+		if startDelay > 0 {
+			opts = append(opts, repro.WithStartDelay(startDelay))
+		}
+		return repro.ForPhases(r.Phases, r.N, r.Body, opts...)
+	}
+	return run, desc, nil
 }
 
 // validateArgs rejects degenerate sweep parameters up front — with
-// -repeats 0 the median of zero samples would panic, and a
+// -repeats 0 there is no sample to take the median of, and a
 // non-positive problem size yields a meaningless zero-row sweep.
-func validateArgs(n, phases, repeats int) error {
+func validateArgs(n, phases, repeats int, startDelay time.Duration) error {
 	return cli.FirstError(
 		cli.PositiveInt("-repeats", repeats),
 		cli.PositiveInt("-n", n),
 		cli.PositiveInt("-phases", phases),
+		cli.NonNegativeDuration("-start-delay", startDelay),
 	)
-}
-
-// accumulate folds one run's stats into the total, value-in/value-out:
-// both sides are private snapshots, so the counter arithmetic stays
-// off the atomic fields' shared instances.
-func accumulate(total, st repro.RunStats) repro.RunStats {
-	total.Elapsed += st.Elapsed
-	total.CentralOps += st.CentralOps
-	total.Steals += st.Steals
-	total.MigratedIters += st.MigratedIters
-	total.Iterations += st.Iterations
-	total.QueueDepthSamples = append(total.QueueDepthSamples, st.QueueDepthSamples...)
-	for i := range st.LocalOps {
-		total.CentralOps += st.LocalOps[i] + st.RemoteOps[i]
-	}
-	return total
-}
-
-func median(d []time.Duration) time.Duration {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
-	return d[len(d)/2]
 }
 
 func defaultWorkers() string {

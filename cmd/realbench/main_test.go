@@ -3,25 +3,28 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cli"
 )
 
 func TestValidateArgs(t *testing.T) {
-	if err := validateArgs(384, 16, 3); err != nil {
+	if err := validateArgs(384, 16, 3, 0); err != nil {
 		t.Errorf("defaults rejected: %v", err)
 	}
 	cases := []struct {
 		n, phases, repeats int
+		startDelay         time.Duration
 		wantFlag           string
 	}{
-		{384, 16, 0, "-repeats"},
-		{384, 16, -2, "-repeats"},
-		{0, 16, 3, "-n"},
-		{384, 0, 3, "-phases"},
+		{384, 16, 0, 0, "-repeats"},
+		{384, 16, -2, 0, "-repeats"},
+		{0, 16, 3, 0, "-n"},
+		{384, 0, 3, 0, "-phases"},
+		{384, 16, 3, -time.Millisecond, "-start-delay"},
 	}
 	for _, c := range cases {
-		err := validateArgs(c.n, c.phases, c.repeats)
+		err := validateArgs(c.n, c.phases, c.repeats, c.startDelay)
 		if err == nil {
 			t.Errorf("validateArgs(%d, %d, %d): no error", c.n, c.phases, c.repeats)
 			continue
@@ -52,7 +55,33 @@ func TestSweepFlagRejection(t *testing.T) {
 }
 
 func TestRealKernelUnknown(t *testing.T) {
-	if _, _, err := realKernel("nope", 8, 2); err == nil {
+	if _, _, err := realKernel("nope", 8, 2, 0); err == nil {
 		t.Error("unknown kernel accepted")
+	} else if !strings.Contains(err.Error(), "-kernel") || !strings.Contains(err.Error(), "spin-step") {
+		t.Errorf("kernel error should name -kernel and list the registry: %v", err)
+	}
+	// The one rename: realbench's old "step" kernel is the registry's
+	// "spin-step".
+	if _, _, err := realKernel("step", 8, 2, 0); err == nil {
+		t.Error(`old kernel name "step" still accepted`)
+	}
+}
+
+// Every run is one phased submission of a fresh registry build: the
+// stats cover all phases and every iteration.
+func TestRealKernelRunsAllPhases(t *testing.T) {
+	run, desc, err := realKernel("sor", 16, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(desc, "phases=3") {
+		t.Errorf("desc %q should report 3 phases", desc)
+	}
+	st, err := run(2, "afs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Phases != 3 || st.Iterations != 3*16 {
+		t.Errorf("phases %d iterations %d, want 3 and 48", st.Phases, st.Iterations)
 	}
 }

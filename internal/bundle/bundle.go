@@ -34,8 +34,9 @@ const (
 	// ManifestName is always the FIRST tar entry, so indexers read one
 	// block instead of the whole bundle.
 	ManifestName = "manifest.json"
-	// FlightTraceName is the frozen flight ring in forensics trace
-	// wire form (only fully captured steps — ready for Analyze).
+	// FlightTraceName is the frozen flight ring as a
+	// telemetry.TraceFile (only fully captured steps — ready for
+	// Analyze).
 	FlightTraceName = "flight.trace.json"
 	// MetricsName is the full livemetrics snapshot at capture.
 	MetricsName = "metrics.json"
@@ -49,7 +50,7 @@ const (
 	// HeapProfileName is the pprof heap profile at capture.
 	HeapProfileName = "heap.pprof"
 	// ExemplarPrefix prefixes per-exemplar span trees, each serialized
-	// in forensics trace wire form: exemplar-<traceID>.trace.json.
+	// as a telemetry.TraceFile: exemplar-<traceID>.trace.json.
 	ExemplarPrefix = "exemplar-"
 )
 

@@ -26,7 +26,7 @@ type CaptureSpec struct {
 // CaptureSim runs the named kernel on the simulator with full
 // telemetry + provenance capture and returns the forensics trace.
 // This is the shared capture path for cmd/loopdoctor and perflab.
-func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
+func CaptureSim(spec CaptureSpec) (*telemetry.TraceFile, sim.Metrics, error) {
 	m, err := machine.ByName(spec.Machine)
 	if err != nil {
 		return nil, sim.Metrics{}, err
@@ -52,8 +52,8 @@ func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
 	if label == "" {
 		label = fmt.Sprintf("%s/%s/%s/p%d", spec.Algo, spec.Kernel, spec.Machine, spec.Procs)
 	}
-	return &Trace{
-		Meta: Meta{
+	return &telemetry.TraceFile{
+		Meta: telemetry.TraceMeta{
 			Label:     label,
 			Substrate: "sim",
 			Machine:   spec.Machine,

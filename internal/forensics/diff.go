@@ -3,6 +3,8 @@ package forensics
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/telemetry"
 )
 
 // Summary is the compact attribution digest embedded in perflab
@@ -50,7 +52,7 @@ type BucketDelta struct {
 
 // DiffReport explains the performance difference between two runs.
 type DiffReport struct {
-	A, B Meta `json:"-"`
+	A, B telemetry.TraceMeta `json:"-"`
 	// NameA / NameB are the run labels used in the verdict.
 	NameA string  `json:"name_a"`
 	NameB string  `json:"name_b"`

@@ -176,7 +176,7 @@ func (s PathSeg) Dur() float64 { return s.End - s.Start }
 
 // Analysis is the full forensic breakdown of one execution trace.
 type Analysis struct {
-	Meta Meta `json:"meta"`
+	Meta telemetry.TraceMeta `json:"meta"`
 	// Start is the trace's earliest timestamp, Makespan its latest;
 	// Span = Makespan − Start is every processor's analysis window.
 	Start    float64 `json:"start"`
@@ -215,7 +215,7 @@ func (a *Analysis) TopOverhead() (BucketKind, float64) {
 // Analyze builds the full forensic breakdown of a trace. When the
 // trace carries no provenance records, equivalent records are
 // reconstructed from the event stream (with compute-only windows).
-func Analyze(t *Trace) (*Analysis, error) {
+func Analyze(t *telemetry.TraceFile) (*Analysis, error) {
 	prov := t.Prov
 	if len(prov) == 0 {
 		prov = FromEvents(t.Events)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func capture(t *testing.T, algo string) *Trace {
+func capture(t *testing.T, algo string) *telemetry.TraceFile {
 	t.Helper()
 	tr, _, err := CaptureSim(CaptureSpec{
 		Machine: "symmetry", Kernel: "sor", Algo: algo,
@@ -24,7 +24,7 @@ func capture(t *testing.T, algo string) *Trace {
 
 // captureSkewed produces a steal-heavy AFS trace (skewed per-iteration
 // costs force high-indexed owners to finish early and steal).
-func captureSkewed(t *testing.T) *Trace {
+func captureSkewed(t *testing.T) *telemetry.TraceFile {
 	t.Helper()
 	tr, _, err := CaptureSim(CaptureSpec{
 		Machine: "symmetry", Kernel: "tc-skew", Algo: "afs",
@@ -185,7 +185,7 @@ func TestFromEventsFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := &Trace{Meta: tr.Meta, Events: tr.Events}
+	stripped := &telemetry.TraceFile{Meta: tr.Meta, Events: tr.Events}
 	a, err := Analyze(stripped)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceFile(path)
+	got, err := telemetry.ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestReportsRender(t *testing.T) {
 
 // TestAnalyzeRejectsEmptyTrace pins the error path.
 func TestAnalyzeRejectsEmptyTrace(t *testing.T) {
-	if _, err := Analyze(&Trace{Meta: Meta{Procs: 4}}); err == nil {
+	if _, err := Analyze(&telemetry.TraceFile{Meta: telemetry.TraceMeta{Procs: 4}}); err == nil {
 		t.Fatal("expected error for empty trace")
 	}
 }
@@ -277,7 +277,7 @@ func TestRealRuntimeProvAnalyzes(t *testing.T) {
 		{Step: 0, Proc: 1, Owner: 0, Stolen: true, Lo: 8, Hi: 16, Start: 150, End: 700,
 			Compute: 550, QueueWait: 50},
 	}
-	a, err := Analyze(&Trace{Meta: Meta{Procs: 2, Substrate: "real", TimeUnit: "ns"}, Prov: prov})
+	a, err := Analyze(&telemetry.TraceFile{Meta: telemetry.TraceMeta{Procs: 2, Substrate: "real", TimeUnit: "ns"}, Prov: prov})
 	if err != nil {
 		t.Fatal(err)
 	}

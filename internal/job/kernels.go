@@ -205,6 +205,15 @@ func init() {
 		},
 	})
 	register(Kernel{
+		Name:        "spin-step",
+		Description: "synthetic spin, §4.4 step cost: first 10% of iterations cost 100×Work",
+		Defaults:    Params{N: 2048, Phases: 4, Work: 20},
+		Build: func(p Params) (*Runnable, error) {
+			w := float64(p.Work)
+			return spinRunnable(p, workload.Step(p.N, 0.1, 100*w, w)), nil
+		},
+	})
+	register(Kernel{
 		Name:        "spin-irregular",
 		Description: "synthetic spin, tapering-style heavy-tailed cost",
 		Defaults:    Params{N: 2048, Phases: 4, Seed: 1, Work: 160},

@@ -13,8 +13,7 @@ import (
 // recoverable without paying full-trace memory. Each submission's
 // observer (Plane.Observer) records into its own slot; Dump merges the
 // rings into one coherent stream by rebasing every submission's
-// step numbers and zero-based clocks onto a shared axis (the same
-// composition trick as telemetry.Rebase, applied after the fact).
+// step numbers and zero-based clocks onto a shared axis.
 type Recorder struct {
 	mu        sync.Mutex
 	evs       []flightEv

@@ -107,36 +107,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// traceFile mirrors forensics.Trace's JSON wire format without
-// importing the forensics package (which would drag the simulator into
-// the live plane's dependencies); compatibility is locked down by a
-// round-trip test against forensics.ReadTrace.
-type traceFile struct {
-	Meta struct {
-		Label     string `json:"label,omitempty"`
-		Substrate string `json:"substrate,omitempty"`
-		Procs     int    `json:"procs"`
-		TimeUnit  string `json:"time_unit,omitempty"`
-	} `json:"meta"`
-	Events []telemetry.Event `json:"events,omitempty"`
-	Prov   []telemetry.Prov  `json:"prov,omitempty"`
-}
-
 // WriteTrace serializes the dump's fully captured steps (Consistent)
-// as a forensics trace file — the same wire form /flight?format=trace
+// as a telemetry.TraceFile — the same wire form /flight?format=trace
 // serves, reusable by the bundle capturer so a frozen flight ring
 // lands on disk ready for `loopdoctor analyze`.
 func (d *FlightDump) WriteTrace(w io.Writer, label string, procs int) error {
 	evs, pvs := d.Consistent()
-	var t traceFile
-	t.Meta.Label = label
-	t.Meta.Substrate = "real"
-	t.Meta.Procs = procs
-	t.Meta.TimeUnit = "ns"
-	t.Events, t.Prov = evs, pvs
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
+	t := telemetry.TraceFile{
+		Meta:   telemetry.TraceMeta{Label: label, Substrate: "real", Procs: procs, TimeUnit: "ns"},
+		Events: evs,
+		Prov:   pvs,
+	}
+	return t.Write(w)
 }
 
 func serveFlight(w http.ResponseWriter, r *http.Request, p *Plane, label string) {

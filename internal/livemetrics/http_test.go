@@ -16,6 +16,7 @@ import (
 	"repro/internal/livemetrics"
 	"repro/internal/pool"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 )
 
 // startEngine brings up an instrumented 4-worker executor, runs a few
@@ -145,14 +146,14 @@ func TestHTTPFlightFormats(t *testing.T) {
 }
 
 // TestHTTPTraceRoundTrip locks the /flight?format=trace wire format to
-// forensics.ReadTrace: the dump must load and analyze through the same
+// telemetry.ReadTrace: the dump must load and analyze through the same
 // pipeline loopdoctor attach uses.
 func TestHTTPTraceRoundTrip(t *testing.T) {
 	_, _, srv := startEngine(t)
 	body := get(t, srv.URL+"/flight?format=trace", 200)
-	tr, err := forensics.ReadTrace(strings.NewReader(string(body)))
+	tr, err := telemetry.ReadTrace(strings.NewReader(string(body)))
 	if err != nil {
-		t.Fatalf("forensics.ReadTrace rejects the flight trace: %v", err)
+		t.Fatalf("telemetry.ReadTrace rejects the flight trace: %v", err)
 	}
 	if tr.Meta.Procs != 4 {
 		t.Errorf("trace procs = %d, want 4", tr.Meta.Procs)

@@ -26,6 +26,8 @@ func TestRunnerAttachesForensics(t *testing.T) {
 		reg.Add(simCase("afs")),
 		reg.Add(Case{Substrate: SubstrateReal, Kernel: "gauss", Algo: "afs",
 			N: 48, Phases: 4, Procs: 2, Repeats: 2}),
+		reg.Add(Case{Substrate: SubstrateReal, Kernel: "sor", Algo: "afs",
+			N: 96, Phases: 8, Procs: 2, Repeats: 2}),
 	}
 	results, err := r.Run(cases)
 	if err != nil {
@@ -47,15 +49,24 @@ func TestRunnerAttachesForensics(t *testing.T) {
 		for _, v := range f.Buckets {
 			sum += v
 		}
-		// The average per-processor buckets must sum to the makespan
-		// (real-substrate digests may clamp idle when a case spans
-		// multiple ParallelFor calls, so busy can only fall short).
-		if f.Makespan <= 0 || sum < f.Makespan*(1-1e-6) {
+		// The average per-processor buckets must sum to the makespan.
+		if f.Makespan <= 0 || math.Abs(sum-f.Makespan) > 1e-6*f.Makespan {
 			t.Errorf("%s: buckets sum %g vs makespan %g", res.ID, sum, f.Makespan)
 		}
 		if f.TopOverhead == "" || f.TopOverhead == "compute" {
 			t.Errorf("%s: bad top overhead %q", res.ID, f.TopOverhead)
 		}
+	}
+	// A stream of separate submissions has no single makespan, so it
+	// carries counters but no digest.
+	stream, err := r.Run([]Case{reg.Add(Case{Substrate: SubstrateReal, Kernel: "many-small-loops",
+		Algo: "executor", N: 64, Phases: 4, Procs: 2, Repeats: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream[0].Forensics != nil || stream[0].Counters == nil {
+		t.Errorf("%s: digest %+v, counters %v; want no digest and counters", stream[0].ID,
+			stream[0].Forensics, stream[0].Counters)
 	}
 	// The digest must survive the baseline JSON round trip.
 	dir := t.TempDir()

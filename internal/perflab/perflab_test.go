@@ -156,7 +156,8 @@ func TestRunnerErrors(t *testing.T) {
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "nope", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "sor", Algo: "nope", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "mars", Kernel: "sor", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
-		{ID: "x", Substrate: SubstrateReal, Kernel: "tc-skew", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
+		{ID: "x", Substrate: SubstrateReal, Kernel: "warp-drive", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
+		{ID: "x", Substrate: SubstrateReal, Kernel: "sor", Algo: "nope", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "sor", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 0},
 	}
 	for _, c := range bad {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/forensics"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/livemetrics"
 	"repro/internal/machine"
 	"repro/internal/pool"
@@ -154,8 +154,12 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		var prov *telemetry.SyncProvStream // the real runtime's workers are concurrent
 		var obs telemetry.Observer
 		if !r.Bare {
-			reg, prov = telemetry.NewRegistry(), telemetry.NewSyncProvStream()
-			obs = telemetry.TeeObservers(telemetry.ObserveMetrics(reg, c.timeUnit()), telemetry.ObserveProv(prov))
+			reg = telemetry.NewRegistry()
+			obs = telemetry.ObserveMetrics(reg, c.timeUnit())
+			if !c.stream() {
+				prov = telemetry.NewSyncProvStream()
+				obs = telemetry.TeeObservers(obs, telemetry.ObserveProv(prov))
+			}
 		}
 		s, err := once(rep, obs)
 		if err != nil {
@@ -164,7 +168,11 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		samples = append(samples, s)
 		if reg != nil {
 			counters = append(counters, currentValues(reg))
-			digests = append(digests, forensicsSummary(c, prov.Records()))
+			var digest *forensics.Summary
+			if prov != nil {
+				digest = forensicsSummary(c, prov.Records())
+			}
+			digests = append(digests, digest)
 		}
 	}
 	if f, ok := r.Inject[c.ID]; ok && f > 0 {
@@ -191,6 +199,14 @@ func medianRepeat(samples []float64) int {
 	return idx[(len(idx)-1)/2]
 }
 
+// stream reports whether one sample of the case is a stream of
+// separate submissions. Each submission numbers its phases and starts
+// its clock from zero, so their provenance has no single makespan to
+// attribute and the case gets no forensics digest.
+func (c Case) stream() bool {
+	return c.Kernel == "many-small-loops" || c.Kernel == "steady-loops" || c.Kernel == "serve-steady"
+}
+
 // timeUnit is the case's substrate clock: simulated cycles or real
 // nanoseconds.
 func (c Case) timeUnit() string {
@@ -206,8 +222,8 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	if len(recs) == 0 {
 		return nil
 	}
-	a, err := forensics.Analyze(&forensics.Trace{
-		Meta: forensics.Meta{
+	a, err := forensics.Analyze(&telemetry.TraceFile{
+		Meta: telemetry.TraceMeta{
 			Label: c.ID, Substrate: c.Substrate, Machine: c.Machine,
 			Kernel: c.Kernel, Algo: c.Algo, Procs: c.Procs, TimeUnit: c.timeUnit(),
 		},
@@ -232,8 +248,9 @@ func currentValues(reg *telemetry.Registry) map[string]float64 {
 }
 
 // realKernel builds a closure running one full execution of the case's
-// kernel on the real goroutine runtime, mirroring cmd/realbench's
-// kernel set (the subset that is fast enough for a standing suite).
+// kernel on the real goroutine runtime: a fresh job-registry build
+// (internal/job, the kernels realbench, serve and perfbench run) as
+// one phased submission, or one of the executor-lifetime streams.
 func realKernel(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	if c.Kernel == "many-small-loops" || c.Kernel == "steady-loops" {
 		return manySmallLoops(c)
@@ -241,43 +258,21 @@ func realKernel(c Case) (func(obs telemetry.Observer) (core.Stats, error), error
 	if c.Kernel == "serve-steady" {
 		return serveSteady(c)
 	}
-	opts := func(obs telemetry.Observer) core.Config {
-		spec, _ := sched.ByName(c.Algo)
-		return core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
-	}
-	if _, err := sched.ByName(c.Algo); err != nil {
+	spec, err := sched.ByName(c.Algo)
+	if err != nil {
 		return nil, err
 	}
-	switch c.Kernel {
-	case "gauss":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			g := kernels.NewGaussMatrix(c.N)
-			return core.Run(opts(obs), c.N-1, g.PhaseIterations,
-				func(ph, i int) { g.EliminateRow(ph, i) })
-		}, nil
-	case "sor":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			g := kernels.NewSORGrid(c.N)
-			var total core.Stats
-			for ph := 0; ph < c.Phases; ph++ {
-				st, err := core.ParallelFor(opts(obs), c.N, g.UpdateRow)
-				if err != nil {
-					return total, err
-				}
-				total.Elapsed += st.Elapsed
-				total.Iterations += st.Iterations
-				total.Steals += st.Steals
-				g.Swap()
-			}
-			return total, nil
-		}, nil
-	case "adjoint":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			d := kernels.NewAdjointData(c.N, false)
-			return core.ParallelFor(opts(obs), d.Iterations(), d.Body)
-		}, nil
+	if _, err := job.Lookup(c.Kernel); err != nil {
+		return nil, fmt.Errorf("real substrate: %w (or many-small-loops, steady-loops, serve-steady)", err)
 	}
-	return nil, fmt.Errorf("unknown real-substrate kernel %q (gauss, sor, adjoint, many-small-loops, steady-loops)", c.Kernel)
+	js := job.Spec{Kernel: c.Kernel, Params: job.Params{N: c.N, Phases: c.Phases}}
+	return func(obs telemetry.Observer) (core.Stats, error) {
+		r, err := job.Build(js)
+		if err != nil {
+			return core.Stats{}, err
+		}
+		return core.Run(core.Config{Procs: c.Procs, Spec: spec, Observer: obs}, r.Phases, r.N, r.Body)
+	}, nil
 }
 
 // manySmallLoops is the executor-reuse duel kernel (also serving the

@@ -10,37 +10,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// forensicsFile mirrors forensics.Trace's JSON wire format without
-// importing the forensics package (which would drag the simulator into
-// the tracing layer); compatibility is locked by a round-trip test
-// against forensics.ReadTrace.
-type forensicsFile struct {
-	Meta struct {
-		Label     string `json:"label,omitempty"`
-		Substrate string `json:"substrate,omitempty"`
-		Procs     int    `json:"procs"`
-		TimeUnit  string `json:"time_unit,omitempty"`
-	} `json:"meta"`
-	Events []telemetry.Event `json:"events,omitempty"`
-	Prov   []telemetry.Prov  `json:"prov,omitempty"`
-}
-
-// WriteForensics serializes the trace in the forensics trace-file wire
-// format (the same shape loopdoctor analyze/attach read), lowering the
-// span tree through Telemetry.
+// WriteForensics serializes the trace as a telemetry.TraceFile (the
+// shape loopdoctor analyze/attach read), lowering the span tree
+// through Telemetry.
 func (t *Trace) WriteForensics(w io.Writer, substrate, timeUnit string) error {
-	var f forensicsFile
-	f.Meta.Label = t.Label
+	f := telemetry.TraceFile{
+		Meta: telemetry.TraceMeta{Label: t.Label, Substrate: substrate, Procs: t.Procs, TimeUnit: timeUnit},
+	}
 	if f.Meta.Label == "" {
 		f.Meta.Label = fmt.Sprintf("trace %d (%s)", t.TraceID, t.Scheduler)
 	}
-	f.Meta.Substrate = substrate
-	f.Meta.Procs = t.Procs
-	f.Meta.TimeUnit = timeUnit
 	f.Events, f.Prov = t.Telemetry()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	return f.Write(w)
 }
 
 // TraceSummary is the list row served for one retained trace.
@@ -83,7 +64,7 @@ func ServeTraces(w http.ResponseWriter, t *Tracer) {
 
 // ServeTrace resolves ?id= against the tracer and serves the span
 // tree. ?format=json (default) is the Trace structure itself;
-// ?format=trace is the forensics trace-file form loopdoctor reads.
+// ?format=trace is the telemetry.TraceFile form loopdoctor reads.
 func ServeTrace(w http.ResponseWriter, r *http.Request, t *Tracer) {
 	idStr := r.URL.Query().Get("id")
 	id, err := strconv.ParseUint(idStr, 10, 64)

@@ -123,7 +123,7 @@ func TestForensicsRoundTrip(t *testing.T) {
 	if err := tr.WriteForensics(&buf, "real", "ns"); err != nil {
 		t.Fatal(err)
 	}
-	ft, err := forensics.ReadTrace(bytes.NewReader(buf.Bytes()))
+	ft, err := telemetry.ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("forensics cannot read the span-trace export: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	// format=trace is readable by forensics.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?id="+jsonNum(id)+"&format=trace", nil))
-	if _, err := forensics.ReadTrace(rec.Body); err != nil {
+	if _, err := telemetry.ReadTrace(rec.Body); err != nil {
 		t.Fatalf("format=trace unreadable by forensics: %v", err)
 	}
 }

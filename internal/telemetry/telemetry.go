@@ -138,24 +138,6 @@ func (s *SyncStream) Reset() {
 	s.mu.Unlock()
 }
 
-// Rebase shifts every event's step and time base before forwarding —
-// the glue for composing several independent runs (each numbering its
-// phases from 0 and its clock from its own start) into one coherent
-// stream, e.g. an SOR kernel issuing one ParallelFor per sweep.
-type Rebase struct {
-	Sink       Sink
-	StepOffset int
-	TimeOffset float64
-}
-
-// Emit forwards the event with step and timestamps shifted.
-func (r *Rebase) Emit(e Event) {
-	e.Step += r.StepOffset
-	e.Start += r.TimeOffset
-	e.End += r.TimeOffset
-	r.Sink.Emit(e)
-}
-
 // Synchronized wraps a sink with a mutex, making it safe for the real
 // runtime's concurrent workers.
 func Synchronized(s Sink) Sink {

@@ -96,16 +96,6 @@ func TestObserveMetricsUnits(t *testing.T) {
 	ObserveMetrics(NewRegistry(), "ms")
 }
 
-func TestRebase(t *testing.T) {
-	s := NewStream()
-	r := &Rebase{Sink: s, StepOffset: 5, TimeOffset: 100}
-	r.Emit(Event{Kind: KindExec, Step: 2, Start: 10, End: 20})
-	e := s.Events()[0]
-	if e.Step != 7 || e.Start != 110 || e.End != 120 {
-		t.Errorf("rebased event = %+v", e)
-	}
-}
-
 func TestSynchronized(t *testing.T) {
 	if Synchronized(nil) != nil {
 		t.Error("Synchronized(nil) should stay nil")

@@ -97,8 +97,8 @@ func TestSimOutputsPinned(t *testing.T) {
 			// The report goes through a trace file, as `loopdoctor
 			// capture` then `analyze` would.
 			var file bytes.Buffer
-			tr := &forensics.Trace{
-				Meta: forensics.Meta{Label: name, Substrate: "sim", Machine: g.machine,
+			tr := &telemetry.TraceFile{
+				Meta: telemetry.TraceMeta{Label: name, Substrate: "sim", Machine: g.machine,
 					Kernel: g.kernel, Algo: g.algo, Procs: g.procs, TimeUnit: "cycles"},
 				Events: events.Events(),
 				Prov:   prov.Records(),
@@ -106,7 +106,7 @@ func TestSimOutputsPinned(t *testing.T) {
 			if err := tr.Write(&file); err != nil {
 				t.Fatal(err)
 			}
-			read, err := forensics.ReadTrace(&file)
+			read, err := telemetry.ReadTrace(&file)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -298,24 +298,10 @@ func cmdDuel(args []string) error {
 	if err := cli.PositiveFloat("-margin", *margin); err != nil {
 		return err
 	}
-	reg := perflab.DefaultRegistry(*short)
-	var duel []perflab.Case
-	for _, id := range []string{*fast, *slow} {
-		c, ok := reg.Get(id)
-		if !ok {
-			return fmt.Errorf("perflab duel: unknown case %q", id)
-		}
-		duel = append(duel, c)
-	}
-	runner := &perflab.Runner{BaseSeed: *seed, Bare: true}
-	runner.Progress = func(done, total int, res perflab.CaseResult) {
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s  median %.4gs\n", done, total, res.ID, res.Summary.Median)
-	}
-	results, err := runner.Run(duel)
+	mFast, mSlow, err := runPair("perflab duel", *short, *seed, *fast, *slow)
 	if err != nil {
 		return err
 	}
-	mFast, mSlow := results[0].Summary.Median, results[1].Summary.Median
 	if mFast <= 0 {
 		return fmt.Errorf("perflab duel: %s median %.4gs is not positive; cannot judge", *fast, mFast)
 	}
@@ -351,24 +337,10 @@ func cmdOverhead(args []string) error {
 	if err := cli.PositiveFloat("-budget", *budget); err != nil {
 		return err
 	}
-	reg := perflab.DefaultRegistry(*short)
-	var pair []perflab.Case
-	for _, id := range []string{*bare, *obs} {
-		c, ok := reg.Get(id)
-		if !ok {
-			return fmt.Errorf("perflab overhead: unknown case %q", id)
-		}
-		pair = append(pair, c)
-	}
-	runner := &perflab.Runner{BaseSeed: *seed, Bare: true}
-	runner.Progress = func(done, total int, res perflab.CaseResult) {
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s  median %.4gs\n", done, total, res.ID, res.Summary.Median)
-	}
-	results, err := runner.Run(pair)
+	mBare, mObs, err := runPair("perflab overhead", *short, *seed, *bare, *obs)
 	if err != nil {
 		return err
 	}
-	mBare, mObs := results[0].Summary.Median, results[1].Summary.Median
 	if mBare <= 0 {
 		return fmt.Errorf("perflab overhead: %s median %.4gs is not positive; cannot judge", *bare, mBare)
 	}
@@ -380,6 +352,30 @@ func cmdOverhead(args []string) error {
 			ratio, *budget)
 	}
 	return nil
+}
+
+// runPair looks up two registered cases, runs them bare in order with
+// the progress printer, and returns their medians: the measurement
+// behind both duel and overhead. cmd prefixes the unknown-case error.
+func runPair(cmd string, short bool, seed uint64, first, second string) (m1, m2 float64, err error) {
+	reg := perflab.DefaultRegistry(short)
+	var pair []perflab.Case
+	for _, id := range []string{first, second} {
+		c, ok := reg.Get(id)
+		if !ok {
+			return 0, 0, fmt.Errorf("%s: unknown case %q", cmd, id)
+		}
+		pair = append(pair, c)
+	}
+	runner := &perflab.Runner{BaseSeed: seed, Bare: true}
+	runner.Progress = func(done, total int, res perflab.CaseResult) {
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s  median %.4gs\n", done, total, res.ID, res.Summary.Median)
+	}
+	results, err := runner.Run(pair)
+	if err != nil {
+		return 0, 0, err
+	}
+	return results[0].Summary.Median, results[1].Summary.Median, nil
 }
 
 // cmdSLO is the service-objective gate: it runs a real executor

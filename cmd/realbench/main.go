@@ -133,16 +133,18 @@ func main() {
 		opsTab.Render(os.Stdout)
 	}
 
-	if *traceOut != "" || *metricsOut != "" || *check || *queueDepth > 0 {
-		if err := instrumentedRun(run, counts, *traceAlgo, desc, *traceOut, *metricsOut, *check, *queueDepth); err != nil {
+	x := cli.Export{TraceOut: *traceOut, MetricsOut: *metricsOut, Check: *check}
+	if x.Wanted() || *queueDepth > 0 {
+		if err := instrumentedRun(run, counts, *traceAlgo, desc, x, *queueDepth); err != nil {
 			fatal(err)
 		}
 	}
 }
 
 // instrumentedRun executes one extra run at the largest worker count
-// with full telemetry, then exports and/or verifies the stream.
-func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut string, check bool, depthEvery time.Duration) error {
+// with full telemetry, then exports and/or verifies the stream as x
+// asks.
+func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export, depthEvery time.Duration) error {
 	w := counts[len(counts)-1]
 	stream, reg := telemetry.NewSyncStream(), telemetry.NewRegistry()
 	expvar.Publish("telemetry_events", expvar.Func(func() any { return stream.Len() }))
@@ -161,48 +163,13 @@ func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut
 			depthTable(st.QueueDepthSamples, algo, w).Render(os.Stdout)
 		}
 	}
-	events := stream.Events()
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteChromeTrace(f, events, telemetry.ChromeOptions{
-			Label:     fmt.Sprintf("%s, %s, %d workers (real runtime)", desc, algo, w),
-			Procs:     w,
-			TimeScale: 1e-3, // ns → µs
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote Chrome trace (%d events) to %s\n", len(events), traceOut)
+	x.Chrome = telemetry.ChromeOptions{
+		Label:     fmt.Sprintf("%s, %s, %d workers (real runtime)", desc, algo, w),
+		Procs:     w,
+		TimeScale: 1e-3, // ns → µs
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteSeriesCSV(f, reg)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics time series to %s\n", metricsOut)
-	}
-	if check {
-		rep := telemetry.Check(events)
-		if err := rep.Err(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "tracecheck: OK (%d events, %d phases, %s on %d workers)\n",
-			rep.Events, rep.Steps, algo, w)
-	}
-	return nil
+	x.Run = fmt.Sprintf("%s on %d workers", algo, w)
+	return x.Write(os.Stderr, stream.Events(), reg)
 }
 
 // runFunc runs one fresh instance of the kernel under a worker count

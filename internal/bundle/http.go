@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/livemetrics"
-	"repro/internal/promtext"
 	"repro/internal/runtimeobs"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
@@ -18,23 +17,20 @@ import (
 // WriteCombinedProm writes a daemon's whole /metrics.prom scrape: the
 // live plane (with per-tenant admission series when serving), SLO
 // burn rates, watchdog, and Go runtime expositions concatenated into
-// one, deduplicating # HELP/# TYPE per family so a series shared by
-// two writers stays a valid exposition.
+// one. The four writers declare disjoint metric families
+// (loopsched_slo_*, loopsched_watchdog_* and loopsched_runtime_*
+// beside the plane's own), so each family keeps one # HELP/# TYPE.
 func WriteCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
-	d := promtext.NewFamilyDeduper(w)
-	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
+	if err := livemetrics.WriteProm(w, plane.Snapshot()); err != nil {
 		return err
 	}
-	if err := slo.WriteProm(d, sloEng.Report()); err != nil {
+	if err := slo.WriteProm(w, sloEng.Report()); err != nil {
 		return err
 	}
-	if err := watchdog.WriteProm(d, wd.Status()); err != nil {
+	if err := watchdog.WriteProm(w, wd.Status()); err != nil {
 		return err
 	}
-	if err := runtimeobs.WriteProm(d, sampler.Snapshot()); err != nil {
-		return err
-	}
-	return d.Flush()
+	return runtimeobs.WriteProm(w, sampler.Snapshot())
 }
 
 // ServeList writes the store's retained bundles as JSON, newest

@@ -12,10 +12,9 @@ import (
 )
 
 // TestCombinedPromValid is the regression test for the combined
-// /metrics.prom surface: all four writers concatenated through the
-// family deduper must form one valid exposition (promtext rejects
-// duplicate # HELP/# TYPE declarations and duplicate sample
-// identities).
+// /metrics.prom surface: all four writers concatenated must form one
+// valid exposition (promtext rejects duplicate # HELP/# TYPE
+// declarations and duplicate sample identities).
 func TestCombinedPromValid(t *testing.T) {
 	plane := livemetrics.New(livemetrics.Options{})
 	defer plane.Close()

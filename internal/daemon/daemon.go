@@ -160,9 +160,8 @@ func (s *Stack) Close() {
 // serves the plane's own HTML view there. The plane's introspection
 // endpoints mount beside it, next to /slo, /watchdog, /runtime,
 // /bundles and /bundle. /metrics.prom is the combined exposition —
-// plane, SLO, watchdog and runtime series in one scrape, routed
-// through a family deduper so a family declared by two writers keeps a
-// single # HELP/# TYPE (real Prometheus rejects repeats).
+// plane, SLO, watchdog and runtime series in one scrape, each family
+// declared once (real Prometheus rejects a repeated # HELP/# TYPE).
 func (s *Stack) Handler(front http.Handler) http.Handler {
 	obs := livemetrics.NewHandler(s.Plane, s.label)
 	if front == nil {

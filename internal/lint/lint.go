@@ -168,7 +168,7 @@ func DefaultConfig(modulePath string) Config {
 		Deterministic: []string{p("internal/sim"), p("internal/machine"), p("internal/sched"), p("internal/analytic")},
 		WallClock:     []string{p("internal/core")},
 		Locking:       []string{p("internal/core"), p("internal/pool")},
-		ExporterPkgs:  []string{p("internal/telemetry"), p("internal/trace"), p("internal/forensics"), p("internal/stats")},
+		ExporterPkgs:  []string{p("internal/telemetry"), p("internal/forensics"), p("internal/stats")},
 		EventTypes:    []string{p("internal/telemetry") + ".Event"},
 		SpanPkgs:      []string{modulePath, p("internal/core"), p("internal/pool")},
 		SpanTracePkg:  p("internal/spantrace"),

@@ -157,8 +157,8 @@ func (e *Exposition) parseComment(line string, sampled, declared map[string]bool
 			return fmt.Errorf("malformed HELP line %q", line)
 		}
 		// The format allows at most one HELP per family; a repeat is
-		// the signature of naively concatenated expositions (route the
-		// writers through a FamilyDeduper instead).
+		// the signature of two concatenated expositions that share a
+		// family.
 		if declared["H "+fields[2]] {
 			return fmt.Errorf("duplicate HELP for %s", fields[2])
 		}

@@ -65,3 +65,29 @@ func TestParseRejects(t *testing.T) {
 		t.Errorf("free-form comment rejected: %v", err)
 	}
 }
+
+// Two expositions sharing a family — what naive concatenation of two
+// WriteProm calls produces when both emit the same series.
+const combinedDup = `# HELP loopsched_shared_total A counter both writers declare.
+# TYPE loopsched_shared_total counter
+loopsched_shared_total{src="plane"} 3
+# HELP loopsched_plane_only A plane-only gauge.
+# TYPE loopsched_plane_only gauge
+loopsched_plane_only 1
+# HELP loopsched_shared_total A counter both writers declare.
+# TYPE loopsched_shared_total counter
+loopsched_shared_total{src="slo"} 7
+`
+
+func TestParseRejectsDuplicateFamilyDeclarations(t *testing.T) {
+	if _, err := Parse(strings.NewReader(combinedDup)); err == nil {
+		t.Fatal("duplicate HELP/TYPE declarations parsed without error")
+	} else if !strings.Contains(err.Error(), "duplicate HELP") {
+		t.Fatalf("err = %v, want duplicate-HELP rejection", err)
+	}
+
+	dupType := "# TYPE loopsched_x counter\n# TYPE loopsched_x counter\nloopsched_x 1\n"
+	if _, err := Parse(strings.NewReader(dupType)); err == nil || !strings.Contains(err.Error(), "duplicate TYPE") {
+		t.Fatalf("duplicate TYPE: err = %v", err)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // constLoop builds a memory-less loop where executions are counted via
@@ -530,10 +529,11 @@ func TestSplitmix64(t *testing.T) {
 	}
 }
 
-// TestEngineTraceRecording: the optional trace records every iteration
-// exactly once as Exec chunks, and steals name real victims.
+// TestEngineTraceRecording: the observed event stream records every
+// iteration exactly once with legal steals, and on an imbalanced loop
+// AFS steals, moving some iterations but far fewer than all.
 func TestEngineTraceRecording(t *testing.T) {
-	tr := trace.New(8)
+	stream := telemetry.NewStream()
 	imb := SingleLoop("imb", ParLoop{
 		N: 512,
 		Cost: func(i int) float64 {
@@ -543,27 +543,18 @@ func TestEngineTraceRecording(t *testing.T) {
 			return 1
 		},
 	})
-	if _, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.ObserveEvents(tr)}); err != nil {
+	res, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.ObserveEvents(stream)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tr.ExecutedBy(0, 512)
-	for i, o := range owner {
-		if o < 0 || o >= 8 {
-			t.Fatalf("iteration %d has owner %d", i, o)
-		}
+	if err := telemetry.Check(stream.Events()).Err(); err != nil {
+		t.Error(err)
 	}
-	if len(tr.Steals()) == 0 {
+	if res.Steals == 0 {
 		t.Error("no steals recorded for an imbalanced loop")
 	}
-	for _, e := range tr.Steals() {
-		if e.Victim < 0 || e.Victim >= 8 || e.Victim == e.Proc {
-			t.Errorf("bad steal %+v", e)
-		}
-	}
-	// Migration happened, but far fewer than all iterations moved (an
-	// iteration migrates at most once, and most stay home).
-	moved := tr.MigrationCount(0, 512)
-	if moved == 0 || moved > 256 {
+	// An iteration migrates at most once, and most stay home.
+	if moved := res.MigratedIters; moved == 0 || moved > 256 {
 		t.Errorf("migrated %d of 512", moved)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -187,5 +189,61 @@ func TestObservabilityHandler(t *testing.T) {
 	}
 	if snap.Counters.Submissions != 1 {
 		t.Errorf("scraped submissions = %d, want 1", snap.Counters.Submissions)
+	}
+}
+
+// TestExecutorRejectsSubmissionPlaneOrTracer: the plane and the tracer
+// belong to the executor. A submission that passes a different one
+// fails with an error naming the option, instead of running with the
+// option silently ignored; re-passing the executor's own is fine.
+func TestExecutorRejectsSubmissionPlaneOrTracer(t *testing.T) {
+	plane := repro.NewObservability(repro.ObservabilityOptions{})
+	defer plane.Close()
+	other := repro.NewObservability(repro.ObservabilityOptions{})
+	defer other.Close()
+	tracer := repro.NewTracing(repro.TracingOptions{})
+
+	bare, err := repro.NewExecutor(repro.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	owned, err := repro.NewExecutor(repro.WithProcs(2),
+		repro.WithObservability(plane), repro.WithTracing(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owned.Close()
+
+	cases := []struct {
+		name string
+		ex   *repro.Executor
+		opt  repro.Option
+		want string // "" accepts the submission
+	}{
+		{"plane on a plane-less executor", bare, repro.WithObservability(plane), "WithObservability"},
+		{"tracer on a tracer-less executor", bare, repro.WithTracing(tracer), "WithTracing"},
+		{"another plane", owned, repro.WithObservability(other), "WithObservability"},
+		{"another tracer", owned, repro.WithTracing(repro.NewTracing(repro.TracingOptions{})), "WithTracing"},
+		{"the executor's own plane", owned, repro.WithObservability(plane), ""},
+		{"the executor's own tracer", owned, repro.WithTracing(tracer), ""},
+	}
+	for _, c := range cases {
+		var ran atomic.Int64
+		_, err := c.ex.Submit(t.Context(), 64, func(int) { ran.Add(1) }, c.opt)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
+		case c.want != "" && ran.Load() != 0:
+			t.Errorf("%s: the rejected submission ran %d iterations", c.name, ran.Load())
+		}
+	}
+	if got := other.Snapshot().Counters.Submissions; got != 0 {
+		t.Errorf("the rejected plane recorded %d submissions", got)
+	}
+	if got := plane.Snapshot().Counters.Submissions; got != 2 {
+		t.Errorf("the executor's plane recorded %d submissions, want 2", got)
 	}
 }

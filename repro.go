@@ -40,7 +40,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spantrace"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Scheduler identifies a loop scheduling algorithm configuration.
@@ -319,7 +318,8 @@ func NewObservability(opts ObservabilityOptions) *Observability {
 // WithObservability attaches a plane. At NewExecutor it observes every
 // subsequent submission (latencies, per-chunk instruments, flight
 // recorder, live queue depths); on a one-shot call it observes that
-// run. The caller owns the plane and Closes it.
+// run. An Executor submission may only re-pass the executor's own
+// plane. The caller owns the plane and Closes it.
 func WithObservability(p *Observability) Option {
 	return func(c *config) { c.obs = p }
 }
@@ -362,7 +362,8 @@ func NewTracing(opts TracingOptions) *Tracing { return spantrace.NewTracer(opts)
 // subsequent submission; on a one-shot call it traces that run. When
 // an Observability plane is attached alongside it, the plane's
 // latency exemplars carry trace IDs and its HTTP handler serves
-// /traces and /trace?id=. The caller owns the tracer.
+// /traces and /trace?id=. An Executor submission may only re-pass the
+// executor's own tracer. The caller owns the tracer.
 func WithTracing(t *Tracing) Option {
 	return func(c *config) { c.tracer = t }
 }
@@ -616,10 +617,10 @@ func (e *Executor) Submissions() int64 { return e.px.Submissions() }
 func (e *Executor) Close() error { return e.px.Close() }
 
 // submitConfig merges the executor defaults with one submission's
-// options, resolving the submission's core config. The executor's own
-// plane (WithObservability at NewExecutor) is wired by internal/pool
-// once per submission; a plane passed per submission is only honoured
-// when the executor has none, so streams are never double-teed.
+// options, resolving the submission's core config. The plane and the
+// tracer are executor-lifetime options, wired by internal/pool once per
+// submission: a submission may re-pass the executor's own (the merged
+// defaults do), but any other is rejected rather than ignored.
 func (e *Executor) submitConfig(opts []Option) (core.Config, error) {
 	merged := make([]Option, 0, len(e.defaults)+len(opts))
 	merged = append(merged, e.defaults...)
@@ -628,8 +629,11 @@ func (e *Executor) submitConfig(opts []Option) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	if cfg.obs != nil && cfg.obs != e.px.Observability() && e.px.Observability() == nil {
-		cfg.cc.Observer = telemetry.TeeObservers(cfg.cc.Observer, cfg.obs.Observer())
+	if cfg.obs != e.px.Observability() {
+		return core.Config{}, optionErr("WithObservability", "a submission cannot change the executor's plane; pass it to NewExecutor")
+	}
+	if cfg.tracer != e.px.Tracer() {
+		return core.Config{}, optionErr("WithTracing", "a submission cannot change the executor's tracer; pass it to NewExecutor")
 	}
 	return cfg.cc, nil
 }
@@ -694,8 +698,8 @@ func (e *Executor) Observability() *Observability { return e.px.Observability() 
 
 // Tracing returns the executor's causal tracer (set with WithTracing
 // at NewExecutor), or nil. Like the plane, tracing is an
-// executor-lifetime concern: WithTracing passed to an individual
-// Submit is ignored.
+// executor-lifetime concern: a submission that passes a different
+// tracer fails with an error naming WithTracing.
 func (e *Executor) Tracing() *Tracing { return e.px.Tracer() }
 
 // Machine is a simulated shared-memory multiprocessor description.
@@ -731,13 +735,6 @@ type SimResult = sim.Metrics
 // SimOptions tunes a simulation run (per-processor start delays,
 // jitter seed, optional observer).
 type SimOptions = sim.Options
-
-// Trace records chunk executions and steals during a simulation; pass
-// NewTrace(p) via WithSimTrace and render with Gantt/Summary.
-type Trace = trace.Trace
-
-// NewTrace creates a trace for p processors.
-func NewTrace(p int) *Trace { return trace.New(p) }
 
 // TelemetryEvent is one structured scheduling event (exec, steal,
 // queue wait, cache flush, phase boundary) from either substrate.
@@ -821,14 +818,6 @@ func WithSimStartDelay(delays ...float64) SimOption {
 // simObserve adds obs to the run's observer.
 func simObserve(obs telemetry.Observer) SimOption {
 	return func(o *sim.Options) { o.Observer = telemetry.TeeObservers(o.Observer, obs) }
-}
-
-// WithSimTrace records every chunk execution and steal into t.
-func WithSimTrace(t *Trace) SimOption {
-	if t == nil {
-		return simObserve(nil)
-	}
-	return simObserve(telemetry.ObserveEvents(t))
 }
 
 // WithSimEvents attaches a telemetry sink receiving the structured

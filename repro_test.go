@@ -311,10 +311,10 @@ func TestSimulateVariadicOptions(t *testing.T) {
 			},
 		}
 	}
-	tr := repro.NewTrace(4)
+	events := repro.NewEventStream()
 	reg := repro.NewMetricsRegistry()
 	res, err := repro.Simulate(m, 4, repro.AFS(), build(),
-		repro.WithSimSeed(7), repro.WithSimTrace(tr), repro.WithSimMetrics(reg),
+		repro.WithSimSeed(7), repro.WithSimEvents(events), repro.WithSimMetrics(reg),
 		repro.WithSimStartDelay(1000))
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +333,9 @@ func TestSimulateVariadicOptions(t *testing.T) {
 	}
 	if len(reg.Series()) == 0 {
 		t.Error("WithSimMetrics recorded no series")
+	}
+	if events.Len() == 0 {
+		t.Error("WithSimEvents recorded no events")
 	}
 }
 

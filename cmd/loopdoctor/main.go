@@ -75,7 +75,7 @@ usage:
       decompose the makespan difference between two traces and emit an
       attribution verdict
   loopdoctor attach URL [-which live|anomaly] [-format md|json] [-o OUT] [-save FILE]
-      capture a flight dump from a running engineview / observability
+      capture a flight dump from a running loopserved / observability
       endpoint and run the standard attribution report on it; with
       -watch INTERVAL, re-capture and re-report every INTERVAL
       (-count N stops after N reports); transient connection errors
@@ -203,7 +203,7 @@ func runAnalyze(args []string) error {
 }
 
 // runAttach pulls a live flight dump from a running engine's
-// observability endpoint (cmd/engineview, or any server built on
+// observability endpoint (cmd/loopserved, or any server built on
 // repro.ObservabilityHandler) and feeds it through the same
 // attribution pipeline as analyze — turning the last moments of a
 // living engine into a standard forensics report.

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *csv && *showTrace {
+		return errors.New("-trace: the Gantt chart has no CSV form; drop -csv or -trace")
 	}
 
 	m, err := machine.ByName(*machineName)
@@ -119,10 +123,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// CSV output carries no chart.
-	drawTrace := *showTrace && !*csv
 	x := cli.Export{TraceOut: *traceOut, MetricsOut: *metricsOut, Check: *check}
-	if !drawTrace && !x.Wanted() {
+	if !*showTrace && !x.Wanted() {
 		return nil
 	}
 	// The instrumented run attaches only the observers its flags use.
@@ -130,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var stream *telemetry.Stream
 	var reg *telemetry.Registry
 	var obs []telemetry.Observer
-	if drawTrace || x.TraceOut != "" || x.Check {
+	if *showTrace || x.TraceOut != "" || x.Check {
 		stream = telemetry.NewStream()
 		obs = append(obs, telemetry.ObserveEvents(stream))
 	}
@@ -145,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if stream != nil {
 		events = stream.Events()
 	}
-	if drawTrace {
+	if *showTrace {
 		fmt.Fprintf(stdout, "\nexecution trace: %s, %d processors\n", spec.Name, p)
 		gantt(stdout, events, p, 100)
 		summary(stdout, events, p)

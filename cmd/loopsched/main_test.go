@@ -196,6 +196,7 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-machine", "cray"}, "-machine"},
 		{[]string{"-algos", "afs,warp-drive"}, "-algos"},
 		{[]string{"-procs", "0"}, "-procs"},
+		{[]string{"-csv", "-trace"}, "-trace"},
 	}
 	for _, c := range cases {
 		var stdout, stderr strings.Builder

@@ -58,7 +58,7 @@ const (
 type Meta struct {
 	ID         string    `json:"id"`
 	CapturedAt time.Time `json:"captured_at"`
-	// Label names the engine (the engineview label).
+	// Label names the engine (the daemon's label).
 	Label string `json:"label,omitempty"`
 	// Trigger is the watchdog firing that caused the capture.
 	Trigger watchdog.Trigger `json:"trigger"`

@@ -34,7 +34,7 @@ func WriteCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine
 }
 
 // ServeList writes the store's retained bundles as JSON, newest
-// first (the daemons' /bundles endpoint, mounted by internal/daemon).
+// first (the daemon's /bundles endpoint, mounted by internal/daemon).
 func ServeList(w http.ResponseWriter, s *Store) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -46,7 +46,7 @@ func ServeList(w http.ResponseWriter, s *Store) {
 	_ = enc.Encode(entries)
 }
 
-// ServeBundle streams one bundle tar by ?id= (the daemons' /bundle
+// ServeBundle streams one bundle tar by ?id= (the daemon's /bundle
 // endpoint), so `curl -O` or `loopdoctor bundle <url>` moves the whole
 // evidence set in one request.
 func ServeBundle(w http.ResponseWriter, r *http.Request, s *Store) {

@@ -140,7 +140,7 @@ func AlgosFlag(flagName, val string) ([]sched.Spec, error) {
 
 // AddrFlag validates a host:port listen address, naming the flag —
 // the standard validator for every command that starts an HTTP server
-// (perflab serve, engineview). The host may be empty (all interfaces)
+// (perflab serve, loopserved). The host may be empty (all interfaces)
 // and the port may be 0 (kernel-assigned) or a service name; a value
 // with no port at all is rejected before net.Listen turns it into a
 // confusing bind error.

@@ -1,12 +1,13 @@
-// Package daemon is the one assembly behind the long-running commands
-// (cmd/engineview, cmd/loopserved). Both keep the paper's live signal —
-// the affinity-hit ratio against the ⌈N/P⌉ owner — under continuous
-// watch, so both run the same stack: an observability plane, an SLO
-// burn-rate engine, a Go-runtime sampler, a watchdog whose firings
-// freeze diagnostic bundles, the HTTP routes over all of them, and a
-// signal-aware serve loop that drains before it stops. A command
-// supplies only what differs: its name, label, default listen address,
-// objectives, rules, front door and drain hook.
+// Package daemon is the assembly behind the long-running command,
+// cmd/loopserved, which keeps the paper's live signal — the
+// affinity-hit ratio against the ⌈N/P⌉ owner — under continuous watch:
+// an observability plane, an SLO burn-rate engine, a Go-runtime
+// sampler, a watchdog whose firings freeze diagnostic bundles, the
+// HTTP routes over all of them, and a signal-aware serve loop that
+// drains before it stops. The command supplies only its own parts:
+// name, label, default listen address, objectives, rules, front door
+// and drain hook. The package stays separate from the command so that
+// the stack's lifecycle is unit- and race-tested on its own.
 package daemon
 
 import (
@@ -32,7 +33,7 @@ import (
 // finish once the drain hook has returned.
 const shutdownGrace = 5 * time.Second
 
-// Flags are the command-line flags every daemon shares.
+// Flags are the command-line flags the daemon stack owns.
 type Flags struct {
 	Addr         string
 	Window       time.Duration

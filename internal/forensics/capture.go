@@ -25,19 +25,21 @@ type CaptureSpec struct {
 
 // CaptureSim runs the named kernel on the simulator with full
 // telemetry + provenance capture and returns the forensics trace.
-// This is the shared capture path for cmd/loopdoctor and perflab.
+// This is the shared capture path for cmd/loopdoctor and perflab. A
+// bad name fails with an error prefixed by its loopdoctor capture flag
+// (-machine, -algo, -kernel).
 func CaptureSim(spec CaptureSpec) (*telemetry.TraceFile, sim.Metrics, error) {
 	m, err := machine.ByName(spec.Machine)
 	if err != nil {
-		return nil, sim.Metrics{}, err
+		return nil, sim.Metrics{}, fmt.Errorf("-machine: %w", err)
 	}
 	s, err := sched.ByName(spec.Algo)
 	if err != nil {
-		return nil, sim.Metrics{}, err
+		return nil, sim.Metrics{}, fmt.Errorf("-algo: %w", err)
 	}
 	build, _, err := cli.BuildKernel(spec.Kernel, spec.N, spec.Phases, spec.Seed, m)
 	if err != nil {
-		return nil, sim.Metrics{}, err
+		return nil, sim.Metrics{}, fmt.Errorf("-kernel: %w", err)
 	}
 	events := telemetry.NewStream()
 	prov := telemetry.NewProvStream()

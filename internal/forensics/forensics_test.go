@@ -36,6 +36,29 @@ func captureSkewed(t *testing.T) *telemetry.TraceFile {
 	return tr
 }
 
+// TestCaptureNamesBadFlag: each bad name fails with an error that
+// starts with the loopdoctor capture flag that set it.
+func TestCaptureNamesBadFlag(t *testing.T) {
+	ok := CaptureSpec{Machine: "symmetry", Kernel: "sor", Algo: "afs", Procs: 2, N: 16, Phases: 1}
+	for _, tc := range []struct {
+		flag string
+		edit func(*CaptureSpec)
+	}{
+		{"-machine", func(s *CaptureSpec) { s.Machine = "cray" }},
+		{"-kernel", func(s *CaptureSpec) { s.Kernel = "nope" }},
+		{"-algo", func(s *CaptureSpec) { s.Algo = "warp-drive" }},
+	} {
+		spec := ok
+		tc.edit(&spec)
+		if _, _, err := CaptureSim(spec); err == nil || !strings.HasPrefix(err.Error(), tc.flag+": ") {
+			t.Errorf("CaptureSim with a bad %s = %v, want an error naming %s", tc.flag, err, tc.flag)
+		}
+	}
+	if _, _, err := CaptureSim(ok); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
 // TestBucketsSumToSpan is the acceptance check: every processor's
 // bucket totals sum exactly to its measured span, with no clamped
 // (negative) idle hiding an accounting error.

@@ -3,6 +3,8 @@ package livemetrics
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/spantrace"
 )
 
 // Exemplar links one retained submission to its span trace: the
@@ -26,7 +28,9 @@ const exemplarsPerBucket = 2
 // exemplarStore retains the slowest traced submissions per histogram
 // bucket within the rolling window. Mutex-guarded: it is fed once per
 // submission (not per chunk), so a lock here never touches the
-// dispatch hot path.
+// dispatch hot path. A bucket drops its expired exemplars (and their
+// pins) at its next observation, so at most exemplarsPerBucket traces
+// per bucket stay pinned.
 type exemplarStore struct {
 	windowNS int64
 	bounds   []float64
@@ -57,8 +61,10 @@ func (s *exemplarStore) boundOf(b int) float64 {
 }
 
 // observe retains the submission if it is among the bucket's slowest
-// within the window. traceID 0 (untraced submission) is ignored.
-func (s *exemplarStore) observe(nowNS int64, latencyNS float64, traceID uint64) {
+// within the window. traceID 0 (untraced submission) is ignored. t
+// (nil-safe) holds a pin on every retained exemplar's trace, taken and
+// released under the store's lock so pins match retention exactly.
+func (s *exemplarStore) observe(nowNS int64, latencyNS float64, traceID uint64, t *spantrace.Tracer) {
 	if traceID == 0 {
 		return
 	}
@@ -70,11 +76,17 @@ func (s *exemplarStore) observe(nowNS int64, latencyNS float64, traceID uint64) 
 	for _, old := range s.buckets[b] {
 		if nowNS-old.atNS <= s.windowNS {
 			kept = append(kept, old)
+		} else {
+			t.Unpin(old.TraceID)
 		}
 	}
+	t.Pin(traceID)
 	kept = append(kept, e)
 	sort.SliceStable(kept, func(i, j int) bool { return kept[i].LatencyNS > kept[j].LatencyNS })
 	if len(kept) > exemplarsPerBucket {
+		for _, gone := range kept[exemplarsPerBucket:] {
+			t.Unpin(gone.TraceID)
+		}
 		kept = kept[:exemplarsPerBucket]
 	}
 	s.buckets[b] = kept

@@ -7,15 +7,15 @@ func TestExemplarStoreRetention(t *testing.T) {
 	s := newExemplarStore(1_000, []float64{100})
 
 	// Untraced submissions (trace ID 0) are never retained.
-	s.observe(0, 50, 0)
+	s.observe(0, 50, 0, nil)
 	if got := s.snapshot(0); len(got) != 0 {
 		t.Fatalf("untraced submission retained: %+v", got)
 	}
 
 	// Per bucket only the slowest exemplarsPerBucket survive.
-	s.observe(0, 10, 1)
-	s.observe(0, 30, 2)
-	s.observe(0, 20, 3)
+	s.observe(0, 10, 1, nil)
+	s.observe(0, 30, 2, nil)
+	s.observe(0, 20, 3, nil)
 	got := s.snapshot(0)
 	if len(got) != exemplarsPerBucket {
 		t.Fatalf("retained %d exemplars, want %d", len(got), exemplarsPerBucket)
@@ -25,7 +25,7 @@ func TestExemplarStoreRetention(t *testing.T) {
 	}
 
 	// A different bucket retains independently.
-	s.observe(0, 500, 4)
+	s.observe(0, 500, 4, nil)
 	got = s.snapshot(0)
 	if len(got) != 3 || got[0].TraceID != 4 {
 		t.Fatalf("cross-bucket retention wrong: %+v", got)
@@ -40,7 +40,7 @@ func TestExemplarStoreRetention(t *testing.T) {
 	}
 	// ...and on insert, so a fresh slow submission wins even if stale
 	// entries were slower.
-	s.observe(2_000, 15, 5)
+	s.observe(2_000, 15, 5, nil)
 	got = s.snapshot(2_000)
 	if len(got) != 1 || got[0].TraceID != 5 {
 		t.Fatalf("stale exemplars crowd out fresh one: %+v", got)

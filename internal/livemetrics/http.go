@@ -26,7 +26,7 @@ var (
 	planeVar    atomic.Pointer[Plane]
 )
 
-// NewHandler serves a plane over HTTP — the engineview introspection
+// NewHandler serves a plane over HTTP — the live introspection
 // surface:
 //
 //	/             auto-refreshing HTML view (shared webui scaffold)
@@ -165,8 +165,8 @@ func serveFlight(w http.ResponseWriter, r *http.Request, p *Plane, label string)
 	}
 }
 
-var indexBody = template.Must(template.New("engineview").Parse(`
-<h1>engineview — {{.Label}}</h1>
+var indexBody = template.Must(template.New("plane").Parse(`
+<h1>live plane — {{.Label}}</h1>
 <p class="muted">Live observability plane.
 See <a href="/metrics">/metrics</a>, <a href="/metrics.prom">/metrics.prom</a>,
 <a href="/workers">/workers</a>,
@@ -255,7 +255,7 @@ func renderIndex(w http.ResponseWriter, label string) {
 	var b strings.Builder
 	indexBody.Execute(&b, struct{ Label string }{label})
 	webui.Render(w, webui.Page{
-		Title:  "engineview — " + label,
+		Title:  "live plane — " + label,
 		Body:   template.HTML(b.String()),
 		Script: indexScript,
 	})

@@ -21,7 +21,7 @@ import (
 
 // startEngine brings up an instrumented 4-worker executor, runs a few
 // healthy AFS submissions through it, and serves its plane over an
-// httptest server — the exact wiring cmd/engineview does.
+// httptest server — the wiring internal/daemon does for loopserved.
 func startEngine(t *testing.T) (*pool.Executor, *livemetrics.Plane, *httptest.Server) {
 	t.Helper()
 	x, err := pool.New(4)
@@ -102,8 +102,8 @@ func TestHTTPMetricsAndWorkers(t *testing.T) {
 		t.Errorf("/workers rows = %d, want 4", len(workers))
 	}
 	// The HTML view renders through the shared webui scaffold.
-	if html := string(get(t, srv.URL+"/", 200)); !strings.Contains(html, "engineview") {
-		t.Error("index page does not mention engineview")
+	if html := string(get(t, srv.URL+"/", 200)); !strings.Contains(html, "live plane — ") {
+		t.Error("index page does not carry the plane's title")
 	}
 }
 

@@ -2,7 +2,7 @@
 // persistent execution engine: lock-cheap rolling instruments fed by
 // the runtime's observer (core.Config.Observer), a bounded flight
 // recorder of recent telemetry, and an HTTP introspection surface (see
-// http.go and cmd/engineview).
+// http.go and cmd/loopserved).
 //
 // The paper's claim — affinity scheduling wins because cache-reload
 // cost dominates as loops repeat — is otherwise only visible post-hoc
@@ -224,7 +224,7 @@ func (p *Plane) Tracer() *spantrace.Tracer { return p.tracer.Load() }
 // Snapshot.Runtime, so one scrape answers both "did the affinity hit
 // ratio collapse" and "was the Go runtime under GC or scheduling
 // pressure at the time". nil detaches. The plane treats the value as
-// opaque — the dependency points runtimeobs→nothing, engineview wires
+// opaque — the dependency points runtimeobs→nothing, internal/daemon wires
 // the two together.
 func (p *Plane) SetRuntimeSource(fn func() any) {
 	if fn == nil {
@@ -244,7 +244,7 @@ func (p *Plane) ObserveSubmission(d time.Duration, outcome Outcome, detail strin
 	p.submissions.Add(1)
 	now := p.nowNS()
 	p.subHist.observe(now, float64(d))
-	p.exemplars.observe(now, float64(d), traceID)
+	p.exemplars.observe(now, float64(d), traceID, p.tracer.Load())
 	switch outcome {
 	case OutcomeCancelled:
 		p.cancelled.Add(1)
@@ -444,7 +444,7 @@ type Snapshot struct {
 	FlightDroppedEvents int64 `json:"flight_dropped_events"`
 	FlightDroppedProv   int64 `json:"flight_dropped_prov"`
 	// Runtime is the Go-runtime correlation block contributed by
-	// SetRuntimeSource (a runtimeobs.Snapshot when engineview wires
+	// SetRuntimeSource (a runtimeobs.Snapshot when internal/daemon wires
 	// one), or nil.
 	Runtime any `json:"runtime,omitempty"`
 	// Admission is the serving layer's admission view, present only

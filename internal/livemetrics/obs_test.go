@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -51,14 +52,19 @@ func startTracedEngine(t *testing.T) (*spantrace.Tracer, *httptest.Server) {
 	return tracer, srv
 }
 
+var registerSentinel sync.Once
+
 // TestDebugMuxDoesNotLeakDefaultServeMux is the regression test for
 // the /debug/ fix: the handler used to mount http.DefaultServeMux
 // wholesale, so ANY handler any package registered globally leaked
-// into the engineview surface. Now only the explicit pprof/expvar
+// into the plane's surface. Now only the explicit pprof/expvar
 // handlers are served.
 func TestDebugMuxDoesNotLeakDefaultServeMux(t *testing.T) {
-	http.HandleFunc("/debug/leak-sentinel-livemetrics", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(200)
+	// The global mux panics on a second registration (-count=2).
+	registerSentinel.Do(func() {
+		http.HandleFunc("/debug/leak-sentinel-livemetrics", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(200)
+		})
 	})
 	_, _, srv := startEngine(t)
 

@@ -384,7 +384,7 @@ func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), e
 }
 
 // armTriage wires the full auto-triage pipeline over the triage arm's
-// plane — armed watchdog ticking at 25ms (10x the engineview default,
+// plane — armed watchdog ticking at 25ms (10x the loopserved default,
 // the priced worst case), a runtime sampler merged into every
 // snapshot, and a bundle capturer into a throwaway store — and
 // returns a teardown plus the arm's self-check: a steady workload

@@ -56,7 +56,7 @@ type kernelInfo struct {
 //
 // Observability (metrics, flight, traces, SLOs) is NOT mounted here —
 // the daemon composes this handler with livemetrics.NewHandler and
-// slo.Handler on their own routes, the same split engineview uses.
+// slo.Handler on their own routes (internal/daemon).
 // label names the service in the HTML view.
 func NewHandler(s *Server, label string) http.Handler {
 	mux := http.NewServeMux()

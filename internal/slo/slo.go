@@ -12,7 +12,7 @@
 // metrics are computed from inter-sample counter deltas, so they
 // measure the interval, not all history), windows retain observations
 // by age, and burn rate is the window's bad fraction divided by the
-// objective's error budget. Consumers: engineview's /slo endpoint
+// objective's error budget. Consumers: loopserved's /slo endpoint
 // (JSON + HTML), the Prometheus exposition (WriteProm), and the
 // `perflab slo` CI gate.
 package slo

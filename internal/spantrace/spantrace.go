@@ -157,7 +157,7 @@ type Options struct {
 	// cannot evict the others' spans.
 	MaxSpans int
 	// Store caps the completed traces retained for lookup (default 64,
-	// evicted oldest-first).
+	// evicted oldest-first). Pinned traces outlive their eviction.
 	Store int
 }
 
@@ -173,21 +173,25 @@ func (o Options) withDefaults() Options {
 
 // Tracer mints trace IDs and retains a bounded ring of completed
 // traces, keyed for lookup by loopdoctor trace / the HTTP trace
-// endpoints. Safe for concurrent use.
+// endpoints, plus any pinned trace the ring has evicted. Safe for
+// concurrent use.
 type Tracer struct {
 	opts Options
 	seq  atomic.Uint64
 
-	mu      sync.Mutex
-	order   []uint64 // insertion order, oldest first
-	byID    map[uint64]*Trace
+	mu    sync.Mutex
+	order []uint64 // ring, insertion order, oldest first
+	byID  map[uint64]*Trace
+	// pinned holds the pinned IDs; the value turns true once the ring
+	// has evicted the trace, so only the pin keeps it in byID.
+	pinned  map[uint64]bool
 	evicted int64
 }
 
 // NewTracer creates a tracer.
 func NewTracer(opts Options) *Tracer {
 	o := opts.withDefaults()
-	return &Tracer{opts: o, byID: make(map[uint64]*Trace, o.Store)}
+	return &Tracer{opts: o, byID: make(map[uint64]*Trace, o.Store), pinned: make(map[uint64]bool)}
 }
 
 // SubmissionInfo labels a starting submission.
@@ -243,6 +247,36 @@ func (t *Tracer) Traces() []*Trace {
 	return out
 }
 
+// Pin keeps trace id resolvable by Get after the ring evicts it, until
+// Unpin. The live plane pins the traces its latency exemplars name, so
+// an exemplar resolves for as long as it is reported, however many
+// submissions pass meanwhile. A nil tracer ignores pins.
+func (t *Tracer) Pin(id uint64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.pinned[id]; !ok {
+		t.pinned[id] = false
+	}
+}
+
+// Unpin releases a Pin, dropping the trace at once if the ring has
+// already evicted it.
+func (t *Tracer) Unpin(id uint64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pinned[id] {
+		delete(t.byID, id)
+		t.evicted++
+	}
+	delete(t.pinned, id)
+}
+
 // Evicted counts traces dropped from the store since creation.
 func (t *Tracer) Evicted() int64 {
 	t.mu.Lock()
@@ -258,6 +292,10 @@ func (t *Tracer) store(tr *Trace) {
 	for len(t.order) > t.opts.Store {
 		old := t.order[0]
 		t.order = t.order[1:]
+		if _, ok := t.pinned[old]; ok {
+			t.pinned[old] = true
+			continue
+		}
 		delete(t.byID, old)
 		t.evicted++
 	}

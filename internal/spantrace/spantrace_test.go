@@ -259,6 +259,49 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
+// TestPinOutlivesEviction: a pinned trace stays resolvable after the
+// ring evicts it, Traces() lists only the ring, and Unpin then drops
+// it; unpinning a trace still in the ring leaves it there.
+func TestPinOutlivesEviction(t *testing.T) {
+	tracer := spantrace.NewTracer(spantrace.Options{Store: 2})
+	end := func() uint64 {
+		a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 1, Phases: 1})
+		a.Phase(telemetry.PhaseMark{N: 1, End: 1, Barrier: true})
+		return a.End("ok").TraceID
+	}
+	pinned := end()
+	tracer.Pin(pinned)
+	for i := 0; i < 3; i++ {
+		end()
+	}
+	if tracer.Get(pinned) == nil {
+		t.Fatal("pinned trace evicted")
+	}
+	if n := len(tracer.Traces()); n != 2 {
+		t.Fatalf("Traces() lists %d traces, want the ring's 2", n)
+	}
+	if tracer.Evicted() != 1 {
+		t.Fatalf("Evicted() = %d, want 1 (the pinned trace is still held)", tracer.Evicted())
+	}
+	tracer.Unpin(pinned)
+	if tracer.Get(pinned) != nil {
+		t.Fatal("unpinned evicted trace still resolves")
+	}
+	if tracer.Evicted() != 2 {
+		t.Fatalf("Evicted() = %d after Unpin, want 2", tracer.Evicted())
+	}
+
+	recent := end()
+	tracer.Pin(recent)
+	tracer.Unpin(recent)
+	if tracer.Get(recent) == nil {
+		t.Fatal("Unpin dropped a trace the ring still holds")
+	}
+	var none *spantrace.Tracer
+	none.Pin(1) // nil-safe, like the plane's detached tracer
+	none.Unpin(1)
+}
+
 func TestAbandonStoresNothing(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 1, Phases: 1})

@@ -14,7 +14,7 @@
 //
 // The detector is deliberately deterministic under a deterministic
 // source: sampling is driven by explicit Tick calls (tests, perflab)
-// or a background Start loop (engineview), and the math involves no
+// or a background Start loop (loopserved), and the math involves no
 // randomness — the same snapshot sequence always produces the same
 // firing sequence. Consumers register OnTrigger callbacks; the stock
 // consumer is internal/bundle, which captures a one-shot diagnostic

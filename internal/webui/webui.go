@@ -1,5 +1,5 @@
 // Package webui holds the shared HTML scaffolding for the repo's
-// introspection servers (perflab serve, engineview): one stylesheet,
+// introspection servers (perflab serve, loopserved): one stylesheet,
 // one page skeleton, and one JSON-poll auto-refresh helper, so the
 // dashboards stay visually and behaviourally consistent without
 // duplicating markup.

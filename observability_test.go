@@ -12,7 +12,7 @@ import (
 )
 
 // TestObservabilityExecutor wires a plane to a persistent executor via
-// the public API — the engineview deployment shape — and checks that
+// the public API — the embedder deployment shape — and checks that
 // the plane sees every submission.
 func TestObservabilityExecutor(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})

@@ -298,7 +298,7 @@ func WithQueueDepthSampling(every time.Duration) Option {
 // bounded flight recorder of recent telemetry that freezes
 // automatically on panic or cancellation. Create with NewObservability,
 // attach with WithObservability, scrape with Snapshot or serve over
-// HTTP with ObservabilityHandler (see also cmd/engineview), and Close
+// HTTP with ObservabilityHandler (see also cmd/loopserved), and Close
 // when done.
 type Observability = livemetrics.Plane
 

@@ -16,14 +16,24 @@ import (
 	"repro/internal/watchdog"
 )
 
-// TestParseArgsRejects: flag values the daemon would otherwise
-// silently replace (a non-positive -window, a negative -duration), a
-// bad -demo scheduler list, and a storm with no demo to carry it are
-// refused with an error naming the flag.
-func TestParseArgsRejects(t *testing.T) {
+// TestParseArgsValidatesSharedFlags: the daemon's shared flags are
+// validated here, so a non-positive -window or a negative -duration is
+// refused with an error naming the flag instead of silently replaced.
+func TestParseArgsValidatesSharedFlags(t *testing.T) {
 	if _, err := parseArgs(nil); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
+	for _, args := range [][]string{{"-window", "0"}, {"-window", "-5s"}, {"-duration", "-1s"}} {
+		if _, err := parseArgs(args); err == nil || !strings.HasPrefix(err.Error(), args[0]) {
+			t.Errorf("parseArgs(%q) = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+}
+
+// TestParseDemoFlags: a -demo scheduler list is parsed into upper-case
+// names; a bad list, a negative -storm-after and a storm with no demo
+// to carry it are refused with an error naming the flag.
+func TestParseDemoFlags(t *testing.T) {
 	o, err := parseArgs([]string{"-demo", "afs,gss", "-storm-after", "5s"})
 	if err != nil {
 		t.Fatalf("demo with a storm rejected: %v", err)
@@ -35,9 +45,6 @@ func TestParseArgsRejects(t *testing.T) {
 		args []string
 		flag string
 	}{
-		{[]string{"-window", "0"}, "-window"},
-		{[]string{"-window", "-5s"}, "-window"},
-		{[]string{"-duration", "-1s"}, "-duration"},
 		{[]string{"-demo", "afs", "-storm-after", "-1s"}, "-storm-after"},
 		{[]string{"-storm-after", "5s"}, "-storm-after"},
 		{[]string{"-demo", "nope"}, "-demo"},

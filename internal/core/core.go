@@ -31,7 +31,11 @@ type Config struct {
 	// Ctx, when non-nil, cancels the run: dispatch stops at chunk
 	// granularity (in-flight chunks finish), the phase barrier drains
 	// cleanly, and Run returns the context's error alongside partial
-	// Stats. nil means context.Background().
+	// Stats. Cancellation is a poll, with no callback registered: each
+	// worker checks Ctx.Done() without blocking before every chunk
+	// fetch, and the submitter checks it after every phase barrier. A
+	// context whose Done() is nil (context.Background) is never
+	// polled. nil means context.Background().
 	Ctx context.Context
 	// Spec selects the scheduling algorithm (see internal/sched).
 	Spec sched.Spec
@@ -156,9 +160,10 @@ func Run(cfg Config, phases int, n func(ph int) int, body func(ph, i int)) (Stat
 }
 
 // runner carries the per-submission execution state: stats, the
-// observer, the phase barrier, and the abort/cancel/panic flags. Each
-// submission gets a fresh runner, so nothing here outlives or leaks
-// across submissions on a shared Engine.
+// observer, the phase barrier, and the abort/cancel/panic flags. An
+// Engine keeps one and resets it for each submission (reset), so
+// nothing here outlives or leaks across submissions on a shared
+// Engine.
 type runner struct {
 	cfg   Config
 	p     int
@@ -167,6 +172,9 @@ type runner struct {
 	stats Stats
 	t0    time.Time
 	obs   Observer
+	// done is cfg.Ctx's Done channel, polled before each chunk fetch;
+	// nil for a context that never cancels.
+	done <-chan struct{}
 	// lastOps is the counters' value at the previous barrier, so each
 	// barrier mark reports only its phase's growth.
 	lastOps telemetry.OpCounts
@@ -186,6 +194,38 @@ type runner struct {
 	delayPending []bool
 	panicMu      sync.Mutex
 	panic        any // first panic value observed in any worker
+}
+
+// reset readies r for a new submission on p workers. The stats'
+// per-queue counters are fresh, because they escape in the Result;
+// LocalOps and RemoteOps share one allocation.
+func (r *runner) reset(cfg Config, p int, d dispatcher, body func(ph, i int), done <-chan struct{}) {
+	*r = runner{cfg: cfg, p: p, d: d, body: body, obs: cfg.Observer, done: done}
+	ops := make([]int64, 2*p)
+	r.stats.LocalOps, r.stats.RemoteOps = ops[:p:p], ops[p:]
+	if len(cfg.StartDelay) > 0 {
+		r.delayPending = make([]bool, p)
+		for w := range r.delayPending {
+			r.delayPending[w] = true
+		}
+	}
+}
+
+// pollCancel reports whether the submission's context is done,
+// without blocking; once it is, it marks the run cancelled so every
+// worker stops fetching.
+func (r *runner) pollCancel() bool {
+	if r.done == nil {
+		return false
+	}
+	select {
+	case <-r.done:
+		r.cancelled.Store(true)
+		r.aborted.Store(true)
+		return true
+	default:
+		return false
+	}
 }
 
 // delayOnce applies worker w's configured start delay on its first
@@ -228,7 +268,7 @@ func (r *runner) work(w, ph int) {
 			r.aborted.Store(true)
 		}
 	}()
-	for !r.aborted.Load() {
+	for !r.aborted.Load() && !r.pollCancel() {
 		c, fm, ok := r.d.fetch(r, w)
 		if !ok {
 			return

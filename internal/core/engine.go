@@ -61,6 +61,12 @@ type Engine struct {
 	// sampling. Written by the baton holder, read lock-free by
 	// QueueDepths scrapers.
 	depthSrc atomic.Value // depthBox
+
+	// run is the per-submission state, reset by each baton holder in
+	// turn. Workers touch it only between receiving a phase's task and
+	// that phase's barrier, and cancellation is polled rather than
+	// delivered by callback, so nothing touches it between submissions.
+	run runner
 }
 
 // depthBox wraps a depthSampler so depthSrc always stores one concrete
@@ -200,7 +206,10 @@ type Result struct {
 // (<= Procs(); 0 or negative means all of them). cfg.Ctx cancels the
 // submission at chunk granularity: in-flight chunks finish, no new
 // chunks are dispatched, the barrier drains, and Execute returns the
-// context's error alongside the partial Stats.
+// context's error alongside the partial Stats. Workers poll the
+// context before each chunk fetch and the submitter polls it after
+// each barrier; no callback is registered, so a context cancelled
+// after Execute returns cannot reach a later submission.
 func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(ph, i int)) (Result, error) {
 	p := cfg.Procs
 	if p <= 0 {
@@ -238,30 +247,20 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		return Result{}, err
 	}
 	if ds, ok := d.(depthSampler); ok {
-		e.depthSrc.Store(depthBox{ds})
-	}
-
-	r := &runner{cfg: cfg, p: p, d: d, body: body, obs: cfg.Observer}
-	r.stats.LocalOps = make([]int64, p)
-	r.stats.RemoteOps = make([]int64, p)
-	if len(cfg.StartDelay) > 0 {
-		r.delayPending = make([]bool, p)
-		for w := range r.delayPending {
-			r.delayPending[w] = true
+		// Storing boxes the value; the cached AFS dispatcher is
+		// usually the one already stored.
+		if cur, _ := e.depthSrc.Load().(depthBox); cur.ds != ds {
+			e.depthSrc.Store(depthBox{ds})
 		}
 	}
+
+	r := &e.run
+	r.reset(cfg, p, d, body, ctx.Done())
 
 	// Real-runtime only: Elapsed and the telemetry clock measure the
 	// host; nothing downstream replays from these values.
 	start := time.Now() //lint:allow determinism real-runtime wall time anchors Stats.Elapsed and the ns-since-start telemetry clock
 	r.t0 = start
-	var stopWatch func() bool
-	if ctx.Done() != nil {
-		stopWatch = context.AfterFunc(ctx, func() {
-			r.cancelled.Store(true)
-			r.aborted.Store(true)
-		})
-	}
 	stopSampler := r.startDepthSampler()
 	completed := 0
 	for ph := 0; ph < phases; ph++ {
@@ -288,15 +287,15 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 			r.obs.Phase(telemetry.PhaseMark{Step: ph, N: nn, Start: phStart, End: r.nowNS(),
 				Barrier: true, Ops: r.phaseOps()})
 		}
-		if r.aborted.Load() {
+		// A cancellation that lands after a phase's last chunk fetch
+		// is seen here: the next phase is never dispatched, and after
+		// the last phase Execute still reports the context's error.
+		if r.aborted.Load() || r.pollCancel() {
 			break
 		}
 		completed++
 	}
 	stopSampler()
-	if stopWatch != nil {
-		stopWatch()
-	}
 
 	r.stats.Elapsed = time.Since(start) //lint:allow determinism real-runtime wall time is the measured quantity here
 	r.stats.Phases = completed

@@ -218,6 +218,91 @@ func TestCancelDoesNotPoisonEngine(t *testing.T) {
 	}
 }
 
+// pinnedSteal runs a 4-iteration AFS submission on 2 workers whose
+// schedule is fixed by the body alone: iteration 0 waits until worker
+// 1 has taken its first chunk, iteration 2, and iteration 2 waits
+// until iteration 3 has run, which only worker 0 can reach, by
+// stealing it. So every run makes exactly one steal: local takes
+// [2, 1], remote takes [0, 1].
+func pinnedSteal(t *testing.T, e *Engine, ctx context.Context) (Result, error) {
+	t.Helper()
+	started2, ran3 := make(chan struct{}), make(chan struct{})
+	wait := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Error("pinned schedule stalled: a worker took a chunk the pinning rules out")
+		}
+	}
+	return e.Execute(Config{Spec: sched.SpecAFS(), Ctx: ctx}, 1, func(int) int { return 4 },
+		func(_, i int) {
+			switch i {
+			case 0:
+				wait(started2)
+			case 2:
+				close(started2)
+				wait(ran3)
+			case 3:
+				close(ran3)
+			}
+		})
+}
+
+// TestReusedRunnerIsolated: the engine reuses one runner across
+// submissions, so a submission cancelled mid-phase, and a context
+// cancelled after its submission returned, must leave nothing behind.
+// The clean submission that follows matches a fresh engine's counts
+// exactly.
+func TestReusedRunnerIsolated(t *testing.T) {
+	fresh, err := NewEngine(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pinnedSteal(t, fresh, context.Background())
+	fresh.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := NewEngine(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var count atomic.Int64
+	if _, err := e.Execute(Config{Spec: sched.SpecAFS(), Ctx: ctx}, 4, func(int) int { return 10000 },
+		func(_, _ int) {
+			if count.Add(1) == 50 {
+				cancel()
+			}
+		}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submission: err = %v, want context.Canceled", err)
+	}
+	late, cancelLate := context.WithCancel(context.Background())
+	if _, err := pinnedSteal(t, e, late); err != nil {
+		t.Fatalf("submission before the late cancel: %v", err)
+	}
+	cancelLate()
+
+	got, err := pinnedSteal(t, e, context.Background())
+	if err != nil {
+		t.Fatalf("clean submission: %v", err)
+	}
+	sum := func(v []int64) (s int64) {
+		for _, x := range v {
+			s += x
+		}
+		return s
+	}
+	type counts struct{ iters, steals, local, remote int64 }
+	g := counts{got.Stats.Iterations, got.Stats.Steals, sum(got.Stats.LocalOps), sum(got.Stats.RemoteOps)}
+	w := counts{want.Stats.Iterations, want.Stats.Steals, sum(want.Stats.LocalOps), sum(want.Stats.RemoteOps)}
+	if g != w || w != (counts{4, 1, 3, 1}) {
+		t.Errorf("clean submission after reuse: %+v; fresh engine: %+v; want {4 1 3 1}", g, w)
+	}
+}
+
 // TestPanicDoesNotPoisonEngine: a panicking submission is contained in
 // its Result; the workers survive and the next submission succeeds.
 func TestPanicDoesNotPoisonEngine(t *testing.T) {

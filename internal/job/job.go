@@ -142,20 +142,6 @@ func (s Spec) Deadline() time.Duration {
 	return time.Duration(s.DeadlineMS) * time.Millisecond
 }
 
-// SchedulerName is the resolved scheduler name with the AFS default
-// applied — the name half of serve's spec×procs shard key.
-func (s Spec) SchedulerName() string {
-	name := s.Scheduler
-	if name == "" {
-		name = "afs"
-	}
-	spec, err := sched.ByName(name)
-	if err != nil {
-		return name
-	}
-	return spec.Name
-}
-
 // Canon returns the canonical JSON encoding of the Spec (stable field
 // order, zero fields omitted) — handy for logging and cache keys.
 func (s Spec) Canon() string {

@@ -80,9 +80,6 @@ func TestSpecDefaults(t *testing.T) {
 		t.Fatalf("zero Spec lowered to %s procs=%d grain=%d, want AFS/0/0",
 			cfg.Spec.Name, cfg.Procs, cfg.MinChunk)
 	}
-	if got := (job.Spec{}).SchedulerName(); got != "AFS" {
-		t.Fatalf("SchedulerName() = %q, want AFS", got)
-	}
 }
 
 // TestSpecValidateNamesField checks that validation errors name the

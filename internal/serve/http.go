@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/job"
 	"repro/internal/webui"
@@ -35,6 +37,39 @@ type errorResponse struct {
 	RetryAfterSecs float64 `json:"retry_after_seconds,omitempty"`
 }
 
+// maxJobBody caps a /jobs request body. A spec is a few hundred
+// bytes; larger bodies are refused with 413 before they are buffered.
+const maxJobBody = 1 << 20
+
+// maxPooledJobBuf is the largest buffer jobBufs keeps. A rare large
+// body's buffer is dropped instead of being pinned by the pool.
+const maxPooledJobBuf = 64 << 10
+
+// jobBuf is one /jobs request's scratch, pooled across requests: buf
+// holds the request body and then the encoded reply, and spec and
+// resp are the decoded request and the reply value, so neither is
+// allocated per request.
+type jobBuf struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder // writes into buf
+	spec job.Spec
+	resp jobResponse
+}
+
+var jobBufs = sync.Pool{New: func() any {
+	b := new(jobBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+func putJobBuf(b *jobBuf) {
+	if b.buf.Cap() > maxPooledJobBuf {
+		return
+	}
+	b.buf.Reset()
+	jobBufs.Put(b)
+}
+
 // kernelInfo is one registry row on /kernels.
 type kernelInfo struct {
 	Name        string     `json:"name"`
@@ -45,9 +80,11 @@ type kernelInfo struct {
 // NewHandler serves a Server over HTTP — the loopserved front door:
 //
 //	/          HTML index (shared webui scaffold, live /status poll)
-//	/jobs      POST a job.Spec JSON; blocks until the job completes.
-//	           400 invalid spec, 429 shed (Retry-After header),
-//	           503 server closed, 500 kernel panic.
+//	/jobs      POST a job.Spec JSON; blocks until the job completes
+//	           and answers with compact JSON. 400 invalid spec (or
+//	           data after it), 413 body over 1 MiB, 429 shed
+//	           (Retry-After header), 503 server closed, 500 kernel
+//	           panic.
 //	/kernels   registered kernels with their default params
 //	/status    queue depth, dispatch totals, tenants, shards (JSON)
 //	/tenants   the status's tenant rows only
@@ -72,17 +109,29 @@ func NewHandler(s *Server, label string) http.Handler {
 			http.Error(w, "POST a job spec", http.StatusMethodNotAllowed)
 			return
 		}
-		var spec job.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		jb := jobBufs.Get().(*jobBuf)
+		defer putJobBuf(jb)
+		if _, err := jb.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxJobBody)); err != nil {
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					&RejectError{Err: fmt.Errorf("spec body exceeds the %d-byte limit", maxJobBody)})
+				return
+			}
+			writeError(w, http.StatusBadRequest, &RejectError{Err: fmt.Errorf("reading spec: %w", err)})
+			return
+		}
+		// Unmarshal, unlike a Decoder, refuses data after the spec.
+		jb.spec = job.Spec{}
+		if err := json.Unmarshal(jb.buf.Bytes(), &jb.spec); err != nil {
 			writeError(w, http.StatusBadRequest, &RejectError{Err: fmt.Errorf("decoding spec: %w", err)})
 			return
 		}
-		res, err := s.Submit(r.Context(), spec)
+		res, err := s.Submit(r.Context(), jb.spec)
 		if err != nil {
 			writeError(w, HTTPStatus(err), err)
 			return
 		}
-		writeJSON(w, jobResponse{
+		jb.resp = jobResponse{
 			Tenant:        res.Tenant,
 			Scheduler:     res.Scheduler,
 			Procs:         res.Procs,
@@ -94,7 +143,14 @@ func NewHandler(s *Server, label string) http.Handler {
 			Steals:        res.Stats.Steals,
 			MigratedIters: res.Stats.MigratedIters,
 			Checksum:      res.Checksum,
-		})
+		}
+		jb.buf.Reset()
+		if err := jb.enc.Encode(&jb.resp); err != nil { // a NaN or infinite checksum
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding result: %w", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(jb.buf.Bytes())
 	})
 	mux.HandleFunc("/kernels", func(w http.ResponseWriter, r *http.Request) {
 		rows := make([]kernelInfo, 0)

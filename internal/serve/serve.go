@@ -134,9 +134,9 @@ type Options struct {
 
 // submission is one job's state threaded from admission to dispatch.
 type submission struct {
-	spec   job.Spec
 	run    *job.Runnable
 	cfg    core.Config
+	key    shardKey
 	tenant string
 	ctx    context.Context
 	done   chan Result
@@ -164,6 +164,12 @@ type shardKey struct {
 
 func (k shardKey) String() string { return fmt.Sprintf("%s×%d", k.sched, k.procs) }
 
+// shard is one executor with its key's name, formatted once.
+type shard struct {
+	*pool.Executor
+	name string
+}
+
 // Server is the multi-tenant loop-scheduling service. Create with New,
 // submit from any number of goroutines (directly or via the HTTP
 // handler), Close when done.
@@ -178,7 +184,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
-	shards  map[shardKey]*pool.Executor
+	shards  map[shardKey]*shard
 	order   []shardKey
 
 	closed     atomic.Bool
@@ -216,7 +222,7 @@ func New(opts Options) (*Server, error) {
 		tracer:  opts.Tracer,
 		q:       newWFQ(opts.QueueLimit),
 		buckets: make(map[string]*bucket),
-		shards:  make(map[shardKey]*pool.Executor),
+		shards:  make(map[shardKey]*shard),
 	}
 	s.wg.Add(opts.Dispatchers)
 	for i := 0; i < opts.Dispatchers; i++ {
@@ -289,7 +295,13 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 		return Result{}, &ShedError{Tenant: tenant, Reason: "quota", RetryAfter: retry}
 	}
 
-	j := &submission{spec: spec, run: run, cfg: cfg, tenant: tenant, ctx: ctx, done: make(chan Result, 1)}
+	procs := spec.Procs
+	if procs <= 0 {
+		procs = s.opts.Procs
+	}
+	// cfg.Spec.Name is the resolved scheduler, the AFS default applied.
+	key := shardKey{sched: cfg.Spec.Name, procs: procs}
+	j := &submission{run: run, cfg: cfg, key: key, tenant: tenant, ctx: ctx, done: make(chan Result, 1)}
 	if !s.q.push(j, tc.Weight, now) {
 		if s.closed.Load() {
 			return Result{}, ErrClosed
@@ -338,21 +350,16 @@ func (s *Server) dispatch() {
 }
 
 func (s *Server) run(j *submission, wait time.Duration) Result {
-	procs := j.spec.Procs
-	if procs <= 0 {
-		procs = s.opts.Procs
-	}
-	key := shardKey{sched: j.spec.SchedulerName(), procs: procs}
-	x, err := s.shard(key)
+	sh, err := s.shard(j.key)
 	if err != nil {
 		return Result{err: err}
 	}
-	st, err := x.SubmitPhases(j.ctx, j.cfg, j.run.Phases, j.run.N, j.run.Body)
+	st, err := sh.SubmitPhases(j.ctx, j.cfg, j.run.Phases, j.run.N, j.run.Body)
 	return Result{
 		Tenant:    j.tenant,
-		Scheduler: key.sched,
-		Procs:     procs,
-		Shard:     key.String(),
+		Scheduler: j.key.sched,
+		Procs:     j.key.procs,
+		Shard:     sh.name,
 		Wait:      wait,
 		Stats:     st,
 		Checksum:  j.run.Checksum(),
@@ -364,14 +371,14 @@ func (s *Server) run(j *submission, wait time.Duration) Result {
 // the fleet-wide analogue of the engine caching its AFS dispatcher by
 // spec×procs: every future job with this scheduler and worker count
 // reuses the shard's persistent ownership state.
-func (s *Server) shard(key shardKey) (*pool.Executor, error) {
+func (s *Server) shard(key shardKey) (*shard, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if x, ok := s.shards[key]; ok {
-		return x, nil
+	if sh, ok := s.shards[key]; ok {
+		return sh, nil
 	}
 	x, err := pool.New(key.procs)
 	if err != nil {
@@ -383,9 +390,10 @@ func (s *Server) shard(key shardKey) (*pool.Executor, error) {
 	if s.tracer != nil {
 		x.SetTracer(s.tracer)
 	}
-	s.shards[key] = x
+	sh := &shard{Executor: x, name: key.String()}
+	s.shards[key] = sh
 	s.order = append(s.order, key)
-	return x, nil
+	return sh, nil
 }
 
 // TenantStatus is one tenant's live admission policy and bucket level.
@@ -447,7 +455,7 @@ func (s *Server) Status() Status {
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	for _, key := range s.order {
 		st.Shards = append(st.Shards, ShardStatus{
-			Shard: key.String(), Scheduler: key.sched, Procs: key.procs,
+			Shard: s.shards[key].name, Scheduler: key.sched, Procs: key.procs,
 			Submissions: s.shards[key].Submissions(),
 		})
 	}
@@ -475,8 +483,8 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, x := range s.shards {
-		x.Close()
+	for _, sh := range s.shards {
+		sh.Close()
 	}
 	return nil
 }

@@ -402,3 +402,56 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestJobsBodyLimits: /jobs reads at most maxJobBody bytes, refusing a
+// larger body with 413 and a JSON error naming the limit, and refuses
+// data after the spec object with 400.
+func TestJobsBodyLimits(t *testing.T) {
+	s, err := New(Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s, "test"))
+	defer ts.Close()
+	spec, err := json.Marshal(tinySpec("limits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) (int, errorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatalf("status %d with a non-JSON body: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, er
+	}
+
+	// Padding the spec with trailing whitespace keeps it valid, so the
+	// size alone decides: at the limit it runs, one byte over it is
+	// refused.
+	pad := func(n int) []byte {
+		return append(append([]byte{}, spec...), bytes.Repeat([]byte(" "), n-len(spec))...)
+	}
+	if code, er := post(pad(maxJobBody)); code != http.StatusOK {
+		t.Fatalf("spec padded to the %d-byte limit = %d %+v, want 200", maxJobBody, code, er)
+	}
+	code, er := post(pad(maxJobBody + 1))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "1048576") {
+		t.Fatalf("body one byte over the limit = %d %+v, want 413 naming 1048576", code, er)
+	}
+
+	for _, trailer := range []string{`{}`, `x`, `,{"kernel":"spin"}`} {
+		code, er := post(append(append([]byte{}, spec...), trailer...))
+		if code != http.StatusBadRequest || !strings.Contains(er.Error, "decoding spec") {
+			t.Errorf("spec followed by %q = %d %+v, want 400 decoding spec", trailer, code, er)
+		}
+	}
+}

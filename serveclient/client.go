@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro"
@@ -104,8 +105,9 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("serveclient: shed (%s), retry after %v: %s", e.Reason, e.RetryAfter, e.Message)
 }
 
-// RemoteError is any other non-2xx verdict: 400 invalid spec, 503
-// server draining, 500 kernel panic.
+// RemoteError is any other non-2xx verdict: 400 invalid spec, 413
+// spec body over the server's 1 MiB cap, 503 server draining, 500
+// kernel panic.
 type RemoteError struct {
 	Status  int
 	Message string
@@ -143,11 +145,36 @@ func (c *Client) Submit(ctx context.Context, spec repro.JobSpec) (JobResult, err
 	if resp.StatusCode != http.StatusOK {
 		return JobResult{}, decodeError(resp)
 	}
-	var jr JobResult
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	rb := replyBufs.Get().(*replyBuf)
+	defer putReplyBuf(rb)
+	if _, err := rb.buf.ReadFrom(resp.Body); err != nil {
+		return JobResult{}, fmt.Errorf("serveclient: reading result: %w", err)
+	}
+	rb.jr = JobResult{}
+	if err := json.Unmarshal(rb.buf.Bytes(), &rb.jr); err != nil {
 		return JobResult{}, fmt.Errorf("serveclient: decoding result: %w", err)
 	}
-	return jr, nil
+	return rb.jr, nil
+}
+
+// maxPooledReply is the largest buffer replyBufs keeps.
+const maxPooledReply = 64 << 10
+
+// replyBuf is Submit's scratch, pooled across calls: the reply's bytes
+// and its decoded value, so neither is allocated per call.
+type replyBuf struct {
+	buf bytes.Buffer
+	jr  JobResult
+}
+
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
+
+func putReplyBuf(rb *replyBuf) {
+	if rb.buf.Cap() > maxPooledReply {
+		return
+	}
+	rb.buf.Reset()
+	replyBufs.Put(rb)
 }
 
 // Kernels lists the server's registered kernels.

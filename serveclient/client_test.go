@@ -6,8 +6,10 @@ package serveclient_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro"
@@ -78,6 +80,23 @@ func TestClientRoundTrip(t *testing.T) {
 	var rem *serveclient.RemoteError
 	if !errors.As(err, &rem) || rem.Status != 400 {
 		t.Fatalf("invalid spec = %v, want *RemoteError 400", err)
+	}
+
+	// A spec over the server's 1 MiB body cap: a RemoteError with 413.
+	// The tenant name pads the encoded spec to one byte past the cap
+	// exactly, so the server has read the whole body when it answers.
+	big := repro.JobSpec{Kernel: "spin"}
+	enc, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Tenant = strings.Repeat("t", 1<<20+1-len(enc)-len(`,"tenant":""`))
+	if enc, _ = json.Marshal(big); len(enc) != 1<<20+1 {
+		t.Fatalf("padded spec is %d bytes, want %d", len(enc), 1<<20+1)
+	}
+	_, err = c.Submit(ctx, big)
+	if !errors.As(err, &rem) || rem.Status != 413 || !strings.Contains(rem.Message, "1048576") {
+		t.Fatalf("oversized spec = %v, want *RemoteError 413 naming the limit", err)
 	}
 
 	st, err := c.Status(ctx)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/livemetrics"
+	"repro/internal/slo"
 	"repro/internal/watchdog"
 )
 
@@ -41,7 +42,7 @@ func newCapturer(t *testing.T, dir string, opts Options) (*Store, *Capturer) {
 
 func testTrigger() watchdog.Trigger {
 	return watchdog.Trigger{
-		Rule: "steal-storm", Signal: watchdog.SignalStealShare,
+		Rule: "steal-storm", Signal: slo.MetricStealShare,
 		Tick: 42, Value: 0.6, Baseline: 0.02, Sigma: 0.05, Deviation: 11.6,
 		Reason: "steal_share rose to 0.6 against baseline 0.02",
 	}
@@ -192,7 +193,7 @@ func TestAttachCapturesOnWatchdogFiring(t *testing.T) {
 		return s
 	}
 	w, err := watchdog.New(source, []watchdog.Rule{{
-		Name: "latency-spike", Signal: watchdog.SignalSubmissionP99,
+		Name: "latency-spike", Signal: slo.MetricP99SubmissionNS,
 		Window: 8, Consecutive: 2, Cooldown: 4, MinDev: 1e3,
 	}}, watchdog.Options{})
 	if err != nil {

@@ -105,13 +105,13 @@ func Start(name, label string, f Flags, objectives []slo.Objective, rules []watc
 	s := &Stack{name: name, label: label, sampler: runtimeobs.NewSampler(), Plane: livemetrics.New(livemetrics.Options{
 		Window:       f.Window,
 		FlightEvents: f.Flight,
-		FlightProv:   f.Flight / 2,
 	})}
 	if err := s.arm(f, objectives, rules); err != nil {
 		s.Plane.Close()
 		return nil, err
 	}
-	s.stops = []func(){s.Plane.Close, s.slo.Start(time.Second), s.sampler.Start(time.Second), s.wd.Start(f.WatchdogTick)}
+	s.sampler.Sample() // prime the runtime baselines before the first tick
+	s.stops = []func(){s.Plane.Close, slo.Every(time.Second, s.slo.Tick), slo.Every(time.Second, s.sampler.Sample), slo.Every(f.WatchdogTick, s.wd.Tick)}
 	s.Plane.SetRuntimeSource(s.sampler.SnapshotAny)
 	return s, nil
 }

@@ -77,35 +77,44 @@ func fieldErr(field, format string, args ...any) error {
 // against the registry (RequireKernel does that too). Errors name the
 // offending JSON field.
 func (s Spec) Validate() error {
+	_, err := s.check()
+	return err
+}
+
+// check validates the Spec and returns its resolved scheduler (AFS
+// when none is named), so Config looks the name up only once.
+func (s Spec) check() (sched.Spec, error) {
+	spec := sched.SpecAFS()
 	if s.Scheduler != "" {
-		if _, err := sched.ByName(s.Scheduler); err != nil {
-			return fieldErr("scheduler", "%v", err)
+		var err error
+		if spec, err = sched.ByName(s.Scheduler); err != nil {
+			return spec, fieldErr("scheduler", "%v", err)
 		}
 	}
 	if s.Procs < 0 {
-		return fieldErr("procs", "must be ≥ 0 (0 = executor default), got %d", s.Procs)
+		return spec, fieldErr("procs", "must be ≥ 0 (0 = executor default), got %d", s.Procs)
 	}
 	if s.Grain < 0 {
-		return fieldErr("grain", "must be ≥ 0, got %d", s.Grain)
+		return spec, fieldErr("grain", "must be ≥ 0, got %d", s.Grain)
 	}
 	if s.DeadlineMS < 0 {
-		return fieldErr("deadline_ms", "must be ≥ 0, got %d", s.DeadlineMS)
+		return spec, fieldErr("deadline_ms", "must be ≥ 0, got %d", s.DeadlineMS)
 	}
 	if s.Params.N < 0 {
-		return fieldErr("params.n", "must be ≥ 0, got %d", s.Params.N)
+		return spec, fieldErr("params.n", "must be ≥ 0, got %d", s.Params.N)
 	}
 	if s.Params.Phases < 0 {
-		return fieldErr("params.phases", "must be ≥ 0, got %d", s.Params.Phases)
+		return spec, fieldErr("params.phases", "must be ≥ 0, got %d", s.Params.Phases)
 	}
 	if s.Params.Work < 0 {
-		return fieldErr("params.work", "must be ≥ 0, got %d", s.Params.Work)
+		return spec, fieldErr("params.work", "must be ≥ 0, got %d", s.Params.Work)
 	}
 	if s.Kernel != "" {
 		if _, err := Lookup(s.Kernel); err != nil {
-			return fieldErr("kernel", "%v", err)
+			return spec, fieldErr("kernel", "%v", err)
 		}
 	}
-	return nil
+	return spec, nil
 }
 
 // RequireKernel validates the Spec for wire submission, where a kernel
@@ -123,16 +132,9 @@ func (s Spec) RequireKernel() error {
 // round-trip cannot drift from local submission (TestSpecRoundTrip
 // pins this).
 func (s Spec) Config() (core.Config, error) {
-	if err := s.Validate(); err != nil {
-		return core.Config{}, err
-	}
-	name := s.Scheduler
-	if name == "" {
-		name = "afs"
-	}
-	spec, err := sched.ByName(name)
+	spec, err := s.check()
 	if err != nil {
-		return core.Config{}, fieldErr("scheduler", "%v", err)
+		return core.Config{}, err
 	}
 	return core.Config{Spec: spec, Procs: s.Procs, MinChunk: s.Grain}, nil
 }

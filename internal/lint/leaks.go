@@ -7,7 +7,8 @@ import (
 
 // leaksCheck enforces goroutine-lifecycle hygiene in the long-running
 // service packages (internal/serve, internal/pool, internal/watchdog,
-// internal/livemetrics, internal/core, internal/daemon): every `go`
+// internal/livemetrics, internal/core, internal/daemon, and
+// internal/slo, whose Every loop ticks the detectors): every `go`
 // statement must have a provable shutdown edge, so that Close() really
 // drains the process instead of stranding workers.
 //

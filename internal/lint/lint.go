@@ -178,7 +178,7 @@ func DefaultConfig(modulePath string) Config {
 		CLIPkg:        p("internal/cli"),
 		Atomics:       []string{modulePath},
 		Ctxflow:       []string{p("internal/core"), p("internal/pool"), p("internal/serve")},
-		Leaks:         []string{p("internal/serve"), p("internal/pool"), p("internal/watchdog"), p("internal/livemetrics"), p("internal/core"), p("internal/daemon")},
+		Leaks:         []string{p("internal/serve"), p("internal/pool"), p("internal/watchdog"), p("internal/livemetrics"), p("internal/core"), p("internal/daemon"), p("internal/slo")},
 	}
 }
 

@@ -37,10 +37,9 @@ type Options struct {
 	// Slots divides Window into ring slots; more slots age old load
 	// out more smoothly at slightly more merge work per query.
 	Slots int
-	// FlightEvents caps the flight recorder's telemetry-event ring.
+	// FlightEvents caps the flight recorder's telemetry-event ring;
+	// its provenance ring holds half as many records.
 	FlightEvents int
-	// FlightProv caps the flight recorder's provenance ring.
-	FlightProv int
 	// SampleEvery is the per-worker gauge sampling interval
 	// (utilization, steal rate).
 	SampleEvery time.Duration
@@ -55,9 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FlightEvents <= 0 {
 		o.FlightEvents = 4096
-	}
-	if o.FlightProv <= 0 {
-		o.FlightProv = 2048
 	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 250 * time.Millisecond
@@ -176,7 +172,7 @@ func New(opts Options) *Plane {
 	p := &Plane{
 		opts: o,
 		t0:   time.Now(),
-		rec:  newRecorder(o.FlightEvents, o.FlightProv),
+		rec:  newRecorder(o.FlightEvents, o.FlightEvents/2),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}

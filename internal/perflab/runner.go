@@ -19,6 +19,7 @@ import (
 	"repro/internal/runtimeobs"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/slo"
 	"repro/internal/spantrace"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -417,9 +418,10 @@ func armTriage(plane *livemetrics.Plane) (stop func(), checkQuiet func() error, 
 	}
 	bundle.Attach(wd, capt, nil)
 	sampler := runtimeobs.NewSampler()
-	stopSampler := sampler.Start(50 * time.Millisecond)
+	sampler.Sample() // prime the runtime baselines before the first tick
+	stopSampler := slo.Every(50*time.Millisecond, sampler.Sample)
 	plane.SetRuntimeSource(sampler.SnapshotAny)
-	stopWD := wd.Start(25 * time.Millisecond)
+	stopWD := slo.Every(25*time.Millisecond, wd.Tick)
 	stop = func() {
 		stopWD()
 		stopSampler()

@@ -75,8 +75,9 @@ type histState struct {
 }
 
 // Sampler reads runtime/metrics and serves the latest Snapshot. Safe
-// for concurrent use; sampling is driven by Sample (deterministic
-// callers) or a background Start loop.
+// for concurrent use; sampling is driven by Sample, called directly
+// (deterministic callers) or from an slo.Every loop, after one direct
+// call that primes the baselines.
 type Sampler struct {
 	mu      sync.Mutex
 	samples []metrics.Sample
@@ -89,8 +90,6 @@ type Sampler struct {
 	gcCPUPrev  float64
 	allCPUPrev float64
 	cpuPrimed  bool
-	stop       chan struct{}
-	stopped    chan struct{}
 }
 
 // NewSampler probes the running toolchain's metric set and returns a
@@ -257,42 +256,4 @@ func histQuantile(bounds []float64, counts []uint64, total uint64, q float64) fl
 		}
 	}
 	return 0
-}
-
-// Start launches a background sampling loop until the returned stop
-// function is called. One loop at a time.
-func (s *Sampler) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		panic("runtimeobs: Start called twice without stop")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	s.stop, s.stopped = stopCh, doneCh
-	s.mu.Unlock()
-	s.Sample() // prime the cumulative baselines immediately
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				s.Sample()
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-		s.mu.Lock()
-		s.stop, s.stopped = nil, nil
-		s.mu.Unlock()
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/promtext"
+	"repro/internal/slo"
 )
 
 // churn allocates and schedules enough to make the runtime counters
@@ -110,14 +111,18 @@ func TestPromValid(t *testing.T) {
 	}
 }
 
+// TestStartStop runs the sampler the way the daemon does: one priming
+// Sample, then the shared tick loop.
 func TestStartStop(t *testing.T) {
 	s := NewSampler()
-	stop := s.Start(5 * time.Millisecond)
+	s.Sample()
+	stop := slo.Every(5*time.Millisecond, s.Sample)
 	churn()
 	time.Sleep(25 * time.Millisecond)
 	stop()
 	snap := s.Snapshot()
-	if snap.Goroutines < 1 {
+	// Only a Sample after the priming one measures an interval.
+	if snap.Goroutines < 1 || snap.IntervalSeconds <= 0 {
 		t.Errorf("background sampler never sampled: %+v", snap)
 	}
 }

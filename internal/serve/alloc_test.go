@@ -21,13 +21,13 @@ const (
 	// escapes in the result.
 	shardSubmitAllocs = 1
 	// serverSubmitAllocs: the shard's one, the kernel instance
-	// job.Build makes, the scheduler-name lookups, and the submission
+	// job.Build makes, the scheduler-name lookup, and the submission
 	// with its reply channel and its fair-queue entry.
-	serverSubmitAllocs = 11
+	serverSubmitAllocs = 10
 	// jobsHandlerAllocs: Server.Submit's allocations, plus the body's
 	// size cap, json.Unmarshal's state, scanner stack and the spec's
 	// three strings, and the reply's Content-Type value.
-	jobsHandlerAllocs = 22
+	jobsHandlerAllocs = 21
 )
 
 // allocSpec is serve-closed's job: 2048 spin iterations, one phase.

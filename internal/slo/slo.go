@@ -7,10 +7,10 @@
 // window, so a single slow scrape cannot page and a sustained
 // regression cannot hide).
 //
-// The engine samples a livemetrics.Snapshot source: each Tick turns
-// the snapshot into one good/bad observation per objective (ratio
-// metrics are computed from inter-sample counter deltas, so they
-// measure the interval, not all history), windows retain observations
+// The engine samples a livemetrics.Snapshot source: each Tick reads
+// the signals (signal.go declares them once, with their directions and
+// skip rules; the watchdog reads the same table) and turns them into
+// one good/bad observation per objective, windows retain observations
 // by age, and burn rate is the window's bad fraction divided by the
 // objective's error budget. Consumers: loopserved's /slo endpoint
 // (JSON + HTML), the Prometheus exposition (WriteProm), and the
@@ -24,47 +24,6 @@ import (
 
 	"repro/internal/livemetrics"
 )
-
-// Metric identifies the snapshot-derived signal an objective watches.
-type Metric string
-
-const (
-	// MetricP99SubmissionNS is the rolling p99 submission latency in
-	// nanoseconds; the threshold is a ceiling. Skipped while the rolling
-	// window holds no submissions.
-	MetricP99SubmissionNS Metric = "p99_submission_latency_ns"
-	// MetricAffinityHitRatio is the fraction of chunks executed on
-	// their static ⌈N/P⌉ owner without having been stolen, over the
-	// chunks that completed since the previous sample; the threshold is
-	// a floor. Skipped when no new chunks ran.
-	MetricAffinityHitRatio Metric = "affinity_hit_ratio"
-	// MetricStealShare is steals per executed chunk since the previous
-	// sample; the threshold is a ceiling. Skipped when no new chunks
-	// ran.
-	MetricStealShare Metric = "steal_share"
-	// MetricAdmissionP99NS is the serving layer's rolling p99 admission
-	// queue wait in nanoseconds (admitted jobs only); the threshold is
-	// a ceiling. Skipped while no admitted job is in the rolling window
-	// (including on planes with no serving frontend at all).
-	MetricAdmissionP99NS Metric = "admission_p99_wait_ns"
-	// MetricShedRate is the fraction of admission decisions since the
-	// previous sample that shed the job (429); the threshold is a
-	// ceiling. Skipped when the interval saw no decisions.
-	MetricShedRate Metric = "shed_rate"
-)
-
-// floor reports whether the metric's threshold is a floor (bad when
-// the value drops below it) rather than a ceiling.
-func (m Metric) floor() bool { return m == MetricAffinityHitRatio }
-
-func (m Metric) valid() bool {
-	switch m {
-	case MetricP99SubmissionNS, MetricAffinityHitRatio, MetricStealShare,
-		MetricAdmissionP99NS, MetricShedRate:
-		return true
-	}
-	return false
-}
 
 // Window is one burn-rate evaluation window.
 type Window struct {
@@ -96,7 +55,7 @@ func (o Objective) validate() error {
 	if o.Name == "" {
 		return fmt.Errorf("slo: objective with empty name")
 	}
-	if !o.Metric.valid() {
+	if !o.Metric.Valid() {
 		return fmt.Errorf("slo: objective %q: unknown metric %q", o.Name, o.Metric)
 	}
 	if o.Budget <= 0 || o.Budget > 1 {
@@ -161,8 +120,8 @@ type sample struct {
 }
 
 // Engine evaluates objectives against a snapshot source. Safe for
-// concurrent use; sampling is driven by Tick (deterministic callers:
-// tests, perflab slo) or a background Start loop.
+// concurrent use; sampling is driven by Tick, called directly
+// (deterministic callers: tests, perflab slo) or from an Every loop.
 type Engine struct {
 	source     func() livemetrics.Snapshot
 	objectives []Objective
@@ -174,15 +133,7 @@ type Engine struct {
 	lastVal []float64  // most recent observed value per objective
 	lastObs []bool     // whether the objective has ever been observed
 	ticks   int64
-	// previous cumulative counters, for inter-sample deltas
-	primed       bool
-	prevChunks   int64
-	prevSteals   int64
-	prevHits     int64
-	prevAdmitted int64
-	prevShed     int64
-	stop         chan struct{}
-	stopped      chan struct{}
+	reader  Reader
 }
 
 // New creates an engine over a snapshot source.
@@ -223,71 +174,22 @@ func New(source func() livemetrics.Snapshot, objectives []Objective, opts Option
 func (e *Engine) Objectives() []Objective { return e.objectives }
 
 // Tick samples the source once and records one observation per
-// objective. Ratio metrics skip the first Tick (it only primes the
-// counter baseline) and any interval without new chunks.
+// objective whose signal has a value this interval (see Reader).
 func (e *Engine) Tick() {
 	snap := e.source()
 	now := e.now()
 
-	var hits, chunks int64
-	for _, w := range snap.Workers {
-		hits += w.AffinityHits
-		chunks += w.Chunks
-	}
-	steals := snap.Counters.Steals
-	var admitted, shed int64
-	if snap.Admission != nil {
-		admitted, shed = snap.Admission.Admitted, snap.Admission.Shed
-	}
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ticks++
-	dChunks := chunks - e.prevChunks
-	dSteals := steals - e.prevSteals
-	dHits := hits - e.prevHits
-	dAdmitted := admitted - e.prevAdmitted
-	dShed := shed - e.prevShed
-	primed := e.primed
-	e.prevChunks, e.prevSteals, e.prevHits = chunks, steals, hits
-	e.prevAdmitted, e.prevShed = admitted, shed
-	e.primed = true
-
+	r := e.reader.Read(snap)
 	for i, o := range e.objectives {
-		var value float64
-		observed := false
-		switch o.Metric {
-		case MetricP99SubmissionNS:
-			if snap.Submission.Count > 0 {
-				value = snap.Submission.P99
-				observed = true
-			}
-		case MetricAffinityHitRatio:
-			if primed && dChunks > 0 {
-				value = float64(dHits) / float64(dChunks)
-				observed = true
-			}
-		case MetricStealShare:
-			if primed && dChunks > 0 {
-				value = float64(dSteals) / float64(dChunks)
-				observed = true
-			}
-		case MetricAdmissionP99NS:
-			if snap.Admission != nil && snap.Admission.Wait.Count > 0 {
-				value = snap.Admission.Wait.P99
-				observed = true
-			}
-		case MetricShedRate:
-			if primed && dAdmitted+dShed > 0 {
-				value = float64(dShed) / float64(dAdmitted+dShed)
-				observed = true
-			}
-		}
-		if !observed {
+		value, ok := r.Value(o.Metric)
+		if !ok {
 			continue
 		}
 		bad := value > o.Threshold
-		if o.Metric.floor() {
+		if o.Metric.Floor() {
 			bad = value < o.Threshold
 		}
 		e.lastVal[i], e.lastObs[i] = value, true
@@ -298,43 +200,6 @@ func (e *Engine) Tick() {
 			}
 		}
 		e.samples[i] = append(kept, sample{at: now, bad: bad})
-	}
-}
-
-// Start launches a background loop ticking at the given interval
-// until the returned stop function is called. One loop at a time.
-func (e *Engine) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	e.mu.Lock()
-	if e.stop != nil {
-		e.mu.Unlock()
-		panic("slo: Start called twice without stop")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	e.stop, e.stopped = stopCh, doneCh
-	e.mu.Unlock()
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				e.Tick()
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-		e.mu.Lock()
-		e.stop, e.stopped = nil, nil
-		e.mu.Unlock()
 	}
 }
 

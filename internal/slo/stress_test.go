@@ -58,7 +58,7 @@ func TestScrapeRace(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	stop := eng.Start(2 * time.Millisecond)
+	stop := slo.Every(2*time.Millisecond, eng.Tick)
 	defer stop()
 
 	const (

@@ -13,8 +13,8 @@
 // panic or cancellation froze the rings).
 //
 // The detector is deliberately deterministic under a deterministic
-// source: sampling is driven by explicit Tick calls (tests, perflab)
-// or a background Start loop (loopserved), and the math involves no
+// source: sampling is driven by explicit Tick calls (tests) or an
+// slo.Every loop (loopserved, perflab), and the math involves no
 // randomness — the same snapshot sequence always produces the same
 // firing sequence. Consumers register OnTrigger callbacks; the stock
 // consumer is internal/bundle, which captures a one-shot diagnostic
@@ -33,51 +33,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Signal identifies the snapshot-derived series a rule watches.
-type Signal string
-
-const (
-	// SignalAffinityHitRatio is un-stolen chunks run on their ⌈N/P⌉
-	// owner over chunks executed since the previous tick; a drop is
-	// anomalous (the paper's headline signal collapsing means cache
-	// reuse is being lost).
-	SignalAffinityHitRatio Signal = "affinity_hit_ratio"
-	// SignalStealShare is steals per executed chunk since the previous
-	// tick; a rise is anomalous (a steal storm).
-	SignalStealShare Signal = "steal_share"
-	// SignalSubmissionP99 is the plane's rolling p99 submission latency
-	// in nanoseconds; a rise is anomalous (a tail-latency spike).
-	SignalSubmissionP99 Signal = "submission_p99_ns"
-	// SignalShedRate is shed admissions over all admission decisions
-	// since the previous tick (serving layer); a rise is anomalous — a
-	// shed surge means the admission queue is collapsing under load.
-	SignalShedRate Signal = "shed_rate"
-	// SignalAdmissionP99 is the serving layer's rolling p99 admission
-	// queue wait in nanoseconds; a rise is anomalous (jobs stacking up
-	// at the front door faster than shards drain them).
-	SignalAdmissionP99 Signal = "admission_p99_ns"
-)
-
-// dropIsBad reports whether the signal alarms on a fall (floor-like)
-// rather than a rise (ceiling-like).
-func (s Signal) dropIsBad() bool { return s == SignalAffinityHitRatio }
-
-func (s Signal) valid() bool {
-	switch s {
-	case SignalAffinityHitRatio, SignalStealShare, SignalSubmissionP99,
-		SignalShedRate, SignalAdmissionP99:
-		return true
-	}
-	return false
-}
-
 // Rule is one change-point detector over one signal. The zero values
 // of the tuning fields select the defaults noted on each.
 type Rule struct {
 	// Name labels triggers and status rows.
 	Name string `json:"name"`
-	// Signal selects the series.
-	Signal Signal `json:"signal"`
+	// Signal selects the series; its direction (a floor alarms on a
+	// fall, a ceiling on a rise) and skip rule come from the slo
+	// package's signal table.
+	Signal slo.Metric `json:"signal"`
 	// Window is the rolling baseline length in observed ticks
 	// (default 64). The rule warms up silently until the window holds
 	// Window/2 observations, so a cold engine cannot alarm.
@@ -120,7 +84,7 @@ func (r Rule) validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("watchdog: rule with empty name")
 	}
-	if !r.Signal.valid() {
+	if !r.Signal.Valid() {
 		return fmt.Errorf("watchdog: rule %q: unknown signal %q", r.Name, r.Signal)
 	}
 	if r.MinDev < 0 {
@@ -135,9 +99,9 @@ func (r Rule) validate() error {
 // points, p99 noise well under 2ms) cannot reach the K·sigma bar.
 func DefaultRules() []Rule {
 	return []Rule{
-		{Name: "affinity-collapse", Signal: SignalAffinityHitRatio, MinDev: 0.05},
-		{Name: "steal-storm", Signal: SignalStealShare, MinDev: 0.05},
-		{Name: "latency-spike", Signal: SignalSubmissionP99, MinDev: 2e6},
+		{Name: "affinity-collapse", Signal: slo.MetricAffinityHitRatio, MinDev: 0.05},
+		{Name: "steal-storm", Signal: slo.MetricStealShare, MinDev: 0.05},
+		{Name: "latency-spike", Signal: slo.MetricP99SubmissionNS, MinDev: 2e6},
 	}
 }
 
@@ -149,8 +113,8 @@ func DefaultRules() []Rule {
 // collapse stay recoverable.
 func ServingRules() []Rule {
 	return []Rule{
-		{Name: "shed-surge", Signal: SignalShedRate, MinDev: 0.05},
-		{Name: "admission-stall", Signal: SignalAdmissionP99, MinDev: 2e6},
+		{Name: "shed-surge", Signal: slo.MetricShedRate, MinDev: 0.05},
+		{Name: "admission-stall", Signal: slo.MetricAdmissionP99NS, MinDev: 2e6},
 	}
 }
 
@@ -161,7 +125,7 @@ type Trigger struct {
 	// synthetic "slo:<objective>" / "flight-freeze" sources).
 	Rule string `json:"rule"`
 	// Signal is the watched series (empty for the synthetic sources).
-	Signal Signal `json:"signal,omitempty"`
+	Signal slo.Metric `json:"signal,omitempty"`
 	// Tick is the detector tick at which the firing happened.
 	Tick int64 `json:"tick"`
 	// Value is the anomalous observation; Baseline the window median
@@ -227,10 +191,10 @@ func (rs *ruleState) window() []float64 {
 }
 
 // Watchdog is the online detector. Safe for concurrent use; sampling
-// is driven by Tick (deterministic callers) or a background Start
-// loop. Triggers are delivered synchronously from the ticking
-// goroutine to every registered OnTrigger callback, outside the
-// detector's lock.
+// is driven by Tick, called directly (deterministic callers) or from
+// an slo.Every loop. Triggers are delivered synchronously from the
+// ticking goroutine to every registered OnTrigger callback, outside
+// the detector's lock.
 type Watchdog struct {
 	source func() livemetrics.Snapshot
 	opts   Options
@@ -239,23 +203,15 @@ type Watchdog struct {
 	cbMu sync.Mutex
 	cbs  []func(Trigger)
 
-	mu    sync.Mutex
-	rules []*ruleState
-	ticks int64
-	fired int64
-	// previous cumulative counters, for inter-tick deltas
-	primed       bool
-	prevChunks   int64
-	prevSteals   int64
-	prevHits     int64
-	prevAdmitted int64
-	prevShed     int64
+	mu     sync.Mutex
+	rules  []*ruleState
+	ticks  int64
+	fired  int64
+	reader slo.Reader
 	// edge-trigger state for the synthetic sources
 	prevBreach map[string]bool
 	prevAnom   int64
 	recent     []Trigger
-	stop       chan struct{}
-	stopped    chan struct{}
 }
 
 // New creates a watchdog over a snapshot source.
@@ -305,40 +261,19 @@ func (w *Watchdog) OnTrigger(fn func(Trigger)) {
 // any triggers. Deterministic given a deterministic source.
 func (w *Watchdog) Tick() {
 	snap := w.source()
-	var hits, chunks int64
-	for _, ws := range snap.Workers {
-		hits += ws.AffinityHits
-		chunks += ws.Chunks
-	}
-	steals := snap.Counters.Steals
-	var admitted, shedTotal int64
-	if snap.Admission != nil {
-		admitted, shedTotal = snap.Admission.Admitted, snap.Admission.Shed
-	}
 	at := w.now()
 
 	w.mu.Lock()
 	w.ticks++
 	tick := w.ticks
-	d := deltas{
-		chunks:   chunks - w.prevChunks,
-		steals:   steals - w.prevSteals,
-		hits:     hits - w.prevHits,
-		admitted: admitted - w.prevAdmitted,
-		shed:     shedTotal - w.prevShed,
-	}
-	primed := w.primed
-	w.prevChunks, w.prevSteals, w.prevHits = chunks, steals, hits
-	w.prevAdmitted, w.prevShed = admitted, shedTotal
-	w.primed = true
-
+	r := w.reader.Read(snap)
 	var fired []Trigger
 	for _, rs := range w.rules {
-		value, observed := observe(rs.rule.Signal, snap, primed, d)
 		if rs.cooldown > 0 {
 			rs.cooldown--
 		}
-		if !observed {
+		value, ok := r.Value(rs.rule.Signal)
+		if !ok {
 			continue
 		}
 		rs.observed, rs.value = true, value
@@ -351,41 +286,6 @@ func (w *Watchdog) Tick() {
 	w.mu.Unlock()
 
 	w.deliver(fired)
-}
-
-// deltas carries the inter-tick counter differences observe consumes.
-type deltas struct {
-	chunks, steals, hits int64
-	admitted, shed       int64
-}
-
-// observe extracts one signal from the snapshot, mirroring the SLO
-// engine's delta semantics: ratio signals skip the priming tick and
-// any interval without new activity, the p99s skip an empty window.
-func observe(s Signal, snap livemetrics.Snapshot, primed bool, d deltas) (float64, bool) {
-	switch s {
-	case SignalSubmissionP99:
-		if snap.Submission.Count > 0 {
-			return snap.Submission.P99, true
-		}
-	case SignalAffinityHitRatio:
-		if primed && d.chunks > 0 {
-			return float64(d.hits) / float64(d.chunks), true
-		}
-	case SignalStealShare:
-		if primed && d.chunks > 0 {
-			return float64(d.steals) / float64(d.chunks), true
-		}
-	case SignalShedRate:
-		if primed && d.admitted+d.shed > 0 {
-			return float64(d.shed) / float64(d.admitted+d.shed), true
-		}
-	case SignalAdmissionP99:
-		if snap.Admission != nil && snap.Admission.Wait.Count > 0 {
-			return snap.Admission.Wait.P99, true
-		}
-	}
-	return 0, false
 }
 
 // judge scores one observation against the rule's rolling baseline and
@@ -406,7 +306,7 @@ func (rs *ruleState) judge(v float64, tick int64, at time.Time) (Trigger, bool) 
 			sigma = r.MinDev
 		}
 		dev := v - med
-		if r.Signal.dropIsBad() {
+		if r.Signal.Floor() {
 			dev = med - v
 		}
 		rs.median, rs.sigma = med, sigma
@@ -417,7 +317,7 @@ func (rs *ruleState) judge(v float64, tick int64, at time.Time) (Trigger, bool) 
 		}
 		if rs.streak >= r.Consecutive && rs.cooldown == 0 {
 			dir := "rose"
-			if r.Signal.dropIsBad() {
+			if r.Signal.Floor() {
 				dir = "fell"
 			}
 			out = Trigger{
@@ -493,43 +393,6 @@ func (w *Watchdog) deliver(fired []Trigger) {
 		for _, fn := range cbs {
 			fn(t)
 		}
-	}
-}
-
-// Start launches a background loop ticking at the given interval until
-// the returned stop function is called. One loop at a time.
-func (w *Watchdog) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	w.mu.Lock()
-	if w.stop != nil {
-		w.mu.Unlock()
-		panic("watchdog: Start called twice without stop")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	w.stop, w.stopped = stopCh, doneCh
-	w.mu.Unlock()
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				w.Tick()
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-		w.mu.Lock()
-		w.stop, w.stopped = nil, nil
-		w.mu.Unlock()
 	}
 }
 

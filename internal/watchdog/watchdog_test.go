@@ -1,6 +1,7 @@
 package watchdog
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -280,10 +281,10 @@ func TestRuleValidation(t *testing.T) {
 		rules []Rule
 	}{
 		{"no rules", nil},
-		{"empty name", []Rule{{Signal: SignalStealShare}}},
+		{"empty name", []Rule{{Signal: slo.MetricStealShare}}},
 		{"bad signal", []Rule{{Name: "x", Signal: "nope"}}},
-		{"dup name", []Rule{{Name: "x", Signal: SignalStealShare}, {Name: "x", Signal: SignalSubmissionP99}}},
-		{"negative mindev", []Rule{{Name: "x", Signal: SignalStealShare, MinDev: -1}}},
+		{"dup name", []Rule{{Name: "x", Signal: slo.MetricStealShare}, {Name: "x", Signal: slo.MetricP99SubmissionNS}}},
+		{"negative mindev", []Rule{{Name: "x", Signal: slo.MetricStealShare, MinDev: -1}}},
 	}
 	for _, c := range cases {
 		if _, err := New(src.snapshot, c.rules, Options{}); err == nil {
@@ -359,6 +360,97 @@ func TestServingRulesFireOnShedSurge(t *testing.T) {
 	for _, name := range []string{"shed-surge", "admission-stall"} {
 		if got[name] != 1 {
 			t.Errorf("rule %s fired %d time(s), want exactly 1", name, got[name])
+		}
+	}
+}
+
+// TestSLOAndWatchdogReadIdenticalValues feeds one scripted snapshot
+// sequence to an SLO engine and a watchdog that cover all five
+// signals, and checks at every tick that both observe the same
+// signals with the same values: nothing ratio-based on the priming
+// tick, nothing ratio-based over an idle interval, no p99 over an
+// empty window, and no admission signal while Snapshot.Admission is
+// nil.
+func TestSLOAndWatchdogReadIdenticalValues(t *testing.T) {
+	metrics := []slo.Metric{slo.MetricP99SubmissionNS, slo.MetricAffinityHitRatio,
+		slo.MetricStealShare, slo.MetricAdmissionP99NS, slo.MetricShedRate}
+	snap := func(p99 float64, subs, hits, chunks, steals int64, adm *livemetrics.AdmissionSnapshot) livemetrics.Snapshot {
+		return livemetrics.Snapshot{
+			Submission: livemetrics.Quantiles{Count: subs, P99: p99},
+			Workers:    []livemetrics.WorkerSnapshot{{AffinityHits: hits, Chunks: chunks}},
+			Counters:   livemetrics.Counters{Steals: steals},
+			Admission:  adm,
+		}
+	}
+	admission := func(admitted, shed int64, waits int64, p99 float64) *livemetrics.AdmissionSnapshot {
+		return &livemetrics.AdmissionSnapshot{Admitted: admitted, Shed: shed,
+			Wait: livemetrics.Quantiles{Count: waits, P99: p99}}
+	}
+	type want map[slo.Metric]float64 // the signals observed this tick
+	script := []struct {
+		name string
+		snap livemetrics.Snapshot
+		want want
+	}{
+		{"priming tick, no serving frontend", snap(1e6, 10, 80, 100, 10, nil),
+			want{slo.MetricP99SubmissionNS: 1e6}},
+		{"first interval", snap(2e6, 10, 90, 120, 20, admission(9, 1, 9, 5e5)),
+			want{slo.MetricP99SubmissionNS: 2e6, slo.MetricAffinityHitRatio: 0.5,
+				slo.MetricStealShare: 0.5, slo.MetricAdmissionP99NS: 5e5, slo.MetricShedRate: 0.1}},
+		{"idle interval, empty submission window", snap(0, 0, 90, 120, 20, admission(9, 1, 9, 5e5)),
+			want{slo.MetricAdmissionP99NS: 5e5}},
+		{"frontend gone", snap(3e6, 4, 120, 160, 22, nil),
+			want{slo.MetricP99SubmissionNS: 3e6, slo.MetricAffinityHitRatio: 0.75, slo.MetricStealShare: 0.05}},
+		{"frontend back", snap(3e6, 4, 121, 164, 23, admission(12, 4, 0, 0)),
+			want{slo.MetricP99SubmissionNS: 3e6, slo.MetricAffinityHitRatio: 0.25,
+				slo.MetricStealShare: 0.25, slo.MetricShedRate: 0.25}},
+	}
+
+	var cur livemetrics.Snapshot
+	source := func() livemetrics.Snapshot { return cur }
+	var objectives []slo.Objective
+	var rules []Rule
+	for _, m := range metrics {
+		objectives = append(objectives, slo.Objective{Name: string(m), Metric: m, Threshold: 1, Budget: 1,
+			Windows: []slo.Window{{Duration: time.Hour, MaxBurn: 1}}})
+		rules = append(rules, Rule{Name: string(m), Signal: m})
+	}
+	clock := time.Unix(1700000000, 0)
+	now := func() time.Time { return clock }
+	eng, err := slo.New(source, objectives, slo.Options{Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(source, rules, Options{Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, step := range script {
+		cur = step.snap
+		sloBefore, wdBefore := eng.Report(), make([]int, len(w.rules))
+		for i, rs := range w.rules {
+			wdBefore[i] = rs.next // the baseline's fill counts observations
+		}
+		eng.Tick()
+		w.Tick()
+		clock = clock.Add(time.Second)
+		rep := eng.Report()
+		for i, m := range metrics {
+			sloObserved := rep.Objectives[i].Windows[0].Samples > sloBefore.Objectives[i].Windows[0].Samples
+			wdObserved := w.rules[i].next > wdBefore[i]
+			v, ok := step.want[m]
+			if sloObserved != ok || wdObserved != ok {
+				t.Errorf("%s: %s observed by SLO %v, by watchdog %v; want %v", step.name, m, sloObserved, wdObserved, ok)
+				continue
+			}
+			if !ok {
+				continue
+			}
+			sloVal, wdVal := rep.Objectives[i].Value, w.rules[i].value
+			if sloVal != wdVal || math.Abs(sloVal-v) > 1e-12 {
+				t.Errorf("%s: %s = %v (SLO) and %v (watchdog), want %v from both", step.name, m, sloVal, wdVal, v)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package bundle
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/runtimeobs"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
+	"repro/internal/webui"
 )
 
 // WriteCombinedProm writes a daemon's whole /metrics.prom scrape: the
@@ -36,14 +36,11 @@ func WriteCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine
 // ServeList writes the store's retained bundles as JSON, newest
 // first (the daemon's /bundles endpoint, mounted by internal/daemon).
 func ServeList(w http.ResponseWriter, s *Store) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	entries := s.List()
 	if entries == nil {
 		entries = []Entry{}
 	}
-	_ = enc.Encode(entries)
+	webui.JSON(w, entries)
 }
 
 // ServeBundle streams one bundle tar by ?id= (the daemon's /bundle

@@ -12,7 +12,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/runtimeobs"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
+	"repro/internal/webui"
 )
 
 // shutdownGrace bounds how long Serve lets in-flight HTTP exchanges
@@ -95,9 +95,10 @@ type Stack struct {
 
 // Start builds the plane from f and arms the detectors over it. The
 // SLO engine scores the plane's snapshots against objectives once a
-// second. The runtime sampler rides GC-pause and scheduler-latency
-// quantiles along in every snapshot, so an affinity collapse and
-// runtime pressure are one view. The watchdog watches the plane
+// second. The runtime sampler refreshes its GC-pause and
+// scheduler-latency quantiles once a second for /runtime, the
+// combined scrape and each bundle, so an affinity collapse and runtime
+// pressure are read side by side. The watchdog watches the plane
 // against rules; when one fires it logs the trigger and, with
 // -bundles, freezes a diagnostic bundle into the bounded store.
 // name prefixes log lines; label names the daemon in views and bundles.
@@ -112,7 +113,6 @@ func Start(name, label string, f Flags, objectives []slo.Objective, rules []watc
 	}
 	s.sampler.Sample() // prime the runtime baselines before the first tick
 	s.stops = []func(){s.Plane.Close, slo.Every(time.Second, s.slo.Tick), slo.Every(time.Second, s.sampler.Sample), slo.Every(f.WatchdogTick, s.wd.Tick)}
-	s.Plane.SetRuntimeSource(s.sampler.SnapshotAny)
 	return s, nil
 }
 
@@ -175,10 +175,10 @@ func (s *Stack) Handler(front http.Handler) http.Handler {
 	}
 	mux.Handle("/slo", slo.Handler(s.slo, s.label))
 	mux.HandleFunc("/watchdog", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, s.wd.Status())
+		webui.JSON(w, s.wd.Status())
 	})
 	mux.HandleFunc("/runtime", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, s.sampler.Snapshot())
+		webui.JSON(w, s.sampler.Snapshot())
 	})
 	if s.bundles != nil {
 		mux.HandleFunc("/bundles", func(w http.ResponseWriter, r *http.Request) { bundle.ServeList(w, s.bundles) })
@@ -194,13 +194,6 @@ func (s *Stack) Handler(front http.Handler) http.Handler {
 		bundle.WriteCombinedProm(w, s.Plane, s.slo, s.wd, s.sampler)
 	})
 	return mux
-}
-
-func serveJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // Serve listens on addr until ctx ends, then runs drain (which should

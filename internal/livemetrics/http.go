@@ -1,7 +1,6 @@
 package livemetrics
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"html/template"
@@ -63,14 +62,14 @@ func NewHandler(p *Plane, label string) http.Handler {
 		renderIndex(w, label)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Snapshot())
+		webui.JSON(w, p.Snapshot())
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteProm(w, p.Snapshot())
 	})
 	mux.HandleFunc("/workers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Snapshot().Workers)
+		webui.JSON(w, p.Snapshot().Workers)
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		serveFlight(w, r, p, label)
@@ -98,13 +97,6 @@ func NewHandler(p *Plane, label string) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // WriteTrace serializes the dump's fully captured steps (Consistent)

@@ -122,10 +122,7 @@ type Plane struct {
 	// tracer, when set, is the span tracer whose trace IDs the
 	// exemplars reference; the HTTP handler serves /trace and /traces
 	// from it.
-	tracer atomic.Pointer[spantrace.Tracer]
-	// runtimeFn, when set, contributes a Go-runtime correlation block
-	// (internal/runtimeobs) to every Snapshot.
-	runtimeFn   atomic.Pointer[func() any]
+	tracer      atomic.Pointer[spantrace.Tracer]
 	submissions atomic.Int64
 	completed   atomic.Int64
 	cancelled   atomic.Int64
@@ -215,21 +212,6 @@ func (p *Plane) SetTracer(t *spantrace.Tracer) { p.tracer.Store(t) }
 // Tracer returns the attached span tracer, or nil.
 func (p *Plane) Tracer() *spantrace.Tracer { return p.tracer.Load() }
 
-// SetRuntimeSource merges a Go-runtime correlation source into the
-// plane: fn's result (typically a runtimeobs.Snapshot) rides along as
-// Snapshot.Runtime, so one scrape answers both "did the affinity hit
-// ratio collapse" and "was the Go runtime under GC or scheduling
-// pressure at the time". nil detaches. The plane treats the value as
-// opaque — the dependency points runtimeobs→nothing, internal/daemon wires
-// the two together.
-func (p *Plane) SetRuntimeSource(fn func() any) {
-	if fn == nil {
-		p.runtimeFn.Store(nil)
-		return
-	}
-	p.runtimeFn.Store(&fn)
-}
-
 // ObserveSubmission records one finished submission: its wall latency
 // and outcome. traceID, when non-zero, is the submission's span-trace
 // ID; the plane retains it as a latency exemplar so tail quantiles
@@ -274,8 +256,9 @@ func (p *Plane) tenant(name string) *tenantState {
 // outcome. Only admitted jobs feed the wait histogram — a shed job is
 // refused instantly, and mixing its zero wait in would flatter the
 // very overload the p99 objective watches. Sustained shedding is the
-// watchdog's job (SignalShedRate), which captures a diagnostic bundle
-// rather than freezing the flight recorder on every refusal.
+// watchdog's job (the shed-surge rule on slo.MetricShedRate), which
+// captures a diagnostic bundle rather than freezing the flight
+// recorder on every refusal.
 func (p *Plane) ObserveAdmission(tenantName string, wait time.Duration, outcome AdmitOutcome) {
 	ts := p.tenant(tenantName)
 	ts.submitted.Add(1)
@@ -439,10 +422,6 @@ type Snapshot struct {
 	// FlightDropped counts ring evictions since New (events, prov).
 	FlightDroppedEvents int64 `json:"flight_dropped_events"`
 	FlightDroppedProv   int64 `json:"flight_dropped_prov"`
-	// Runtime is the Go-runtime correlation block contributed by
-	// SetRuntimeSource (a runtimeobs.Snapshot when internal/daemon wires
-	// one), or nil.
-	Runtime any `json:"runtime,omitempty"`
 	// Admission is the serving layer's admission view, present only
 	// once a frontend has reported admission decisions — a plane bound
 	// to a bare executor scrapes exactly as it did before serving
@@ -478,9 +457,6 @@ func (p *Plane) Snapshot() Snapshot {
 	s.FlightDroppedEvents, s.FlightDroppedProv = p.rec.Dropped()
 	s.SubmissionExemplars = p.exemplars.snapshot(p.nowNS())
 	s.Admission = p.admissionSnapshot()
-	if fn := p.runtimeFn.Load(); fn != nil {
-		s.Runtime = (*fn)()
-	}
 
 	p.bindMu.Lock()
 	depthsFn, procs := p.depthsFn, p.procs

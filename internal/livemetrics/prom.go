@@ -1,11 +1,27 @@
 package livemetrics
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/promtext"
 )
+
+// tenantFamilies are the per-tenant admission counters.
+var tenantFamilies = []struct {
+	name, help string
+	value      func(TenantSnapshot) int64
+}{
+	{"loopsched_tenant_submitted_total", "Jobs submitted by the tenant.", func(t TenantSnapshot) int64 { return t.Submitted }},
+	{"loopsched_tenant_admitted_total", "Tenant jobs admitted.", func(t TenantSnapshot) int64 { return t.Admitted }},
+	{"loopsched_tenant_shed_total", "Tenant jobs shed by overload protection.", func(t TenantSnapshot) int64 { return t.Shed }},
+	{"loopsched_tenant_rejected_total", "Tenant jobs rejected as invalid.", func(t TenantSnapshot) int64 { return t.Rejected }},
+	{"loopsched_tenant_completed_total", "Tenant jobs that finished executing (goodput).", func(t TenantSnapshot) int64 { return t.Completed }},
+}
+
+// windowCount is the help text of every rolling quantile's _count.
+const windowCount = "Observations in the rolling window."
 
 // WriteProm renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4) — the integration surface for fleet
@@ -13,93 +29,62 @@ import (
 // loopsched_; quantiles are gauges carrying a quantile label, and the
 // retained latency exemplars appear as gauges labelled with their
 // trace IDs so an alert on the p99 series links straight to a span
-// tree. Validity is locked down by internal/promtext's parser test.
+// tree.
 func WriteProm(w io.Writer, s Snapshot) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	pw := promtext.NewWriter(w)
+	pw.Counter("loopsched_submissions_total", "Submissions observed since the plane started.", s.Counters.Submissions)
+	pw.Counter("loopsched_submissions_completed_total", "Submissions that ran to completion.", s.Counters.Completed)
+	pw.Counter("loopsched_submissions_cancelled_total", "Submissions stopped by their context.", s.Counters.Cancellations)
+	pw.Counter("loopsched_submissions_panicked_total", "Submissions whose loop body panicked.", s.Counters.Panics)
+	pw.Counter("loopsched_chunks_total", "Chunks executed across all workers.", s.Counters.Chunks)
+	pw.Counter("loopsched_steals_total", "Successful steal operations.", s.Counters.Steals)
+	pw.Counter("loopsched_migrated_iters_total", "Iterations moved by steals.", s.Counters.MigratedIters)
+	pw.Counter("loopsched_flight_dropped_events_total", "Flight-recorder event evictions.", s.FlightDroppedEvents)
+	pw.Counter("loopsched_flight_dropped_prov_total", "Flight-recorder provenance evictions.", s.FlightDroppedProv)
+	pw.Family("loopsched_uptime_seconds", "gauge", "Seconds since the plane started.")
+	pw.Float("loopsched_uptime_seconds", s.UptimeSeconds)
 
-	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("loopsched_submissions_total", "Submissions observed since the plane started.", s.Counters.Submissions)
-	counter("loopsched_submissions_completed_total", "Submissions that ran to completion.", s.Counters.Completed)
-	counter("loopsched_submissions_cancelled_total", "Submissions stopped by their context.", s.Counters.Cancellations)
-	counter("loopsched_submissions_panicked_total", "Submissions whose loop body panicked.", s.Counters.Panics)
-	counter("loopsched_chunks_total", "Chunks executed across all workers.", s.Counters.Chunks)
-	counter("loopsched_steals_total", "Successful steal operations.", s.Counters.Steals)
-	counter("loopsched_migrated_iters_total", "Iterations moved by steals.", s.Counters.MigratedIters)
-	counter("loopsched_flight_dropped_events_total", "Flight-recorder event evictions.", s.FlightDroppedEvents)
-	counter("loopsched_flight_dropped_prov_total", "Flight-recorder provenance evictions.", s.FlightDroppedProv)
+	pw.Quantiles("loopsched_submission_latency_ns", "Rolling submission wall latency (ns).", windowCount,
+		s.Submission.Count, s.Submission.P50, s.Submission.P90, s.Submission.P99)
+	pw.Quantiles("loopsched_chunk_latency_ns", "Rolling chunk execution latency (ns).", windowCount,
+		s.Chunk.Count, s.Chunk.P50, s.Chunk.P90, s.Chunk.P99)
+	pw.Quantiles("loopsched_steal_latency_ns", "Rolling steal latency (ns).", windowCount,
+		s.Steal.Count, s.Steal.P50, s.Steal.P90, s.Steal.P99)
 
-	p("# HELP loopsched_uptime_seconds Seconds since the plane started.\n")
-	p("# TYPE loopsched_uptime_seconds gauge\n")
-	p("loopsched_uptime_seconds %s\n", f(s.UptimeSeconds))
-
-	quant := func(name, help string, q Quantiles) {
-		p("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		p("%s{quantile=\"0.5\"} %s\n", name, f(q.P50))
-		p("%s{quantile=\"0.9\"} %s\n", name, f(q.P90))
-		p("%s{quantile=\"0.99\"} %s\n", name, f(q.P99))
-		cname := name + "_count"
-		p("# HELP %s Observations in the rolling window.\n# TYPE %s gauge\n%s %d\n", cname, cname, cname, q.Count)
-	}
-	quant("loopsched_submission_latency_ns", "Rolling submission wall latency (ns).", s.Submission)
-	quant("loopsched_chunk_latency_ns", "Rolling chunk execution latency (ns).", s.Chunk)
-	quant("loopsched_steal_latency_ns", "Rolling steal latency (ns).", s.Steal)
-
-	p("# HELP loopsched_worker_chunks_total Chunks executed by the worker.\n")
-	p("# TYPE loopsched_worker_chunks_total counter\n")
+	pw.Family("loopsched_worker_chunks_total", "counter", "Chunks executed by the worker.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_chunks_total{worker=\"%d\"} %d\n", ws.Worker, ws.Chunks)
+		pw.Int("loopsched_worker_chunks_total", ws.Chunks, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_affinity_hit_ratio Un-stolen chunks run on their static owner / all chunks.\n")
-	p("# TYPE loopsched_worker_affinity_hit_ratio gauge\n")
+	pw.Family("loopsched_worker_affinity_hit_ratio", "gauge", "Un-stolen chunks run on their static owner / all chunks.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_affinity_hit_ratio{worker=\"%d\"} %s\n", ws.Worker, f(ws.AffinityHitRatio))
+		pw.Float("loopsched_worker_affinity_hit_ratio", ws.AffinityHitRatio, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_utilization Busy-time fraction over the last sample interval.\n")
-	p("# TYPE loopsched_worker_utilization gauge\n")
+	pw.Family("loopsched_worker_utilization", "gauge", "Busy-time fraction over the last sample interval.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_utilization{worker=\"%d\"} %s\n", ws.Worker, f(ws.Utilization))
+		pw.Float("loopsched_worker_utilization", ws.Utilization, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_queue_depth Queued iterations in the worker's queue.\n")
-	p("# TYPE loopsched_worker_queue_depth gauge\n")
+	pw.Family("loopsched_worker_queue_depth", "gauge", "Queued iterations in the worker's queue.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_queue_depth{worker=\"%d\"} %d\n", ws.Worker, ws.QueueDepth)
+		pw.Int("loopsched_worker_queue_depth", int64(ws.QueueDepth), "worker", strconv.Itoa(ws.Worker))
 	}
 
 	if a := s.Admission; a != nil {
-		counter("loopsched_admission_admitted_total", "Jobs admitted by the serving layer.", a.Admitted)
-		counter("loopsched_admission_shed_total", "Jobs shed by quota or queue overload (HTTP 429).", a.Shed)
-		counter("loopsched_admission_rejected_total", "Jobs rejected as invalid or unservable.", a.Rejected)
-		quant("loopsched_admission_wait_ns", "Rolling admission queue wait of admitted jobs (ns).", a.Wait)
-
-		tenantCounter := func(name, help string, v func(TenantSnapshot) int64) {
-			p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		pw.Counter("loopsched_admission_admitted_total", "Jobs admitted by the serving layer.", a.Admitted)
+		pw.Counter("loopsched_admission_shed_total", "Jobs shed by quota or queue overload (HTTP 429).", a.Shed)
+		pw.Counter("loopsched_admission_rejected_total", "Jobs rejected as invalid or unservable.", a.Rejected)
+		pw.Quantiles("loopsched_admission_wait_ns", "Rolling admission queue wait of admitted jobs (ns).", windowCount,
+			a.Wait.Count, a.Wait.P50, a.Wait.P90, a.Wait.P99)
+		for _, fam := range tenantFamilies {
+			pw.Family(fam.name, "counter", fam.help)
 			for _, ts := range a.Tenants {
-				p("%s{tenant=%q} %d\n", name, ts.Tenant, v(ts))
+				pw.Int(fam.name, fam.value(ts), "tenant", ts.Tenant)
 			}
 		}
-		tenantCounter("loopsched_tenant_submitted_total", "Jobs submitted by the tenant.",
-			func(ts TenantSnapshot) int64 { return ts.Submitted })
-		tenantCounter("loopsched_tenant_admitted_total", "Tenant jobs admitted.",
-			func(ts TenantSnapshot) int64 { return ts.Admitted })
-		tenantCounter("loopsched_tenant_shed_total", "Tenant jobs shed by overload protection.",
-			func(ts TenantSnapshot) int64 { return ts.Shed })
-		tenantCounter("loopsched_tenant_rejected_total", "Tenant jobs rejected as invalid.",
-			func(ts TenantSnapshot) int64 { return ts.Rejected })
-		tenantCounter("loopsched_tenant_completed_total", "Tenant jobs that finished executing (goodput).",
-			func(ts TenantSnapshot) int64 { return ts.Completed })
 	}
 
 	if len(s.SubmissionExemplars) > 0 {
-		p("# HELP loopsched_submission_exemplar_latency_ns Retained traced submissions, slowest first; trace_id resolves via /trace?id= or loopdoctor trace.\n")
-		p("# TYPE loopsched_submission_exemplar_latency_ns gauge\n")
+		pw.Family("loopsched_submission_exemplar_latency_ns", "gauge",
+			"Retained traced submissions, slowest first; trace_id resolves via /trace?id= or loopdoctor trace.")
 		// The exposition format forbids duplicate label sets; exemplars
 		// are unique by trace ID, but guard anyway in case one trace is
 		// retained in two buckets after a histogram reconfiguration.
@@ -111,8 +96,9 @@ func WriteProm(w io.Writer, s Snapshot) error {
 				continue
 			}
 			seen[e.TraceID] = true
-			p("loopsched_submission_exemplar_latency_ns{trace_id=\"%d\",rank=\"%d\"} %s\n", e.TraceID, i, f(e.LatencyNS))
+			pw.Float("loopsched_submission_exemplar_latency_ns", e.LatencyNS,
+				"trace_id", strconv.FormatUint(e.TraceID, 10), "rank", strconv.Itoa(i))
 		}
 	}
-	return err
+	return pw.Err()
 }

@@ -386,12 +386,12 @@ func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), e
 
 // armTriage wires the full auto-triage pipeline over the triage arm's
 // plane — armed watchdog ticking at 25ms (10x the loopserved default,
-// the priced worst case), a runtime sampler merged into every
-// snapshot, and a bundle capturer into a throwaway store — and
-// returns a teardown plus the arm's self-check: a steady workload
-// must capture zero bundles, so the gated overhead number describes
-// an armed-and-quiet detector and any false positive fails the run
-// outright instead of silently inflating it.
+// the priced worst case), a runtime sampler at 50ms feeding the
+// capturer's runtime.json, and a bundle capturer into a throwaway
+// store — and returns a teardown plus the arm's self-check: a steady
+// workload must capture zero bundles, so the gated overhead number
+// describes an armed-and-quiet detector and any false positive fails
+// the run outright instead of silently inflating it.
 func armTriage(plane *livemetrics.Plane) (stop func(), checkQuiet func() error, err error) {
 	dir, err := os.MkdirTemp("", "perflab-triage-*")
 	if err != nil {
@@ -405,7 +405,8 @@ func armTriage(plane *livemetrics.Plane) (stop func(), checkQuiet func() error, 
 	if err != nil {
 		return fail(err)
 	}
-	capt, err := bundle.NewCapturer(store, bundle.Sources{Plane: plane, Label: "perflab-triage"},
+	sampler := runtimeobs.NewSampler()
+	capt, err := bundle.NewCapturer(store, bundle.Sources{Plane: plane, Runtime: sampler, Label: "perflab-triage"},
 		bundle.Options{CPUProfile: -1}) // a CPU profile would skew the very sample being timed
 	if err != nil {
 		return fail(err)
@@ -417,15 +418,12 @@ func armTriage(plane *livemetrics.Plane) (stop func(), checkQuiet func() error, 
 		return fail(err)
 	}
 	bundle.Attach(wd, capt, nil)
-	sampler := runtimeobs.NewSampler()
 	sampler.Sample() // prime the runtime baselines before the first tick
 	stopSampler := slo.Every(50*time.Millisecond, sampler.Sample)
-	plane.SetRuntimeSource(sampler.SnapshotAny)
 	stopWD := slo.Every(25*time.Millisecond, wd.Tick)
 	stop = func() {
 		stopWD()
 		stopSampler()
-		plane.SetRuntimeSource(nil)
 		os.RemoveAll(dir)
 	}
 	checkQuiet = func() error {

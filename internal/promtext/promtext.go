@@ -1,11 +1,12 @@
-// Package promtext is a minimal parser for the Prometheus text
-// exposition format (version 0.0.4) — just enough to validate that
-// the /metrics.prom surface emitted by internal/livemetrics and
-// internal/slo is well-formed: metric and label names match the
-// Prometheus grammar, every sample parses to a float, TYPE
-// declarations precede their samples, and no two samples share a
-// (name, label set) identity. It is a test dependency, not a
-// monitoring client.
+// Package promtext reads and writes the Prometheus text exposition
+// format (version 0.0.4). Writer is the one emitter behind every
+// loopsched_* family on /metrics.prom: it declares each family once,
+// escapes label values as the format requires, and keeps the first
+// write error. Parse validates a scrape the way a Prometheus server
+// would read it: metric and label names match the grammar, label
+// escapes are the format's three, every sample parses to a float, TYPE
+// declarations precede their samples, no family is declared twice, and
+// no two samples share a (name, label set) identity.
 package promtext
 
 import (
@@ -133,7 +134,7 @@ func Parse(r io.Reader) (*Exposition, error) {
 			return nil, fmt.Errorf("line %d: duplicate sample identity %s", lineNo, s.key())
 		}
 		seen[s.key()] = true
-		sampled[familyOf(s.Name)] = true
+		sampled[s.Name] = true
 		e.Samples = append(e.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
@@ -141,10 +142,6 @@ func Parse(r io.Reader) (*Exposition, error) {
 	}
 	return e, nil
 }
-
-// familyOf strips the conventional suffixes so _count samples resolve
-// to their declared family when one exists.
-func familyOf(name string) string { return name }
 
 func (e *Exposition) parseComment(line string, sampled, declared map[string]bool) error {
 	fields := strings.SplitN(line, " ", 4)

@@ -1,6 +1,7 @@
 package promtext
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,72 @@ func TestParseRejectsDuplicateFamilyDeclarations(t *testing.T) {
 	dupType := "# TYPE loopsched_x counter\n# TYPE loopsched_x counter\nloopsched_x 1\n"
 	if _, err := Parse(strings.NewReader(dupType)); err == nil || !strings.Contains(err.Error(), "duplicate TYPE") {
 		t.Fatalf("duplicate TYPE: err = %v", err)
+	}
+}
+
+// TestWriterBytes pins the writer's output: label escaping of only
+// backslash, quote and line feed, %d integers and
+// shortest round-trip floats; and checks that Parse reads it back.
+func TestWriterBytes(t *testing.T) {
+	var b strings.Builder
+	w := NewWriter(&b)
+	w.Counter("x_total", "Things counted.", 42)
+	w.Family("lat", "gauge", "Latency.")
+	w.Float("lat", 1500, "who", "tab\there", "why", `q"b\n`+"\n")
+	w.Float("lat", 0.1, "who", "é\a")
+	w.Quantiles("q", "Quantiles.", "Observations.", 3, 0.5, 2e6, 7e-9)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "# HELP x_total Things counted.\n# TYPE x_total counter\nx_total 42\n" +
+		"# HELP lat Latency.\n# TYPE lat gauge\n" +
+		"lat{who=\"tab\there\",why=\"q\\\"b\\\\n\\n\"} 1500\n" +
+		"lat{who=\"é\a\"} 0.1\n" +
+		"# HELP q Quantiles.\n# TYPE q gauge\n" +
+		"q{quantile=\"0.5\"} 0.5\nq{quantile=\"0.9\"} 2e+06\nq{quantile=\"0.99\"} 7e-09\n" +
+		"# HELP q_count Observations.\n# TYPE q_count gauge\nq_count 3\n"
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+	exp, err := Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.Value("lat", "who", "tab\there", "why", `q"b\n`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.Value("lat", "who", "é\a"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+type failAfter struct {
+	n     int
+	calls int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > f.n {
+		return 0, errWrite
+	}
+	return len(p), nil
+}
+
+var errWrite = errors.New("write failed")
+
+// TestWriterKeepsFirstError: after a failed write the writer writes
+// nothing more and reports that first error.
+func TestWriterKeepsFirstError(t *testing.T) {
+	f := &failAfter{n: 1}
+	w := NewWriter(f)
+	w.Counter("a_total", "A.", 1) // the family succeeds, the sample fails
+	w.Counter("b_total", "B.", 2)
+	w.Float("c", 3)
+	if err := w.Err(); err != errWrite {
+		t.Fatalf("Err = %v, want %v", err, errWrite)
+	}
+	if f.calls != 2 {
+		t.Fatalf("%d writes, want 2 (none after the failure)", f.calls)
 	}
 }

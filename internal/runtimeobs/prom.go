@@ -1,10 +1,13 @@
 package runtimeobs
 
 import (
-	"fmt"
 	"io"
-	"strconv"
+
+	"repro/internal/promtext"
 )
+
+// intervalCount is the help text of every interval quantile's _count.
+const intervalCount = "Observations in the sample interval."
 
 // WriteProm renders a runtime snapshot in the Prometheus text
 // exposition format (version 0.0.4), for appending to the combined
@@ -12,39 +15,17 @@ import (
 // the scheduler's own, so one dashboard correlates an affinity-hit
 // drop with GC pressure without a second scrape target.
 func WriteProm(w io.Writer, s Snapshot) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-	p("# HELP loopsched_runtime_goroutines Live goroutines at the last runtime sample.\n")
-	p("# TYPE loopsched_runtime_goroutines gauge\n")
-	p("loopsched_runtime_goroutines %d\n", s.Goroutines)
-
-	p("# HELP loopsched_runtime_heap_live_bytes Bytes of live heap objects at the last runtime sample.\n")
-	p("# TYPE loopsched_runtime_heap_live_bytes gauge\n")
-	p("loopsched_runtime_heap_live_bytes %d\n", s.HeapLiveBytes)
-
-	p("# HELP loopsched_runtime_gc_cycles_total Completed GC cycles since process start.\n")
-	p("# TYPE loopsched_runtime_gc_cycles_total counter\n")
-	p("loopsched_runtime_gc_cycles_total %d\n", s.GCCycles)
-
-	p("# HELP loopsched_runtime_gc_cpu_fraction Fraction of available CPU spent on GC over the sample interval.\n")
-	p("# TYPE loopsched_runtime_gc_cpu_fraction gauge\n")
-	p("loopsched_runtime_gc_cpu_fraction %s\n", f(s.GCCPUFraction))
-
-	quant := func(name, help string, q Quantiles) {
-		p("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		p("%s{quantile=\"0.5\"} %s\n", name, f(q.P50))
-		p("%s{quantile=\"0.9\"} %s\n", name, f(q.P90))
-		p("%s{quantile=\"0.99\"} %s\n", name, f(q.P99))
-		cname := name + "_count"
-		p("# HELP %s Observations in the sample interval.\n# TYPE %s gauge\n%s %d\n", cname, cname, cname, q.Count)
-	}
-	quant("loopsched_runtime_gc_pause_ns", "GC stop-the-world pause latency over the sample interval (ns).", s.GCPause)
-	quant("loopsched_runtime_sched_latency_ns", "Runnable-goroutine scheduling latency over the sample interval (ns).", s.SchedLatency)
-	return err
+	pw := promtext.NewWriter(w)
+	pw.Family("loopsched_runtime_goroutines", "gauge", "Live goroutines at the last runtime sample.")
+	pw.Int("loopsched_runtime_goroutines", s.Goroutines)
+	pw.Family("loopsched_runtime_heap_live_bytes", "gauge", "Bytes of live heap objects at the last runtime sample.")
+	pw.Int("loopsched_runtime_heap_live_bytes", int64(s.HeapLiveBytes))
+	pw.Counter("loopsched_runtime_gc_cycles_total", "Completed GC cycles since process start.", int64(s.GCCycles))
+	pw.Family("loopsched_runtime_gc_cpu_fraction", "gauge", "Fraction of available CPU spent on GC over the sample interval.")
+	pw.Float("loopsched_runtime_gc_cpu_fraction", s.GCCPUFraction)
+	pw.Quantiles("loopsched_runtime_gc_pause_ns", "GC stop-the-world pause latency over the sample interval (ns).", intervalCount,
+		s.GCPause.Count, s.GCPause.P50, s.GCPause.P90, s.GCPause.P99)
+	pw.Quantiles("loopsched_runtime_sched_latency_ns", "Runnable-goroutine scheduling latency over the sample interval (ns).", intervalCount,
+		s.SchedLatency.Count, s.SchedLatency.P50, s.SchedLatency.P90, s.SchedLatency.P99)
+	return pw.Err()
 }

@@ -4,10 +4,10 @@
 // gauges for goroutine and heap pressure, and a GC CPU fraction — the
 // correlation side of auto-triage. An affinity-hit collapse with a
 // simultaneous GC-pause spike or scheduler-latency blowout is a
-// runtime-pressure story, not a scheduling-policy story; merging this
-// block into livemetrics.Snapshot (Plane.SetRuntimeSource) and the
-// combined /metrics.prom scrape lets the watchdog's evidence bundle
-// say which.
+// runtime-pressure story, not a scheduling-policy story. The daemon
+// shows the latest snapshot at /runtime and as the loopsched_runtime_*
+// families of the combined /metrics.prom scrape, and each diagnostic
+// bundle freezes one as runtime.json, so the evidence says which.
 //
 // The runtime publishes pause and latency distributions as cumulative
 // histograms; the sampler keeps the previous bucket counts and
@@ -22,6 +22,8 @@ import (
 	"runtime/metrics"
 	"sync"
 	"time"
+
+	"repro/internal/livemetrics"
 )
 
 // Metric names sampled from runtime/metrics. Kept in one place so the
@@ -35,15 +37,6 @@ const (
 	nameGCCPU       = "/cpu/classes/gc/total:cpu-seconds"
 	nameTotalCPU    = "/cpu/classes/total:cpu-seconds"
 )
-
-// Quantiles is one interval distribution estimate, in nanoseconds to
-// match every other latency the plane reports.
-type Quantiles struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_ns"`
-	P90   float64 `json:"p90_ns"`
-	P99   float64 `json:"p99_ns"`
-}
 
 // Snapshot is one sampled view of the Go runtime.
 type Snapshot struct {
@@ -61,11 +54,12 @@ type Snapshot struct {
 	// GCCPUFraction is the fraction of available CPU spent on GC over
 	// the sample interval.
 	GCCPUFraction float64 `json:"gc_cpu_fraction"`
-	// GCPause and SchedLatency are interval quantiles (ns) over the
-	// runtime's cumulative histograms: stop-the-world pause durations
-	// and how long runnable goroutines waited for a P.
-	GCPause      Quantiles `json:"gc_pause"`
-	SchedLatency Quantiles `json:"sched_latency"`
+	// GCPause and SchedLatency are interval quantiles over the
+	// runtime's cumulative histograms, in nanoseconds like every
+	// latency the plane reports: stop-the-world pause durations and
+	// how long runnable goroutines waited for a P.
+	GCPause      livemetrics.Quantiles `json:"gc_pause"`
+	SchedLatency livemetrics.Quantiles `json:"sched_latency"`
 }
 
 // histState is one cumulative histogram's previous observation.
@@ -123,10 +117,6 @@ func (s *Sampler) Snapshot() Snapshot {
 	}
 	return snap
 }
-
-// SnapshotAny adapts Snapshot to the livemetrics.Plane.SetRuntimeSource
-// signature.
-func (s *Sampler) SnapshotAny() any { return s.Snapshot() }
 
 // Sample reads the runtime once and refreshes the latest snapshot.
 // Interval quantities (pause/latency quantiles, GC CPU fraction)
@@ -195,14 +185,14 @@ func (s *Sampler) float(name string) (float64, bool) {
 // intervalQuantiles differences a cumulative Float64Histogram against
 // its previous counts and estimates quantiles of the interval's
 // observations, reported in nanoseconds.
-func (s *Sampler) intervalQuantiles(name string, prev histState) (Quantiles, histState) {
+func (s *Sampler) intervalQuantiles(name string, prev histState) (livemetrics.Quantiles, histState) {
 	v, ok := s.value(name)
 	if !ok || v.Kind() != metrics.KindFloat64Histogram {
-		return Quantiles{}, prev
+		return livemetrics.Quantiles{}, prev
 	}
 	h := v.Float64Histogram()
 	if h == nil || len(h.Counts) == 0 {
-		return Quantiles{}, prev
+		return livemetrics.Quantiles{}, prev
 	}
 	delta := make([]uint64, len(h.Counts))
 	var total uint64
@@ -221,9 +211,9 @@ func (s *Sampler) intervalQuantiles(name string, prev histState) (Quantiles, his
 	}
 	next := histState{counts: append([]uint64(nil), h.Counts...), ok: true}
 	if !prev.ok || total == 0 {
-		return Quantiles{}, next
+		return livemetrics.Quantiles{}, next
 	}
-	q := Quantiles{Count: int64(total)}
+	q := livemetrics.Quantiles{Count: int64(total)}
 	q.P50 = histQuantile(h.Buckets, delta, total, 0.50)
 	q.P90 = histQuantile(h.Buckets, delta, total, 0.90)
 	q.P99 = histQuantile(h.Buckets, delta, total, 0.99)

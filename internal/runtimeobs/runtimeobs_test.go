@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/livemetrics"
 	"repro/internal/promtext"
 	"repro/internal/slo"
 )
@@ -60,7 +61,7 @@ func TestSamplerIntervalSemantics(t *testing.T) {
 	if snap.GCPause.Count < 1 {
 		t.Errorf("GC pause count = %d, want >= 1 after forced GC", snap.GCPause.Count)
 	}
-	for _, q := range []Quantiles{snap.GCPause, snap.SchedLatency} {
+	for _, q := range []livemetrics.Quantiles{snap.GCPause, snap.SchedLatency} {
 		if q.Count > 0 && (q.P50 > q.P90 || q.P90 > q.P99 || q.P50 < 0) {
 			t.Errorf("quantiles out of order: %+v", q)
 		}

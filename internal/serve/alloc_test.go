@@ -22,12 +22,13 @@ const (
 	shardSubmitAllocs = 1
 	// serverSubmitAllocs: the shard's one, the kernel instance
 	// job.Build makes, the scheduler-name lookup, and the submission
-	// with its reply channel and its fair-queue entry.
-	serverSubmitAllocs = 10
+	// (holding its result) with its done channel and its fair-queue
+	// entry.
+	serverSubmitAllocs = 9
 	// jobsHandlerAllocs: Server.Submit's allocations, plus the body's
 	// size cap, json.Unmarshal's state, scanner stack and the spec's
 	// three strings, and the reply's Content-Type value.
-	jobsHandlerAllocs = 21
+	jobsHandlerAllocs = 20
 )
 
 // allocSpec is serve-closed's job: 2048 spin iterations, one phase.

@@ -157,33 +157,26 @@ func NewHandler(s *Server, label string) http.Handler {
 		for _, k := range job.Kernels() {
 			rows = append(rows, kernelInfo{Name: k.Name, Description: k.Description, Defaults: k.Defaults})
 		}
-		writeJSON(w, rows)
+		webui.JSON(w, rows)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status())
+		webui.JSON(w, s.Status())
 	})
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status().Tenants)
+		webui.JSON(w, s.Status().Tenants)
 	})
 	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status().Shards)
+		webui.JSON(w, s.Status().Shards)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.closed.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			writeJSON(w, map[string]bool{"ok": false})
+			webui.JSON(w, map[string]bool{"ok": false})
 			return
 		}
-		writeJSON(w, map[string]bool{"ok": true})
+		webui.JSON(w, map[string]bool{"ok": true})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -133,13 +133,15 @@ type Options struct {
 }
 
 // submission is one job's state threaded from admission to dispatch.
+// Its dispatcher (or Close) stores res, then closes done.
 type submission struct {
 	run    *job.Runnable
 	cfg    core.Config
 	key    shardKey
 	tenant string
 	ctx    context.Context
-	done   chan Result
+	res    Result
+	done   chan struct{}
 }
 
 // Result is one completed submission.
@@ -301,7 +303,7 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	}
 	// cfg.Spec.Name is the resolved scheduler, the AFS default applied.
 	key := shardKey{sched: cfg.Spec.Name, procs: procs}
-	j := &submission{run: run, cfg: cfg, key: key, tenant: tenant, ctx: ctx, done: make(chan Result, 1)}
+	j := &submission{run: run, cfg: cfg, key: key, tenant: tenant, ctx: ctx, done: make(chan struct{})}
 	if !s.q.push(j, tc.Weight, now) {
 		if s.closed.Load() {
 			return Result{}, ErrClosed
@@ -313,8 +315,8 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	}
 
 	select {
-	case res := <-j.done:
-		return res, res.err
+	case <-j.done:
+		return j.res, j.res.err
 	case <-ctx.Done():
 		// Withdrawn while queued (or mid-run — the shard sees the same
 		// ctx and cancels at chunk granularity; its result is discarded).
@@ -338,14 +340,14 @@ func (s *Server) dispatch() {
 		}
 		wait := s.now().Sub(en.enqueued)
 		s.observe(j.tenant, wait, livemetrics.AdmitAdmitted)
-		res := s.run(j, wait)
-		if res.err == nil {
+		j.res = s.run(j, wait)
+		if j.res.err == nil {
 			s.dispatched.Add(1)
 			if s.plane != nil {
 				s.plane.ObserveTenantCompletion(j.tenant)
 			}
 		}
-		j.done <- res
+		close(j.done)
 	}
 }
 
@@ -478,7 +480,8 @@ func (s *Server) Close() error {
 	}
 	for _, en := range s.q.close() {
 		s.observe(en.e.tenant, 0, livemetrics.AdmitRejected)
-		en.e.done <- Result{err: ErrClosed}
+		en.e.res = Result{err: ErrClosed}
+		close(en.e.done)
 	}
 	s.wg.Wait()
 	s.mu.Lock()

@@ -277,6 +277,38 @@ func TestRejectInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestRejectedTenantLabelParses: a tenant name comes from the request
+// body unchecked, and a rejected submission still gets its tenant's
+// series. Whatever the name holds, the plane's exposition must parse
+// and its tenant label must read back as the name.
+func TestRejectedTenantLabelParses(t *testing.T) {
+	for _, tenant := range []string{"evil\tname", "bell\a", `quote"d`, `back\slash`, "é"} {
+		plane := livemetrics.New(livemetrics.Options{})
+		s, err := New(Options{Procs: 2, Plane: plane})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Submit(context.Background(), job.Spec{Kernel: "no-such-kernel", Tenant: tenant})
+		if got := HTTPStatus(err); got != 400 {
+			t.Errorf("tenant %q: status %d, want 400", tenant, got)
+		}
+		s.Close()
+		var buf bytes.Buffer
+		if err := livemetrics.WriteProm(&buf, plane.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		plane.Close()
+		exp, err := promtext.Parse(&buf)
+		if err != nil {
+			t.Errorf("tenant %q: the scrape does not parse: %v", tenant, err)
+			continue
+		}
+		if v, err := exp.Value("loopsched_tenant_rejected_total", "tenant", tenant); err != nil || v != 1 {
+			t.Errorf("tenant %q: rejected_total = %v, %v; want 1", tenant, v, err)
+		}
+	}
+}
+
 func TestCloseDrains(t *testing.T) {
 	s, err := New(Options{Procs: 2})
 	if err != nil {

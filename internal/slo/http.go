@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -66,10 +65,7 @@ func Handler(e *Engine, label string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch format := r.URL.Query().Get("format"); format {
 		case "json":
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(e.Report())
+			webui.JSON(w, e.Report())
 		case "", "html":
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
 			var b strings.Builder

@@ -1,9 +1,10 @@
 package slo
 
 import (
-	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/promtext"
 )
 
 // WriteProm renders a report in the Prometheus text exposition format
@@ -12,52 +13,39 @@ import (
 // observed value per objective, and 0/1 breach flags ready for
 // alerting rules.
 func WriteProm(w io.Writer, rep Report) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	pw := promtext.NewWriter(w)
+	pw.Counter("loopsched_slo_evaluations_total", "SLO engine ticks since start.", rep.Ticks)
 
-	p("# HELP loopsched_slo_evaluations_total SLO engine ticks since start.\n")
-	p("# TYPE loopsched_slo_evaluations_total counter\n")
-	p("loopsched_slo_evaluations_total %d\n", rep.Ticks)
-
-	p("# HELP loopsched_slo_value Last observed value of the objective's metric.\n")
-	p("# TYPE loopsched_slo_value gauge\n")
+	pw.Family("loopsched_slo_value", "gauge", "Last observed value of the objective's metric.")
 	for _, o := range rep.Objectives {
 		if o.Observed {
-			p("loopsched_slo_value{objective=%q} %s\n", o.Name, f(o.Value))
+			pw.Float("loopsched_slo_value", o.Value, "objective", o.Name)
 		}
 	}
-
-	p("# HELP loopsched_slo_breaching 1 when every window of the objective is burning.\n")
-	p("# TYPE loopsched_slo_breaching gauge\n")
+	pw.Family("loopsched_slo_breaching", "gauge", "1 when every window of the objective is burning.")
 	for _, o := range rep.Objectives {
-		v := 0
+		var breaching int64
 		if o.Breaching {
-			v = 1
+			breaching = 1
 		}
-		p("loopsched_slo_breaching{objective=%q} %d\n", o.Name, v)
+		pw.Int("loopsched_slo_breaching", breaching, "objective", o.Name)
 	}
-
-	p("# HELP loopsched_slo_burn_rate Window bad fraction over the error budget.\n")
-	p("# TYPE loopsched_slo_burn_rate gauge\n")
+	pw.Family("loopsched_slo_burn_rate", "gauge", "Window bad fraction over the error budget.")
 	for _, o := range rep.Objectives {
 		for _, ws := range o.Windows {
-			p("loopsched_slo_burn_rate{objective=%q,window=\"%ss\"} %s\n",
-				o.Name, f(ws.DurationSecs), f(ws.BurnRate))
+			pw.Float("loopsched_slo_burn_rate", ws.BurnRate, "objective", o.Name, "window", windowLabel(ws))
 		}
 	}
-
-	p("# HELP loopsched_slo_bad_fraction Bad observations over all observations in the window.\n")
-	p("# TYPE loopsched_slo_bad_fraction gauge\n")
+	pw.Family("loopsched_slo_bad_fraction", "gauge", "Bad observations over all observations in the window.")
 	for _, o := range rep.Objectives {
 		for _, ws := range o.Windows {
-			p("loopsched_slo_bad_fraction{objective=%q,window=\"%ss\"} %s\n",
-				o.Name, f(ws.DurationSecs), f(ws.BadFraction))
+			pw.Float("loopsched_slo_bad_fraction", ws.BadFraction, "objective", o.Name, "window", windowLabel(ws))
 		}
 	}
-	return err
+	return pw.Err()
+}
+
+// windowLabel names a window by its length: "60s", "0.5s".
+func windowLabel(ws WindowStatus) string {
+	return strconv.FormatFloat(ws.DurationSecs, 'g', -1, 64) + "s"
 }

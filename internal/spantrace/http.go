@@ -1,13 +1,13 @@
 package spantrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
 	"repro/internal/telemetry"
+	"repro/internal/webui"
 )
 
 // WriteForensics serializes the trace as a telemetry.TraceFile (the
@@ -56,10 +56,7 @@ func ServeTraces(w http.ResponseWriter, t *Tracer) {
 	for _, tr := range t.Traces() {
 		out = append(out, tr.Summary())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	webui.JSON(w, out)
 }
 
 // ServeTrace resolves ?id= against the tracer and serves the span
@@ -79,10 +76,7 @@ func ServeTrace(w http.ResponseWriter, r *http.Request, t *Tracer) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(tr)
+		webui.JSON(w, tr)
 	case "trace":
 		w.Header().Set("Content-Type", "application/json")
 		if err := tr.WriteForensics(w, "real", "ns"); err != nil {

@@ -1,9 +1,9 @@
 package watchdog
 
 import (
-	"fmt"
 	"io"
-	"strconv"
+
+	"repro/internal/promtext"
 )
 
 // WriteProm renders the detector status in the Prometheus text
@@ -12,52 +12,33 @@ import (
 // and the live value/baseline pairs an operator graphs next to the
 // plane's own series when a trigger page arrives.
 func WriteProm(w io.Writer, st Status) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	pw := promtext.NewWriter(w)
+	pw.Counter("loopsched_watchdog_ticks_total", "Detector ticks since start.", st.Ticks)
+	pw.Counter("loopsched_watchdog_triggers_total", "Triggers fired since start (all rules and synthetic sources).", st.Triggers)
 
-	p("# HELP loopsched_watchdog_ticks_total Detector ticks since start.\n")
-	p("# TYPE loopsched_watchdog_ticks_total counter\n")
-	p("loopsched_watchdog_ticks_total %d\n", st.Ticks)
-
-	p("# HELP loopsched_watchdog_triggers_total Triggers fired since start (all rules and synthetic sources).\n")
-	p("# TYPE loopsched_watchdog_triggers_total counter\n")
-	p("loopsched_watchdog_triggers_total %d\n", st.Triggers)
-
-	p("# HELP loopsched_watchdog_rule_firings_total Firings per detection rule.\n")
-	p("# TYPE loopsched_watchdog_rule_firings_total counter\n")
+	pw.Family("loopsched_watchdog_rule_firings_total", "counter", "Firings per detection rule.")
 	for _, r := range st.Rules {
-		p("loopsched_watchdog_rule_firings_total{rule=%q} %d\n", r.Name, r.Firings)
+		pw.Int("loopsched_watchdog_rule_firings_total", r.Firings, "rule", r.Name)
 	}
-
-	p("# HELP loopsched_watchdog_rule_value Most recent observation of the rule's signal.\n")
-	p("# TYPE loopsched_watchdog_rule_value gauge\n")
+	pw.Family("loopsched_watchdog_rule_value", "gauge", "Most recent observation of the rule's signal.")
 	for _, r := range st.Rules {
 		if r.Observed {
-			p("loopsched_watchdog_rule_value{rule=%q} %s\n", r.Name, f(r.Value))
+			pw.Float("loopsched_watchdog_rule_value", r.Value, "rule", r.Name)
 		}
 	}
-
-	p("# HELP loopsched_watchdog_rule_baseline Rolling-window median the rule judges against.\n")
-	p("# TYPE loopsched_watchdog_rule_baseline gauge\n")
+	pw.Family("loopsched_watchdog_rule_baseline", "gauge", "Rolling-window median the rule judges against.")
 	for _, r := range st.Rules {
 		if r.Warm {
-			p("loopsched_watchdog_rule_baseline{rule=%q} %s\n", r.Name, f(r.Baseline))
+			pw.Float("loopsched_watchdog_rule_baseline", r.Baseline, "rule", r.Name)
 		}
 	}
-
-	p("# HELP loopsched_watchdog_rule_armed 1 when the rule is warm and out of post-firing cooldown.\n")
-	p("# TYPE loopsched_watchdog_rule_armed gauge\n")
+	pw.Family("loopsched_watchdog_rule_armed", "gauge", "1 when the rule is warm and out of post-firing cooldown.")
 	for _, r := range st.Rules {
-		armed := 0
+		var armed int64
 		if r.Warm && r.CooldownLeft == 0 {
 			armed = 1
 		}
-		p("loopsched_watchdog_rule_armed{rule=%q} %d\n", r.Name, armed)
+		pw.Int("loopsched_watchdog_rule_armed", armed, "rule", r.Name)
 	}
-	return err
+	return pw.Err()
 }

@@ -1,13 +1,15 @@
 // Package webui holds the shared HTML scaffolding for the repo's
 // introspection servers (perflab serve, loopserved): one stylesheet,
-// one page skeleton, and one JSON-poll auto-refresh helper, so the
-// dashboards stay visually and behaviourally consistent without
-// duplicating markup.
+// one page skeleton, one JSON-poll auto-refresh helper, and one
+// indented-JSON reply, so the dashboards and their endpoints stay
+// visually and behaviourally consistent without duplicating markup.
 package webui
 
 import (
+	"encoding/json"
 	"html/template"
 	"io"
+	"net/http"
 )
 
 // CSS is the shared dashboard stylesheet.
@@ -62,4 +64,13 @@ func Render(w io.Writer, p Page) error {
 		CSS    template.CSS
 		PollJS template.JS
 	}{p, CSS, PollJS})
+}
+
+// JSON writes v as an indented JSON reply. A failed write means the
+// client went away once the headers are sent, so it is not reported.
+func JSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

@@ -53,7 +53,9 @@ type Config struct {
 	// Observer, when non-nil, receives the submission's
 	// instrumentation: one telemetry.Prov per executed chunk, one
 	// telemetry.Event per steal and per central-queue acquisition, and
-	// a telemetry.PhaseMark at each phase begin and barrier. Chunk and
+	// a telemetry.PhaseMark at each phase begin and barrier. A stolen
+	// chunk's Prov starts at its steal's End and carries the steal's
+	// length as QueueWait and its victim as Owner. Chunk and
 	// Dispatch are called inline from workers, so the observer MUST be
 	// safe for concurrent use and cheap. Compose several consumers
 	// (telemetry.ObserveEvents, ObserveProv, ObserveMetrics, the live
@@ -274,7 +276,12 @@ func (r *runner) work(w, ph int) {
 			return
 		}
 		if r.obs != nil {
-			start := r.nowNS()
+			// A steal's closing clock read also opens its chunk's
+			// window, so a stolen Prov is the steal's one record.
+			start := fm.start
+			if !fm.stolen {
+				start = r.nowNS()
+			}
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
 			}
@@ -373,6 +380,7 @@ type fetchMeta struct {
 	owner  int     // owning queue index, or -1 for central dispensers
 	stolen bool    // chunk migrated from owner's queue to the fetcher
 	wait   float64 // measured dispatch wait in ns (0 when unmeasured)
+	start  float64 // stolen chunks: the steal's end in ns, the chunk's start
 }
 
 // centralDispatch serialises all workers through one mutex-protected
@@ -600,11 +608,11 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		atomic.AddInt64(&r.stats.MigratedIters, int64(c.Len()))
 		fm := fetchMeta{owner: victim, stolen: true}
 		if r.obs != nil {
-			end := r.nowNS()
-			fm.wait = end - stealStart
+			fm.start = r.nowNS()
+			fm.wait = fm.start - stealStart
 			r.obs.Dispatch(telemetry.Event{Kind: telemetry.KindSteal,
 				Proc: w, Victim: victim, Step: r.phase(), Lo: c.Lo, Hi: c.Hi,
-				Start: stealStart, End: end})
+				Start: stealStart, End: fm.start})
 		}
 		return c, fm, true
 	}

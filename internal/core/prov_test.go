@@ -88,6 +88,55 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	}
 }
 
+// TestStolenProvIsItsSteal: a stolen chunk's Prov starts at the clock
+// read that ended its steal and carries the steal's length as
+// QueueWait and its victim as Owner, so the Prov alone is the steal's
+// record (telemetry.Prov.StealEvent).
+func TestStolenProvIsItsSteal(t *testing.T) {
+	evs := telemetry.NewSyncStream()
+	prov := telemetry.NewSyncProvStream()
+	// Worker 0 starts late, so the others drain their own blocks and
+	// steal from its queue.
+	_, err := Run(Config{Procs: 4, Spec: sched.SpecAFS(), StartDelay: []time.Duration{10 * time.Millisecond},
+		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(evs), telemetry.ObserveProv(prov))}, 2,
+		func(int) int { return 256 }, slowBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ step, proc, lo, hi int }
+	steals := map[key]telemetry.Event{}
+	for _, e := range evs.Events() {
+		if e.Kind == telemetry.KindSteal {
+			steals[key{e.Step, e.Proc, e.Lo, e.Hi}] = e
+		}
+	}
+	stolen := 0
+	for _, p := range prov.Records() {
+		if !p.Stolen {
+			continue
+		}
+		stolen++
+		e, ok := steals[key{p.Step, p.Proc, p.Lo, p.Hi}]
+		if !ok {
+			t.Errorf("stolen Prov %+v has no steal event", p)
+			continue
+		}
+		if p.Start != e.End || p.QueueWait != e.End-e.Start || p.Owner != e.Victim {
+			t.Errorf("stolen Prov start %v wait %v owner %d; its steal runs [%v, %v] from %d",
+				p.Start, p.QueueWait, p.Owner, e.Start, e.End, e.Victim)
+		}
+		if got := p.StealEvent(); got != e {
+			t.Errorf("StealEvent() = %+v, steal event %+v", got, e)
+		}
+	}
+	if stolen == 0 {
+		t.Fatal("no chunk was stolen")
+	}
+	if stolen != len(steals) {
+		t.Errorf("%d stolen Prov records, %d steal events", stolen, len(steals))
+	}
+}
+
 // TestQueueDepthSampling: every phase start contributes one sample of
 // the freshly filled queues (all n iterations queued) whether or not
 // the ticker ever fires, and samples come out in time order.

@@ -178,8 +178,7 @@ func goldenStack(t *testing.T) *httptest.Server {
 	for i, lat := range []time.Duration{1500 * time.Microsecond, 3375 * time.Microsecond} {
 		a := tracer.StartSubmission(spantrace.SubmissionInfo{Label: "golden", Scheduler: "AFS", Procs: 2, Phases: 1})
 		a.Chunk(telemetry.Prov{Step: 0, Proc: 0, Owner: 0, Lo: 0, Hi: 4, Start: 10, End: 50})
-		a.Dispatch(telemetry.Event{Kind: telemetry.KindSteal, Proc: 1, Victim: 0, Step: 0, Lo: 4, Hi: 6, Start: 12, End: 14})
-		a.Chunk(telemetry.Prov{Step: 0, Proc: 1, Owner: 0, Stolen: true, Lo: 4, Hi: 6, Start: 14, End: 40 + float64(i)})
+		a.Chunk(telemetry.Prov{Step: 0, Proc: 1, Owner: 0, Stolen: true, Lo: 4, Hi: 6, Start: 14, End: 40 + float64(i), QueueWait: 2})
 		a.Phase(telemetry.PhaseMark{Step: 0, N: 8, Start: 0, End: 60, Barrier: true})
 		tr := a.End("ok")
 		plane.SetTracer(tracer)

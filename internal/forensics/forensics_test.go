@@ -2,11 +2,18 @@ package forensics
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/livemetrics"
+	"repro/internal/pool"
+	"repro/internal/sched"
+	"repro/internal/spantrace"
 	"repro/internal/telemetry"
 )
 
@@ -248,6 +255,115 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if got.Prov[0] != tr.Prov[0] {
 		t.Errorf("prov record round-trip: %+v != %+v", got.Prov[0], tr.Prov[0])
 	}
+}
+
+// TestLiveTraceRoundTrip locks the real runtime's two live trace-file
+// sources to telemetry.ReadTrace and this package: the live plane's
+// /flight?format=trace (loopdoctor attach) and a span tree's
+// WriteForensics export (loopdoctor trace). Each must load, pass
+// tracecheck, and analyze into buckets that sum to every processor's
+// span.
+func TestLiveTraceRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// trace runs a 4-worker AFS workload and returns its trace
+		// file, its step count and, when known, its duration.
+		trace func(t *testing.T) (body []byte, steps int, duration float64)
+	}{
+		{"flight", flightTraceFile},
+		{"spantrace", spanTraceFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, steps, duration := tc.trace(t)
+			tr, err := telemetry.ReadTrace(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("telemetry.ReadTrace rejects the trace: %v", err)
+			}
+			if tr.Meta.Procs != 4 {
+				t.Errorf("trace procs = %d, want 4", tr.Meta.Procs)
+			}
+			if len(tr.Events) == 0 {
+				t.Fatal("trace carries no events")
+			}
+			if rep := telemetry.Check(tr.Events); !rep.OK() {
+				t.Fatalf("trace fails tracecheck: %v", rep.Err())
+			}
+			a, err := Analyze(tr)
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			if a.Meta.Procs != 4 || a.Steps != steps {
+				t.Fatalf("analysis header: procs=%d steps=%d, want 4 and %d", a.Meta.Procs, a.Steps, steps)
+			}
+			// The attribution is a complete decomposition: every
+			// processor's buckets sum to the common span.
+			for _, pa := range a.Procs {
+				sum := pa.Buckets.Compute + pa.Buckets.CacheReload +
+					pa.Buckets.Interconnect + pa.Buckets.QueueWait + pa.Buckets.Idle
+				if math.Abs(sum-pa.Span) > 1e-6*math.Max(1, pa.Span) {
+					t.Fatalf("proc %d buckets sum to %v, span is %v", pa.Proc, sum, pa.Span)
+				}
+			}
+			// The makespan matches the trace's duration (both are the
+			// latest telemetry-clock timestamp).
+			if duration > 0 && math.Abs(a.Makespan-duration) > 1e-6*duration {
+				t.Fatalf("makespan %v != trace duration %v", a.Makespan, duration)
+			}
+		})
+	}
+}
+
+// flightTraceFile runs three AFS submissions on an executor with a
+// live plane and fetches the plane's /flight?format=trace.
+func flightTraceFile(t *testing.T) ([]byte, int, float64) {
+	x, err := pool.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	p := livemetrics.New(livemetrics.Options{})
+	defer p.Close()
+	x.SetObservability(p)
+	const subs, n = 3, 4096
+	data := make([]float64, n)
+	for i := 0; i < subs; i++ {
+		if _, err := x.Submit(context.Background(), core.Config{Procs: 4, Spec: sched.SpecAFS()}, n,
+			func(i int) { data[i] += float64(i) }); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	livemetrics.NewHandler(p, "test-engine").ServeHTTP(rec, httptest.NewRequest("GET", "/flight?format=trace", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/flight?format=trace: status %d (body %q)", rec.Code, rec.Body.String())
+	}
+	return rec.Body.Bytes(), subs, 0
+}
+
+// spanTraceFile runs one phased AFS submission with a span tracer
+// attached and exports its sealed trace for forensics.
+func spanTraceFile(t *testing.T) ([]byte, int, float64) {
+	x, err := pool.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	tracer := spantrace.NewTracer(spantrace.Options{})
+	x.SetTracer(tracer)
+	const phases, n = 2, 2048
+	if _, err := x.SubmitPhases(context.Background(), core.Config{Spec: sched.SpecAFS()}, phases,
+		func(int) int { return n }, func(ph, i int) { _ = ph * i }); err != nil {
+		t.Fatal(err)
+	}
+	traces := tracer.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces, want 1", len(traces))
+	}
+	var buf bytes.Buffer
+	if err := traces[0].WriteForensics(&buf, "real", "ns"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), phases, traces[0].DurationNS
 }
 
 func TestReportsRender(t *testing.T) {

@@ -7,23 +7,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Recorder is the bounded flight recorder: fixed-size rings of the
-// most recent telemetry events and provenance records across
-// submissions, so the last moments before an anomaly are always
+// Recorder is the bounded flight recorder: one fixed-size ring of the
+// most recent chunk records, phase marks and contended queue waits
+// across submissions, so the last moments before an anomaly are always
 // recoverable without paying full-trace memory. Each submission's
 // observer (Plane.Observer) records into its own slot; Dump merges the
-// rings into one coherent stream by rebasing every submission's
-// step numbers and zero-based clocks onto a shared axis.
+// ring into one coherent stream by rebasing every submission's step
+// numbers and zero-based clocks onto a shared axis.
 type Recorder struct {
-	mu        sync.Mutex
-	evs       []flightEv
-	evNext    int
-	evFull    bool
-	evDropped int64
-	pvs       []flightPv
-	pvNext    int
-	pvFull    bool
-	pvDropped int64
+	mu   sync.Mutex
+	recs []flightRec
+	next int
+	full bool
+	// droppedEvents / droppedProv count what evicted records would
+	// have dumped (a stolen chunk dumps two events).
+	droppedEvents int64
+	droppedProv   int64
 
 	subSeq atomic.Int64
 
@@ -32,91 +31,78 @@ type Recorder struct {
 	anomSeq atomic.Int64
 }
 
-type flightEv struct {
-	sub int64
-	e   telemetry.Event
+// flightRec is one ring slot, tagged with its submission: a chunk
+// record (kind KindExec), or a phase mark or queue wait whose event
+// fields are all a Prov's too (Step, Proc, Lo, Hi, Start, End).
+type flightRec struct {
+	sub  int64
+	kind telemetry.Kind
+	p    telemetry.Prov
 }
 
-type flightPv struct {
-	sub int64
-	p   telemetry.Prov
-}
-
-func newRecorder(evCap, pvCap int) *Recorder {
-	if evCap < 1 {
-		evCap = 1
+func newRecorder(capacity int) *Recorder {
+	if capacity < 1 {
+		capacity = 1
 	}
-	if pvCap < 1 {
-		pvCap = 1
-	}
-	return &Recorder{evs: make([]flightEv, evCap), pvs: make([]flightPv, pvCap)}
+	return &Recorder{recs: make([]flightRec, capacity)}
 }
 
 // submissionObserver is one submission's view of the plane
-// (Plane.Observer): chunk and steal records feed the collector, and
-// the submission's event and provenance streams — the ones
-// telemetry.ObserveEvents and ObserveProv would produce — land in the
-// flight recorder tagged with its slot.
+// (Plane.Observer): chunk records feed the collector, and chunk
+// records, phase marks and contended queue waits land in the flight
+// recorder tagged with its slot. A steal is its chunk's record.
 type submissionObserver struct {
 	col *Collector
 	rec *Recorder
 	sub int64
 }
 
-func (o *submissionObserver) Phase(m telemetry.PhaseMark) { o.rec.addEvent(o.sub, m.Event()) }
+func (o *submissionObserver) Phase(m telemetry.PhaseMark) { o.addEvent(m.Event()) }
 
 func (o *submissionObserver) Chunk(p telemetry.Prov) {
 	o.col.chunk(p)
-	o.rec.addEvent(o.sub, p.ExecEvent())
-	o.rec.addProv(o.sub, p)
+	o.rec.add(flightRec{o.sub, telemetry.KindExec, p})
 }
 
 func (o *submissionObserver) Dispatch(e telemetry.Event) {
-	if e.Kind == telemetry.KindSteal {
-		o.col.steal(e)
-	}
-	if e.Notable() {
-		o.rec.addEvent(o.sub, e)
+	if e.Kind == telemetry.KindQueueWait && e.Notable() {
+		o.addEvent(e)
 	}
 }
 
-func (r *Recorder) addEvent(sub int64, e telemetry.Event) {
+func (o *submissionObserver) addEvent(e telemetry.Event) {
+	o.rec.add(flightRec{o.sub, e.Kind, telemetry.Prov{Step: e.Step, Proc: e.Proc, Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End}})
+}
+
+func (r *Recorder) add(fr flightRec) {
 	r.mu.Lock()
-	if r.evFull {
-		r.evDropped++
+	if old := &r.recs[r.next]; r.full {
+		r.droppedEvents++
+		if old.kind == telemetry.KindExec {
+			r.droppedProv++
+			if old.p.Stolen {
+				r.droppedEvents++
+			}
+		}
 	}
-	r.evs[r.evNext] = flightEv{sub, e}
-	r.evNext++
-	if r.evNext == len(r.evs) {
-		r.evNext = 0
-		r.evFull = true
+	r.recs[r.next] = fr
+	r.next++
+	if r.next == len(r.recs) {
+		r.next = 0
+		r.full = true
 	}
 	r.mu.Unlock()
 }
 
-func (r *Recorder) addProv(sub int64, p telemetry.Prov) {
-	r.mu.Lock()
-	if r.pvFull {
-		r.pvDropped++
-	}
-	r.pvs[r.pvNext] = flightPv{sub, p}
-	r.pvNext++
-	if r.pvNext == len(r.pvs) {
-		r.pvNext = 0
-		r.pvFull = true
-	}
-	r.mu.Unlock()
-}
-
-// Dropped reports how many records each ring has evicted since
-// creation.
+// Dropped reports how many events and provenance records the ring has
+// evicted since creation.
 func (r *Recorder) Dropped() (events, prov int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.evDropped, r.pvDropped
+	return r.droppedEvents, r.droppedProv
 }
 
-// FlightDump is one frozen capture of the rings, rebased onto a single
+// FlightDump is one frozen capture of the ring, rebased onto a single
 // step/time axis.
 type FlightDump struct {
 	// Reason says why the dump was taken ("scrape", "panic: …").
@@ -131,23 +117,22 @@ type FlightDump struct {
 	Prov   []telemetry.Prov  `json:"prov,omitempty"`
 }
 
-// Dump freezes the rings into one coherent stream. Submissions number
+// Dump freezes the ring into one coherent stream. Submissions number
 // their phases from 0 and their clocks from their own start, so the
 // dump shifts each captured submission onto a shared axis: submission
 // g's steps land after all of g-1's steps and its clock starts where
-// g-1's last event ended. Provenance records reuse the offsets derived
-// from the event ring; records of submissions whose events were all
-// evicted are omitted (their axis position is unknowable).
+// g-1's last record ended. Every chunk record yields its steal event
+// (when stolen), its exec event and its Prov, so each exec event in a
+// dump has its Prov.
 func (r *Recorder) Dump(reason string) *FlightDump {
 	r.mu.Lock()
-	evs := ringOrder(r.evs, r.evNext, r.evFull)
-	pvs := ringOrder(r.pvs, r.pvNext, r.pvFull)
-	d := &FlightDump{Reason: reason, DroppedEvents: r.evDropped, DroppedProv: r.pvDropped}
+	recs := ringOrder(r.recs, r.next, r.full)
+	d := &FlightDump{Reason: reason, DroppedEvents: r.droppedEvents, DroppedProv: r.droppedProv}
 	r.mu.Unlock()
 
-	// One pass over the event ring establishes each submission's step
-	// and time offsets, in arrival order (the engine serialises
-	// submissions, so each one's events are contiguous).
+	// One pass over the ring establishes each submission's step and
+	// time offsets, in arrival order (the engine serialises
+	// submissions, so each one's records are contiguous).
 	type offsets struct {
 		step    int
 		time    float64
@@ -155,49 +140,45 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 		maxEnd  float64
 	}
 	subOff := map[int64]*offsets{}
-	var order []int64
 	stepOff, timeOff := 0, 0.0
 	var cur *offsets
-	for _, fe := range evs {
-		o, ok := subOff[fe.sub]
+	for _, fr := range recs {
+		o, ok := subOff[fr.sub]
 		if !ok {
 			if cur != nil {
 				stepOff += cur.maxStep + 1
 				timeOff += cur.maxEnd
 			}
 			o = &offsets{step: stepOff, time: timeOff}
-			subOff[fe.sub] = o
-			order = append(order, fe.sub)
+			subOff[fr.sub] = o
 			cur = o
 		}
-		if fe.e.Step > o.maxStep {
-			o.maxStep = fe.e.Step
+		if fr.p.Step > o.maxStep {
+			o.maxStep = fr.p.Step
 		}
-		if fe.e.End > o.maxEnd {
-			o.maxEnd = fe.e.End
+		if fr.p.End > o.maxEnd {
+			o.maxEnd = fr.p.End
 		}
 	}
-	d.Submissions = len(order)
+	d.Submissions = len(subOff)
 
-	d.Events = make([]telemetry.Event, 0, len(evs))
-	for _, fe := range evs {
-		o := subOff[fe.sub]
-		e := fe.e
-		e.Step += o.step
-		e.Start += o.time
-		e.End += o.time
-		d.Events = append(d.Events, e)
-	}
-	for _, fp := range pvs {
-		o, ok := subOff[fp.sub]
-		if !ok {
+	d.Events = make([]telemetry.Event, 0, len(recs))
+	for _, fr := range recs {
+		o := subOff[fr.sub]
+		fr.p.Step += o.step
+		fr.p.Start += o.time
+		fr.p.End += o.time
+		if fr.kind != telemetry.KindExec {
+			e := fr.p.ExecEvent()
+			e.Kind = fr.kind
+			d.Events = append(d.Events, e)
 			continue
 		}
-		p := fp.p
-		p.Step += o.step
-		p.Start += o.time
-		p.End += o.time
-		d.Prov = append(d.Prov, p)
+		if fr.p.Stolen {
+			d.Events = append(d.Events, fr.p.StealEvent())
+		}
+		d.Events = append(d.Events, fr.p.ExecEvent())
+		d.Prov = append(d.Prov, fr.p)
 	}
 	return d
 }
@@ -217,8 +198,8 @@ func ringOrder[T any](ring []T, next int, full bool) []T {
 // returns the matching events and provenance records. The ring evicts
 // oldest-first and a step's phase-begin precedes all of its work, so a
 // surviving begin implies the whole step survived; the trimmed stream
-// therefore satisfies telemetry.Check's coverage invariant and is safe
-// to feed to forensics or tracecheck.
+// therefore satisfies telemetry.Check's coverage invariant, holds one
+// Prov per exec event, and is safe to feed to forensics or tracecheck.
 func (d *FlightDump) Consistent() ([]telemetry.Event, []telemetry.Prov) {
 	begin := map[int]bool{}
 	end := map[int]bool{}
@@ -246,7 +227,7 @@ func (d *FlightDump) Consistent() ([]telemetry.Event, []telemetry.Prov) {
 	return evs, pvs
 }
 
-// NoteAnomaly freezes the rings under the given reason and stores the
+// NoteAnomaly freezes the ring under the given reason and stores the
 // dump in the anomaly slot (latest wins), so the moments before a
 // panic or cancellation survive subsequent traffic.
 func (r *Recorder) NoteAnomaly(reason string) {
@@ -259,7 +240,7 @@ func (r *Recorder) NoteAnomaly(reason string) {
 
 // AnomalySeq counts anomaly dumps taken since creation — the
 // monotonic edge the watchdog's flight-freeze trigger watches, so a
-// panic or cancellation that froze the rings also produces a
+// panic or cancellation that froze the ring also produces a
 // diagnostic bundle.
 func (r *Recorder) AnomalySeq() int64 { return r.anomSeq.Load() }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -16,7 +17,7 @@ import (
 // Steps and clocks are 0-based per submission, exactly as a real
 // engine reports them.
 func emitSub(r *Recorder, steps, n int) {
-	o := &submissionObserver{col: newCollector(func() int64 { return 0 }, Options{}.withDefaults()), rec: r, sub: r.subSeq.Add(1)}
+	o := &submissionObserver{col: newCollector(func() int64 { return 0 }, time.Second), rec: r, sub: r.subSeq.Add(1)}
 	for s := 0; s < steps; s++ {
 		base := float64(s * 1000)
 		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base})
@@ -25,23 +26,26 @@ func emitSub(r *Recorder, steps, n int) {
 		// and a zero-duration tail chunk.
 		o.Chunk(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
 		o.Chunk(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
-		// Worker 1 steals the rest from worker 0 mid-phase. The steal
-		// event lands after the exec events despite starting earlier —
-		// the out-of-order arrival a concurrent engine produces.
+		// Worker 1 steals the rest from worker 0 mid-phase, over
+		// [base+45, base+60]. Its record lands after worker 0's
+		// despite its steal starting earlier — the out-of-order
+		// arrival a concurrent engine produces.
 		o.Chunk(telemetry.Prov{Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, QueueWait: 15})
-		o.Dispatch(telemetry.Event{Kind: telemetry.KindSteal, Proc: 1, Victim: 0, Step: s, Lo: half, Hi: n, Start: base + 40, End: base + 55})
 		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base + 410, Barrier: true})
 	}
 }
 
-const eventsPerStep = 6
+// eventsPerStep and recordsPerStep are what one emitSub step dumps
+// and what it holds in the ring: the stolen chunk's one record dumps
+// as its steal and its exec.
+const eventsPerStep, recordsPerStep = 6, 5
 
 // TestFlightDumpRebasing: submissions number steps from 0 and clocks
 // from their own start; the dump must lay them end to end on one
 // shared axis — steps strictly increasing across submission
 // boundaries, clocks never jumping backwards.
 func TestFlightDumpRebasing(t *testing.T) {
-	r := newRecorder(1024, 1024)
+	r := newRecorder(1024)
 	for i := 0; i < 3; i++ {
 		emitSub(r, 2, 64)
 	}
@@ -91,17 +95,16 @@ func TestFlightDumpRebasing(t *testing.T) {
 	}
 }
 
-// TestFlightConsistentSurvivesEviction is the mid-steal ring
+// TestFlightConsistentSurvivesEviction is the mid-step ring
 // regression test: the ring is sized so eviction cuts an old
-// submission mid-step — stranding exec and steal events whose
-// phase-begin is gone — and the Consistent view must still pass the
-// full tracecheck invariant suite (coverage, steal legality, event
-// sanity).
+// submission mid-step — stranding chunk records whose phase-begin is
+// gone — and the Consistent view must still pass the full tracecheck
+// invariant suite (coverage, steal legality, event sanity).
 func TestFlightConsistentSurvivesEviction(t *testing.T) {
-	// 4 submissions × 3 steps × eventsPerStep = 72 events; a 40-slot
-	// ring holds ~2.2 submissions and the cut lands mid-submission,
-	// and (with eventsPerStep not dividing 40) mid-step.
-	r := newRecorder(40, 16)
+	// 4 submissions × 3 steps × recordsPerStep = 60 records; a 37-slot
+	// ring holds ~2.5 submissions and the cut lands mid-submission,
+	// and (with recordsPerStep not dividing 37) mid-step.
+	r := newRecorder(37)
 	for i := 0; i < 4; i++ {
 		emitSub(r, 3, 64)
 	}
@@ -153,7 +156,7 @@ func TestFlightConsistentSurvivesEviction(t *testing.T) {
 // TestFlightAnomalyLatestWins: NoteAnomaly freezes a dump; a later
 // anomaly replaces it; the frozen dump is immune to later traffic.
 func TestFlightAnomalyLatestWins(t *testing.T) {
-	r := newRecorder(1024, 1024)
+	r := newRecorder(1024)
 	emitSub(r, 1, 32)
 	r.NoteAnomaly("panic: first")
 	first := r.Anomaly()
@@ -168,5 +171,55 @@ func TestFlightAnomalyLatestWins(t *testing.T) {
 	r.NoteAnomaly("cancelled: second")
 	if got := r.Anomaly().Reason; got != "cancelled: second" {
 		t.Errorf("anomaly reason = %q, want latest", got)
+	}
+}
+
+// TestFlightWrapKeepsProvPerExec: once the ring wraps at its default
+// size, the Consistent view still holds exactly one Prov per exec
+// event, and each Prov is its exec event's record — so forensics on a
+// wrapped ring sees every surviving chunk's time, not idle.
+func TestFlightWrapKeepsProvPerExec(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	o := p.Observer()
+	const steps, chunks = 600, 8
+	for s := 0; s < steps; s++ {
+		base := float64(s * 100)
+		o.Phase(telemetry.PhaseMark{Step: s, N: chunks, Start: base, End: base})
+		for c := 0; c < chunks; c++ {
+			pv := telemetry.Prov{Step: s, Proc: c % 4, Owner: c % 4, Lo: c, Hi: c + 1,
+				Start: base + float64(10*c+2), End: base + float64(10*c+10)}
+			if c == chunks-1 { // worker 3 steals from worker 0
+				pv.Owner, pv.Stolen, pv.QueueWait = 0, true, 1
+			}
+			pv.Compute = pv.End - pv.Start
+			o.Chunk(pv)
+		}
+		o.Phase(telemetry.PhaseMark{Step: s, N: chunks, Start: base, End: base + 90, Barrier: true})
+	}
+	d := p.Recorder().Dump("wrap")
+	if d.DroppedEvents == 0 || d.DroppedProv == 0 {
+		t.Fatalf("ring did not wrap (dropped events %d, prov %d)", d.DroppedEvents, d.DroppedProv)
+	}
+	evs, pvs := d.Consistent()
+	var execs []telemetry.Event
+	for _, e := range evs {
+		if e.Kind == telemetry.KindExec {
+			execs = append(execs, e)
+		}
+	}
+	if len(execs) == 0 {
+		t.Fatal("wrapped ring kept no exec events")
+	}
+	if len(pvs) != len(execs) {
+		t.Fatalf("Consistent kept %d exec events but %d Prov records", len(execs), len(pvs))
+	}
+	for i, e := range execs {
+		if got := pvs[i].ExecEvent(); got != e {
+			t.Fatalf("exec event %d is %+v, its Prov says %+v", i, e, got)
+		}
+	}
+	if err := telemetry.Check(evs).Err(); err != nil {
+		t.Errorf("wrapped Consistent events fail tracecheck: %v", err)
 	}
 }

@@ -12,11 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/forensics"
 	"repro/internal/livemetrics"
 	"repro/internal/pool"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 // startEngine brings up an instrumented 4-worker executor, runs a few
@@ -143,31 +141,6 @@ func TestHTTPFlightFormats(t *testing.T) {
 	get(t, srv.URL+"/flight?which=bogus", 400)
 	// No anomaly yet: 404.
 	get(t, srv.URL+"/flight?which=anomaly", 404)
-}
-
-// TestHTTPTraceRoundTrip locks the /flight?format=trace wire format to
-// telemetry.ReadTrace: the dump must load and analyze through the same
-// pipeline loopdoctor attach uses.
-func TestHTTPTraceRoundTrip(t *testing.T) {
-	_, _, srv := startEngine(t)
-	body := get(t, srv.URL+"/flight?format=trace", 200)
-	tr, err := telemetry.ReadTrace(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatalf("telemetry.ReadTrace rejects the flight trace: %v", err)
-	}
-	if tr.Meta.Procs != 4 {
-		t.Errorf("trace procs = %d, want 4", tr.Meta.Procs)
-	}
-	if len(tr.Events) == 0 {
-		t.Fatal("flight trace carries no events")
-	}
-	a, err := forensics.Analyze(tr)
-	if err != nil {
-		t.Fatalf("forensics.Analyze on flight trace: %v", err)
-	}
-	if a.Steps == 0 {
-		t.Error("analysis saw no steps")
-	}
 }
 
 func TestHTTPAnomalyAfterCancellation(t *testing.T) {

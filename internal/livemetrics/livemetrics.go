@@ -29,34 +29,31 @@ import (
 )
 
 // Options sizes the plane's instruments. The zero value gives usable
-// defaults (10s window over 10 slots, 4096-event/2048-record flight
-// ring, 250ms gauge sampling).
+// defaults (10s window, 4096-record flight ring).
 type Options struct {
 	// Window is the span the rolling latency quantiles describe.
 	Window time.Duration
-	// Slots divides Window into ring slots; more slots age old load
-	// out more smoothly at slightly more merge work per query.
-	Slots int
-	// FlightEvents caps the flight recorder's telemetry-event ring;
-	// its provenance ring holds half as many records.
+	// FlightEvents caps the flight recorder's ring of records: one per
+	// chunk, phase boundary and contended queue wait. A chunk dumps as
+	// its exec event plus, when stolen, its steal event.
 	FlightEvents int
-	// SampleEvery is the per-worker gauge sampling interval
-	// (utilization, steal rate).
-	SampleEvery time.Duration
 }
+
+const (
+	// windowSlots divides Window into ring slots; more slots age old
+	// load out more smoothly at slightly more merge work per query.
+	windowSlots = 10
+	// sampleEvery is the per-worker gauge sampling interval
+	// (utilization, steal rate).
+	sampleEvery = 250 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 10 * time.Second
 	}
-	if o.Slots <= 0 {
-		o.Slots = 10
-	}
 	if o.FlightEvents <= 0 {
 		o.FlightEvents = 4096
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 250 * time.Millisecond
 	}
 	return o
 }
@@ -169,13 +166,13 @@ func New(opts Options) *Plane {
 	p := &Plane{
 		opts: o,
 		t0:   time.Now(),
-		rec:  newRecorder(o.FlightEvents, o.FlightEvents/2),
+		rec:  newRecorder(o.FlightEvents),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	p.col = newCollector(p.nowNS, o)
-	p.subHist = newRollingHist(int64(o.Window), o.Slots, latencyBounds)
-	p.admitHist = newRollingHist(int64(o.Window), o.Slots, latencyBounds)
+	p.col = newCollector(p.nowNS, o.Window)
+	p.subHist = newRollingHist(int64(o.Window), windowSlots, latencyBounds)
+	p.admitHist = newRollingHist(int64(o.Window), windowSlots, latencyBounds)
 	p.tenants = make(map[string]*tenantState)
 	p.exemplars = newExemplarStore(int64(o.Window), latencyBounds)
 	go p.sample()
@@ -292,13 +289,13 @@ func (p *Plane) Close() {
 	})
 }
 
-// sample is the off-path aggregation loop: every SampleEvery it turns
+// sample is the off-path aggregation loop: every sampleEvery it turns
 // the collector's monotonic per-worker counters into rate gauges
 // (utilization = busy-ns/wall-ns, steal rate = chunks stolen from the
 // worker per second).
 func (p *Plane) sample() {
 	defer close(p.done)
-	t := time.NewTicker(p.opts.SampleEvery)
+	t := time.NewTicker(sampleEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -419,7 +416,8 @@ type Snapshot struct {
 	// QueueDepths is the raw backlog sample: one entry per worker
 	// queue (AFS), or a single entry of remaining central iterations.
 	QueueDepths []int `json:"queue_depths,omitempty"`
-	// FlightDropped counts ring evictions since New (events, prov).
+	// FlightDropped counts what the flight ring has evicted since New,
+	// as the events and provenance records it would have dumped.
 	FlightDroppedEvents int64 `json:"flight_dropped_events"`
 	FlightDroppedProv   int64 `json:"flight_dropped_prov"`
 	// Admission is the serving layer's admission view, present only
@@ -543,10 +541,11 @@ func (p *Plane) Procs() int {
 	return p.procs
 }
 
-// Collector is the hot-path sink for chunk and steal records, fed by
-// each submission's observer (Plane.Observer). Every method is a
-// handful of atomic adds plus one binary search into the histogram
-// bounds — safe and cheap from all workers concurrently.
+// Collector is the hot-path sink for chunk records (a stolen chunk's
+// is also its steal's), fed by each submission's observer
+// (Plane.Observer). A record costs a handful of atomic adds plus one
+// binary search per histogram — safe and cheap from all workers
+// concurrently.
 type Collector struct {
 	now       func() int64
 	chunks    atomic.Int64
@@ -573,11 +572,11 @@ type workerState struct {
 	_            [2]uint64
 }
 
-func newCollector(now func() int64, o Options) *Collector {
+func newCollector(now func() int64, window time.Duration) *Collector {
 	return &Collector{
 		now:       now,
-		chunkHist: newRollingHist(int64(o.Window), o.Slots, latencyBounds),
-		stealHist: newRollingHist(int64(o.Window), o.Slots, latencyBounds),
+		chunkHist: newRollingHist(int64(window), windowSlots, latencyBounds),
+		stealHist: newRollingHist(int64(window), windowSlots, latencyBounds),
 	}
 }
 
@@ -626,31 +625,31 @@ func (c *Collector) grow(w int) *workerState {
 // chunk records one executed chunk: totals, the windowed
 // chunk-latency histogram, and the affinity-hit account — a hit is an
 // un-stolen chunk executed by its owning worker (central dispensers
-// report owner -1 and so never hit).
+// report owner -1 and so never hit). A stolen chunk also counts its
+// steal: the migrated iterations, the victim (Owner) and the steal's
+// latency (QueueWait).
 func (c *Collector) chunk(p telemetry.Prov) {
 	if p.Proc < 0 {
 		return
 	}
+	now := c.now()
 	durNS := p.End - p.Start
 	c.chunks.Add(1)
-	c.chunkHist.observe(c.now(), durNS)
+	c.chunkHist.observe(now, durNS)
 	ws := c.worker(p.Proc)
 	ws.chunks.Add(1)
 	ws.iters.Add(int64(p.Iters()))
 	ws.busyNS.Add(int64(durNS))
-	if p.Stolen {
+	switch {
+	case p.Stolen:
 		ws.stolenExec.Add(1)
-	} else if p.Owner == p.Proc {
+		c.steals.Add(1)
+		c.migrated.Add(int64(p.Iters()))
+		c.stealHist.observe(now, p.QueueWait)
+		if p.Owner >= 0 {
+			c.worker(p.Owner).victimized.Add(1)
+		}
+	case p.Owner == p.Proc:
 		ws.affinityHits.Add(1)
-	}
-}
-
-// steal records one successful steal and its measured latency.
-func (c *Collector) steal(e telemetry.Event) {
-	c.steals.Add(1)
-	c.migrated.Add(int64(e.Hi - e.Lo))
-	c.stealHist.observe(c.now(), e.End-e.Start)
-	if e.Victim >= 0 {
-		c.worker(e.Victim).victimized.Add(1)
 	}
 }

@@ -170,6 +170,8 @@ func NewHandler(s *Server, label string) http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.closed.Load() {
+			// The header must be set before WriteHeader sends it.
+			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			webui.JSON(w, map[string]bool{"ok": false})
 			return

@@ -435,6 +435,28 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestHealthzAfterClose: once the server closes, /healthz answers 503
+// with its JSON body labelled application/json.
+func TestHealthzAfterClose(t *testing.T) {
+	s, err := New(Options{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	rec := httptest.NewRecorder()
+	NewHandler(s, "test").ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz after Close = %d, want 503", rec.Code)
+	}
+	if ct := rec.Result().Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/healthz after Close: content type %q, want application/json", ct)
+	}
+	var body map[string]bool
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["ok"] {
+		t.Errorf("/healthz after Close: body %q (%v), want {\"ok\": false}", rec.Body.String(), err)
+	}
+}
+
 // TestJobsBodyLimits: /jobs reads at most maxJobBody bytes, refusing a
 // larger body with 413 and a JSON error naming the limit, and refuses
 // data after the spec object with 400.

@@ -307,12 +307,7 @@ func (t *Tracer) store(tr *Trace) {
 // workers don't share a cache line.
 type workerBuf struct {
 	spans []Span
-	// lastSteal is the ID of the worker's most recent steal span, not
-	// yet linked to a chunk: on AFS a steal is immediately followed by
-	// executing the stolen chunk on the same goroutine, so the next
-	// stolen chunk span claims it as its StealsFrom edge.
-	lastSteal uint64
-	_         [4]uint64
+	_     [5]uint64
 }
 
 // Active is one in-flight submission's span collection. Phase, Chunk
@@ -362,53 +357,42 @@ func (a *Active) Phase(m telemetry.PhaseMark) {
 }
 
 // Chunk records one executed chunk. Called inline from worker p.Proc's
-// goroutine.
+// goroutine. A stolen chunk's Prov also carries its steal
+// ([Start-QueueWait, Start] from Owner), so the steal span goes first
+// and the chunk span links to it through StealsFrom.
 func (a *Active) Chunk(p telemetry.Prov) {
 	if p.Proc < 0 || p.Proc >= len(a.workers) {
 		a.dropped.Add(1)
 		return
 	}
-	w := &a.workers[p.Proc]
-	if len(w.spans) >= a.maxPerWorker {
-		a.dropped.Add(1)
-		return
+	var from uint64
+	if p.Stolen {
+		from = a.add(Span{Parent: phaseSpanID(p.Step), Kind: KindSteal,
+			Phase: p.Step, Proc: p.Proc, Owner: p.Owner,
+			Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start})
 	}
-	s := Span{
-		ID: spanID(p.Proc, len(w.spans)), Parent: phaseSpanID(p.Step), Kind: KindChunk,
-		Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen,
-		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End,
-	}
-	if p.Stolen && w.lastSteal != 0 {
-		s.StealsFrom = w.lastSteal
-		w.lastSteal = 0
-	}
-	w.spans = append(w.spans, s)
+	a.add(Span{Parent: phaseSpanID(p.Step), Kind: KindChunk,
+		Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen, StealsFrom: from,
+		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End})
 }
 
-// Dispatch records one successful steal (queue waits are not spans).
-// Called inline from the thief's goroutine, immediately before the
-// stolen chunk executes.
-func (a *Active) Dispatch(e telemetry.Event) {
-	if e.Kind != telemetry.KindSteal {
-		return
-	}
-	if e.Proc < 0 || e.Proc >= len(a.workers) {
-		a.dropped.Add(1)
-		return
-	}
-	w := &a.workers[e.Proc]
+// add appends s to its worker's buffer under the next ID of that
+// worker and returns the ID, or counts a drop and returns 0 at the
+// per-worker cap.
+func (a *Active) add(s Span) uint64 {
+	w := &a.workers[s.Proc]
 	if len(w.spans) >= a.maxPerWorker {
 		a.dropped.Add(1)
-		return
+		return 0
 	}
-	s := Span{
-		ID: spanID(e.Proc, len(w.spans)), Parent: phaseSpanID(e.Step), Kind: KindSteal,
-		Phase: e.Step, Proc: e.Proc, Owner: e.Victim,
-		Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End,
-	}
-	w.lastSteal = s.ID
+	s.ID = spanID(s.Proc, len(w.spans))
 	w.spans = append(w.spans, s)
+	return s.ID
 }
+
+// Dispatch ignores dispatch events: queue waits are not spans, and a
+// steal's span comes from its chunk's Prov (Chunk).
+func (a *Active) Dispatch(telemetry.Event) {}
 
 // End seals the collection into a Trace, stores it in the tracer, and
 // returns it. outcome is "ok", "cancelled" or "panicked". Must be

@@ -3,13 +3,11 @@ package spantrace_test
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/forensics"
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/sched"
@@ -113,43 +111,6 @@ func TestLiveTraceStructure(t *testing.T) {
 		if a.Start > b.Start || (a.Start == b.Start && a.ID >= b.ID) {
 			t.Fatalf("spans out of order at %d: %+v then %+v", i, a, b)
 		}
-	}
-}
-
-func TestForensicsRoundTrip(t *testing.T) {
-	tr := liveTrace(t, 4, 2, 2048)
-
-	var buf bytes.Buffer
-	if err := tr.WriteForensics(&buf, "real", "ns"); err != nil {
-		t.Fatal(err)
-	}
-	ft, err := telemetry.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("forensics cannot read the span-trace export: %v", err)
-	}
-	a, err := forensics.Analyze(ft)
-	if err != nil {
-		t.Fatalf("forensics cannot analyze the span-trace export: %v", err)
-	}
-	if a.Meta.Procs != 4 || a.Steps != 2 {
-		t.Fatalf("analysis header: procs=%d steps=%d", a.Meta.Procs, a.Steps)
-	}
-	// The attribution is a complete decomposition: every processor's
-	// buckets sum to the common span, and the makespan matches the
-	// trace's duration (both are the latest telemetry-clock timestamp).
-	for _, pa := range a.Procs {
-		sum := pa.Buckets.Compute + pa.Buckets.CacheReload +
-			pa.Buckets.Interconnect + pa.Buckets.QueueWait + pa.Buckets.Idle
-		if math.Abs(sum-pa.Span) > 1e-6*math.Max(1, pa.Span) {
-			t.Fatalf("proc %d buckets sum to %v, span is %v", pa.Proc, sum, pa.Span)
-		}
-	}
-	if math.Abs(a.Makespan-tr.DurationNS) > 1e-6*tr.DurationNS {
-		t.Fatalf("makespan %v != trace duration %v", a.Makespan, tr.DurationNS)
-	}
-	// The event stream round-trips through the repo's invariant checker.
-	if rep := telemetry.Check(ft.Events); !rep.OK() {
-		t.Fatalf("exported stream fails tracecheck: %v", rep.Err())
 	}
 }
 

@@ -15,6 +15,12 @@ package telemetry
 //     forced cache flush (KindCacheFlush);
 //   - Phase: a PhaseMark at each phase begin and at its barrier.
 //
+// A stolen chunk's Prov is the whole record of its steal: Owner is the
+// victim, QueueWait the steal's length and Start its End, so the
+// KindSteal event dispatched just before is Prov.StealEvent. The live
+// plane and the span tracer read steals from the Prov alone; a chunk
+// whose body panics reports no Prov, so its steal is only the event.
+//
 // On the real runtime Chunk and Dispatch are called inline from
 // worker goroutines, so implementations must be safe for concurrent
 // use and cheap; Phase is called by the submitting goroutine. Times
@@ -76,6 +82,12 @@ func (m PhaseMark) Event() Event {
 // ExecEvent returns the record's execution as a KindExec event.
 func (p Prov) ExecEvent() Event {
 	return Event{Kind: KindExec, Proc: p.Proc, Victim: -1, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End}
+}
+
+// StealEvent returns a stolen record's steal as a KindSteal event: the
+// chunk's range moved from Owner to Proc over [Start-QueueWait, Start].
+func (p Prov) StealEvent() Event {
+	return Event{Kind: KindSteal, Proc: p.Proc, Victim: p.Owner, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start}
 }
 
 // Notable reports whether a real-runtime dispatch event belongs in an

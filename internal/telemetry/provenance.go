@@ -39,7 +39,9 @@ type Prov struct {
 	Start, End float64
 	// QueueWait is time spent waiting to be served by a work queue
 	// immediately before this chunk (central-queue serialisation,
-	// contended local queue, or steal latency). It precedes Start.
+	// contended local queue, or steal latency). It precedes Start. On
+	// a stolen chunk it is exactly the steal: [Start-QueueWait, Start]
+	// (StealEvent).
 	QueueWait float64
 	// Compute is pure loop-body time within the window.
 	Compute float64

@@ -303,8 +303,7 @@ func WithQueueDepthSampling(every time.Duration) Option {
 type Observability = livemetrics.Plane
 
 // ObservabilityOptions sizes a plane's instruments (rolling window,
-// flight-ring capacities, gauge sampling interval). The zero value
-// gives usable defaults.
+// flight-ring capacity). The zero value gives usable defaults.
 type ObservabilityOptions = livemetrics.Options
 
 // ObservabilitySnapshot is one coherent scrape of a plane.

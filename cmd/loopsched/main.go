@@ -129,11 +129,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// The instrumented run attaches only the observers its flags use.
 	p, spec := procs[len(procs)-1], specs[len(specs)-1]
-	var stream *telemetry.Stream
+	var stream *telemetry.Log[telemetry.Event]
 	var reg *telemetry.Registry
 	var obs []telemetry.Observer
 	if *showTrace || x.TraceOut != "" || x.Check {
-		stream = telemetry.NewStream()
+		stream = telemetry.NewLog[telemetry.Event]()
 		obs = append(obs, telemetry.ObserveEvents(stream))
 	}
 	if x.MetricsOut != "" {
@@ -145,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var events []telemetry.Event
 	if stream != nil {
-		events = stream.Events()
+		events = stream.Records()
 	}
 	if *showTrace {
 		fmt.Fprintf(stdout, "\nexecution trace: %s, %d processors\n", spec.Name, p)

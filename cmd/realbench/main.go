@@ -146,7 +146,7 @@ func main() {
 // asks.
 func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export, depthEvery time.Duration) error {
 	w := counts[len(counts)-1]
-	stream, reg := telemetry.NewSyncStream(), telemetry.NewRegistry()
+	stream, reg := telemetry.NewLog[telemetry.Event](), telemetry.NewRegistry()
 	expvar.Publish("telemetry_events", expvar.Func(func() any { return stream.Len() }))
 	opts := []repro.Option{repro.WithEvents(stream), repro.WithMetrics(reg)}
 	if depthEvery > 0 {
@@ -169,7 +169,7 @@ func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export,
 		TimeScale: 1e-3, // ns → µs
 	}
 	x.Run = fmt.Sprintf("%s on %d workers", algo, w)
-	return x.Write(os.Stderr, stream.Events(), reg)
+	return x.Write(os.Stderr, stream.Records(), reg)
 }
 
 // runFunc runs one fresh instance of the kernel under a worker count

@@ -25,7 +25,7 @@ func TestProvenanceCoversEveryIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prov := telemetry.NewSyncProvStream()
+		prov := telemetry.NewLog[telemetry.Prov]()
 		const n, phases, p = 96, 3, 4
 		_, err = Run(Config{Procs: p, Spec: spec, Observer: telemetry.ObserveProv(prov)}, phases,
 			func(int) int { return n }, slowBody)
@@ -60,7 +60,7 @@ func TestProvenanceCoversEveryIteration(t *testing.T) {
 
 func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	spec, _ := sched.ByName("afs")
-	prov := telemetry.NewSyncProvStream()
+	prov := telemetry.NewLog[telemetry.Prov]()
 	// Skew all the work onto low iterations so high-indexed workers
 	// must steal.
 	st, err := Run(Config{Procs: 4, Spec: spec, Observer: telemetry.ObserveProv(prov)}, 2,
@@ -93,8 +93,8 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 // QueueWait and its victim as Owner, so the Prov alone is the steal's
 // record (telemetry.Prov.StealEvent).
 func TestStolenProvIsItsSteal(t *testing.T) {
-	evs := telemetry.NewSyncStream()
-	prov := telemetry.NewSyncProvStream()
+	evs := telemetry.NewLog[telemetry.Event]()
+	prov := telemetry.NewLog[telemetry.Prov]()
 	// Worker 0 starts late, so the others drain their own blocks and
 	// steal from its queue.
 	_, err := Run(Config{Procs: 4, Spec: sched.SpecAFS(), StartDelay: []time.Duration{10 * time.Millisecond},
@@ -105,7 +105,7 @@ func TestStolenProvIsItsSteal(t *testing.T) {
 	}
 	type key struct{ step, proc, lo, hi int }
 	steals := map[key]telemetry.Event{}
-	for _, e := range evs.Events() {
+	for _, e := range evs.Records() {
 		if e.Kind == telemetry.KindSteal {
 			steals[key{e.Step, e.Proc, e.Lo, e.Hi}] = e
 		}
@@ -183,7 +183,7 @@ func TestQueueDepthSampling(t *testing.T) {
 // contention (belt-and-braces for the race detector).
 func TestProvenanceConcurrentSink(t *testing.T) {
 	spec, _ := sched.ByName("afs")
-	prov := telemetry.NewSyncProvStream()
+	prov := telemetry.NewLog[telemetry.Prov]()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)

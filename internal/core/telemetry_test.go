@@ -37,14 +37,14 @@ func TestRealRuntimeTelemetryCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := telemetry.NewSyncStream()
+		stream := telemetry.NewLog[telemetry.Event]()
 		reg := telemetry.NewRegistry()
 		cfg := Config{Procs: 4, Spec: spec, Observer: telemetry.TeeObservers(telemetry.ObserveEvents(stream), telemetry.ObserveMetrics(reg, "ns"))}
 		st, err := Run(cfg, 5, func(int) int { return 128 }, imbalancedBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		events := stream.Events()
+		events := stream.Records()
 		rep := telemetry.Check(events)
 		if err := rep.Err(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -95,13 +95,13 @@ func TestTelemetryOffCostsNothingExtra(t *testing.T) {
 // TestRealRuntimeChromeExport: a real-runtime stream renders to a
 // non-empty Chrome trace with per-worker tracks.
 func TestRealRuntimeChromeExport(t *testing.T) {
-	stream := telemetry.NewSyncStream()
+	stream := telemetry.NewLog[telemetry.Event]()
 	if _, err := Run(Config{Procs: 2, Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream)}, 2,
 		func(int) int { return 32 }, imbalancedBody); err != nil {
 		t.Fatal(err)
 	}
 	var b testWriter
-	err := telemetry.WriteChromeTrace(&b, stream.Events(), telemetry.ChromeOptions{
+	err := telemetry.WriteChromeTrace(&b, stream.Records(), telemetry.ChromeOptions{
 		Label: "core test", Procs: 2, TimeScale: 1e-3,
 	})
 	if err != nil {

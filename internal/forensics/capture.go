@@ -41,8 +41,8 @@ func CaptureSim(spec CaptureSpec) (*telemetry.TraceFile, sim.Metrics, error) {
 	if err != nil {
 		return nil, sim.Metrics{}, fmt.Errorf("-kernel: %w", err)
 	}
-	events := telemetry.NewStream()
-	prov := telemetry.NewProvStream()
+	events := telemetry.NewLog[telemetry.Event]()
+	prov := telemetry.NewLog[telemetry.Prov]()
 	met, err := sim.RunOpts(m, spec.Procs, s, build(), sim.Options{
 		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
 	})
@@ -64,7 +64,7 @@ func CaptureSim(spec CaptureSpec) (*telemetry.TraceFile, sim.Metrics, error) {
 			Procs:     spec.Procs,
 			TimeUnit:  "cycles",
 		},
-		Events: events.Events(),
+		Events: events.Records(),
 		Prov:   prov.Records(),
 	}, met, nil
 }

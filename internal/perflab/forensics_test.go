@@ -119,7 +119,7 @@ func TestDigestDescribesMedianRepeat(t *testing.T) {
 	waits := make([]float64, c.Repeats)
 	med := -1
 	for rep := range makespans {
-		reg, prov := telemetry.NewRegistry(), telemetry.NewProvStream()
+		reg, prov := telemetry.NewRegistry(), telemetry.NewLog[telemetry.Prov]()
 		met, err := sim.RunOpts(m, c.Procs, spec, build(), sim.Options{
 			Seed:     r.seedFor(c.ID) + uint64(rep),
 			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg, "cycles"), telemetry.ObserveProv(prov)),

@@ -152,13 +152,13 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	digests := make([]*forensics.Summary, 0, c.Repeats)
 	for rep := 0; rep < c.Repeats; rep++ {
 		var reg *telemetry.Registry
-		var prov *telemetry.SyncProvStream // the real runtime's workers are concurrent
+		var prov *telemetry.Log[telemetry.Prov] // the real runtime's workers are concurrent
 		var obs telemetry.Observer
 		if !r.Bare {
 			reg = telemetry.NewRegistry()
 			obs = telemetry.ObserveMetrics(reg, c.timeUnit())
 			if !c.stream() {
-				prov = telemetry.NewSyncProvStream()
+				prov = telemetry.NewLog[telemetry.Prov]()
 				obs = telemetry.TeeObservers(obs, telemetry.ObserveProv(prov))
 			}
 		}
@@ -237,8 +237,8 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	return &s
 }
 
-// currentValues snapshots the registry's live metric values (counters,
-// gauges, histogram count/sum pairs) into a plain map.
+// currentValues snapshots the registry's values (the scheduling counters
+// and the count/sum pairs) into a plain map.
 func currentValues(reg *telemetry.Registry) map[string]float64 {
 	reg.Snapshot(-1)
 	series := reg.Series()

@@ -148,13 +148,13 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestPerSubmissionTelemetryIsolation(t *testing.T) {
 	x := newExec(t, 4)
 	for sub, n := range []int{3000, 1700} {
-		stream := telemetry.NewSyncStream()
+		stream := telemetry.NewLog[telemetry.Event]()
 		st, err := x.Submit(context.Background(),
 			core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream)}, n, func(int) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := stream.Events()
+		events := stream.Records()
 		rep := telemetry.Check(events)
 		if err := rep.Err(); err != nil {
 			t.Errorf("submission %d: %v", sub, err)
@@ -189,7 +189,7 @@ func skewedBody(_, i int) {
 // TestSharedRegistrySumsSubmissions: one registry shared by several
 // submissions on one executor accumulates their sum — each counter
 // equals its Stats field summed over the submissions, and each
-// histogram's count matches the events it shadows (one steal latency
+// observed quantity's count matches the events it shadows (one steal latency
 // per steal, one chunk size per executed chunk, which under AFS is one
 // per local or remote queue op).
 func TestSharedRegistrySumsSubmissions(t *testing.T) {
@@ -215,21 +215,23 @@ func TestSharedRegistrySumsSubmissions(t *testing.T) {
 	if iters != subs*phases*n {
 		t.Fatalf("stats cover %d iterations, want %d", iters, subs*phases*n)
 	}
+	series := reg.Series()
+	if got := len(series); got != subs*phases {
+		t.Fatalf("%d registry samples, want one per barrier (%d)", got, subs*phases)
+	}
+	last := series[len(series)-1].Values
 	for name, want := range map[string]int64{
 		"central_ops": central, "local_ops": local, "remote_ops": remote,
 		"steals": steals, "migrated_iters": migrated, "iterations": iters,
 	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("registry %s = %d, want %d summed over %d submissions", name, got, want, subs)
+		if got := last[name]; got != float64(want) {
+			t.Errorf("registry %s = %v, want %d summed over %d submissions", name, got, want, subs)
 		}
 	}
-	if got := reg.Histogram("steal_latency_ns", nil).Count(); got != steals {
-		t.Errorf("steal_latency_ns count = %d, want steals = %d", got, steals)
+	if got := last["steal_latency_ns_count"]; got != float64(steals) {
+		t.Errorf("steal_latency_ns count = %v, want steals = %d", got, steals)
 	}
-	if got := reg.Histogram("chunk_size", nil).Count(); got != local+remote {
-		t.Errorf("chunk_size count = %d, want %d executed chunks", got, local+remote)
-	}
-	if got := len(reg.Series()); got != subs*phases {
-		t.Errorf("%d registry samples, want one per barrier (%d)", got, subs*phases)
+	if got := last["chunk_size_count"]; got != float64(local+remote) {
+		t.Errorf("chunk_size count = %v, want %d executed chunks", got, local+remote)
 	}
 }

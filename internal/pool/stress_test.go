@@ -79,7 +79,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 						errs <- fmt.Errorf("sub %d: cancelled submission returned %v", idx, err)
 					}
 				default: // normal submission with private telemetry
-					stream := telemetry.NewSyncStream()
+					stream := telemetry.NewLog[telemetry.Event]()
 					counts := make([]int32, n)
 					st, err := x.Submit(context.Background(),
 						core.Config{Spec: spec, Observer: telemetry.ObserveEvents(stream)}, n,
@@ -98,7 +98,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 							break
 						}
 					}
-					events := stream.Events()
+					events := stream.Records()
 					if err := telemetry.Check(events).Err(); err != nil {
 						errs <- fmt.Errorf("sub %d (%s): %v", idx, spec.Name, err)
 					}

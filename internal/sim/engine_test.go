@@ -533,7 +533,7 @@ func TestSplitmix64(t *testing.T) {
 // iteration exactly once with legal steals, and on an imbalanced loop
 // AFS steals, moving some iterations but far fewer than all.
 func TestEngineTraceRecording(t *testing.T) {
-	stream := telemetry.NewStream()
+	stream := telemetry.NewLog[telemetry.Event]()
 	imb := SingleLoop("imb", ParLoop{
 		N: 512,
 		Cost: func(i int) float64 {
@@ -547,7 +547,7 @@ func TestEngineTraceRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.Check(stream.Events()).Err(); err != nil {
+	if err := telemetry.Check(stream.Records()).Err(); err != nil {
 		t.Error(err)
 	}
 	if res.Steals == 0 {
@@ -884,7 +884,7 @@ func TestEngineReleasesCallerMemory(t *testing.T) {
 	prog := Program{Name: "counted", Steps: 2, Step: func(int) ParLoop { return countedLoop(40, 10, executed) }}
 	e := newEngine()
 	e.simulate(machine.Iris(), 4, sched.SpecGSS(), prog, Options{
-		Observer:    telemetry.ObserveEvents(telemetry.NewStream()),
+		Observer:    telemetry.ObserveEvents(telemetry.NewLog[telemetry.Event]()),
 		ActiveProcs: func(int) int { return 3 },
 	})
 	if e.m != nil || e.prog.Step != nil || e.spec.NewSizer != nil || e.loop.Cost != nil || e.loop.Touches != nil ||

@@ -79,19 +79,19 @@ func (c poolConfig) run(t *testing.T, run runFunc) poolResult {
 		t.Fatal(err)
 	}
 	opts := c.opts
-	events := telemetry.NewStream()
-	prov := telemetry.NewProvStream()
+	events := telemetry.NewLog[telemetry.Event]()
+	prov := telemetry.NewLog[telemetry.Prov]()
 	if c.observe {
 		opts.Observer = telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov))
 	}
 	res := poolResult{met: run(c.machine, c.procs, spec, build(), opts)}
-	if c.observe && (len(events.Events()) == 0 || len(prov.Records()) == 0) {
+	if c.observe && (len(events.Records()) == 0 || len(prov.Records()) == 0) {
 		t.Fatalf("%s: observed run emitted no events or provenance", c.name)
 	}
 	for _, d := range []struct {
 		v   any
 		out *[32]byte
-	}{{events.Events(), &res.events}, {prov.Records(), &res.prov}} {
+	}{{events.Records(), &res.events}, {prov.Records(), &res.prov}} {
 		b, err := json.Marshal(d.v)
 		if err != nil {
 			t.Fatal(err)

@@ -45,18 +45,18 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	kernels := paperKernels(t, m)
 	for kname, build := range kernels {
 		for _, spec := range sched.AllSpecs() {
-			stream := telemetry.NewStream()
+			stream := telemetry.NewLog[telemetry.Event]()
 			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, spec.Name, err)
 			}
-			rep := telemetry.Check(stream.Events())
+			rep := telemetry.Check(stream.Records())
 			if err := rep.Err(); err != nil {
 				t.Errorf("%s/%s: %v", kname, spec.Name, err)
 			}
 			// The stream must agree with the aggregate metrics.
 			steals := 0
-			for _, e := range stream.Events() {
+			for _, e := range stream.Records() {
 				if e.Kind == telemetry.KindSteal {
 					steals++
 				}
@@ -89,8 +89,8 @@ func (t *simTotals) add(res sim.Metrics, prov []telemetry.Prov) {
 
 // TestSimRegistryTimeSeries: the metrics registry snapshots once per
 // non-empty step, its counters agree with the final metrics and with
-// their histograms, and a registry shared by several runs holds their
-// sum rather than the largest run.
+// the chunk and steal counts, and a registry shared by several runs
+// holds their sum rather than the largest run.
 func TestSimRegistryTimeSeries(t *testing.T) {
 	m := machine.Iris()
 	build, _, err := cli.BuildKernel("sor", 32, 5, 1, m)
@@ -108,7 +108,7 @@ func TestSimRegistryTimeSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var want simTotals
 	for run, seed := range []uint64{1, 2} {
-		prov := telemetry.NewProvStream()
+		prov := telemetry.NewLog[telemetry.Prov]()
 		res, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Seed: seed,
 			Observer: telemetry.TeeObservers(telemetry.ObserveMetrics(reg, "cycles"), telemetry.ObserveProv(prov))})
 		if err != nil {
@@ -155,13 +155,13 @@ func TestPhaseAndQueueWaitEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := telemetry.NewStream()
+	stream := telemetry.NewLog[telemetry.Event]()
 	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var begins, ends, waits int
-	for _, e := range stream.Events() {
+	for _, e := range stream.Records() {
 		switch e.Kind {
 		case telemetry.KindPhaseBegin:
 			begins++
@@ -190,12 +190,12 @@ func TestCacheFlushEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := telemetry.NewStream()
+	stream := telemetry.NewLog[telemetry.Event]()
 	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream), FlushEverySteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	flushes := 0
-	for _, e := range stream.Events() {
+	for _, e := range stream.Records() {
 		if e.Kind == telemetry.KindCacheFlush {
 			flushes++
 		}

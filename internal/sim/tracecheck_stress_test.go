@@ -54,8 +54,8 @@ func TestTracecheckStealHeavyAFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := telemetry.NewStream()
-			prov := telemetry.NewProvStream()
+			events := telemetry.NewLog[telemetry.Event]()
+			prov := telemetry.NewLog[telemetry.Prov]()
 			if _, err := sim.RunOpts(m, c.procs, spec, build(), sim.Options{
 				Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
 			}); err != nil {
@@ -65,12 +65,12 @@ func TestTracecheckStealHeavyAFS(t *testing.T) {
 			// the base checks: every algorithm here uses static initial
 			// placement, so un-stolen executions must land on their
 			// owner even under steal-heavy pressure.
-			rep := telemetry.CheckAFS(events.Events(), c.procs)
+			rep := telemetry.CheckAFS(events.Records(), c.procs)
 			if err := rep.Err(); err != nil {
 				t.Errorf("%s: tracecheck failed: %v", name, err)
 			}
 			steals, stolenChunks := 0, 0
-			for _, e := range events.Events() {
+			for _, e := range events.Records() {
 				if e.Kind == telemetry.KindSteal {
 					steals++
 				}

@@ -35,31 +35,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return nil
 }
 
-// WriteEventsCSV writes the event stream as CSV with a header row.
-func WriteEventsCSV(w io.Writer, events []Event) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "proc", "victim", "step", "lo", "hi", "start", "end"}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		rec := []string{
-			e.Kind.String(),
-			strconv.Itoa(e.Proc),
-			strconv.Itoa(e.Victim),
-			strconv.Itoa(e.Step),
-			strconv.Itoa(e.Lo),
-			strconv.Itoa(e.Hi),
-			strconv.FormatFloat(e.Start, 'g', -1, 64),
-			strconv.FormatFloat(e.End, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteSeriesCSV writes a registry's per-step time series as CSV: one
 // row per step, one column per metric (cumulative values — diff
 // adjacent rows for per-step rates).
@@ -82,45 +57,3 @@ func WriteSeriesCSV(w io.Writer, r *Registry) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteSeriesJSONL writes a registry's per-step samples as JSONL.
-func WriteSeriesJSONL(w io.Writer, r *Registry) error {
-	enc := json.NewEncoder(w)
-	for _, s := range r.Series() {
-		if err := enc.Encode(struct {
-			Step   int                `json:"step"`
-			Values map[string]float64 `json:"values"`
-		}{s.Step, s.Values}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SinkWriter adapts any io.Writer into a streaming JSONL Sink, for
-// traces too large to buffer. Errors after the first are dropped;
-// check Err when done. Not safe for concurrent use — wrap with
-// Synchronized for the real runtime.
-type SinkWriter struct {
-	enc *json.Encoder
-	err error
-}
-
-// NewSinkWriter creates a streaming JSONL sink over w.
-func NewSinkWriter(w io.Writer) *SinkWriter {
-	return &SinkWriter{enc: json.NewEncoder(w)}
-}
-
-// Emit encodes one event as a JSON line.
-func (s *SinkWriter) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(jsonEvent{
-		Kind: e.Kind.String(), Proc: e.Proc, Victim: e.Victim,
-		Step: e.Step, Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End,
-	})
-}
-
-// Err reports the first write error, if any.
-func (s *SinkWriter) Err() error { return s.err }

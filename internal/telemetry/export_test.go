@@ -36,27 +36,12 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestWriteEventsCSV(t *testing.T) {
-	var b strings.Builder
-	if err := WriteEventsCSV(&b, sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7 || recs[0][0] != "kind" || recs[3][0] != "steal" {
-		t.Errorf("csv = %v", recs)
-	}
-}
-
 func TestWriteSeriesCSV(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("steals")
-	c.Add(2)
-	r.Snapshot(0)
-	c.Add(3)
-	r.Snapshot(1)
+	obs := ObserveMetrics(r, "ns")
+	obs.Phase(PhaseMark{Step: 0, Barrier: true, Ops: OpCounts{Steals: 2}})
+	obs.Dispatch(Event{Kind: KindSteal, Start: 0, End: 0.5})
+	obs.Phase(PhaseMark{Step: 1, Barrier: true, Ops: OpCounts{Steals: 3}})
 	var b strings.Builder
 	if err := WriteSeriesCSV(&b, r); err != nil {
 		t.Fatal(err)
@@ -65,42 +50,11 @@ func TestWriteSeriesCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 || recs[0][1] != "steals" || recs[1][1] != "2" || recs[2][1] != "5" {
+	if len(recs) != 3 || recs[0][4] != "steals" || recs[1][4] != "2" || recs[2][4] != "5" {
 		t.Errorf("series csv = %v", recs)
 	}
-}
-
-func TestWriteSeriesJSONL(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("x").Set(1.5)
-	r.Snapshot(7)
-	var b strings.Builder
-	if err := WriteSeriesJSONL(&b, r); err != nil {
-		t.Fatal(err)
-	}
-	var obj struct {
-		Step   int                `json:"step"`
-		Values map[string]float64 `json:"values"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &obj); err != nil {
-		t.Fatal(err)
-	}
-	if obj.Step != 7 || obj.Values["x"] != 1.5 {
-		t.Errorf("sample = %+v", obj)
-	}
-}
-
-func TestSinkWriterStreamsJSONL(t *testing.T) {
-	var b strings.Builder
-	s := NewSinkWriter(&b)
-	for _, e := range sampleEvents() {
-		s.Emit(e)
-	}
-	if s.Err() != nil {
-		t.Fatal(s.Err())
-	}
-	if got := strings.Count(b.String(), "\n"); got != 6 {
-		t.Errorf("%d lines", got)
+	if got := strings.Join(recs[2], ","); got != "1,0,0,0,5,0,0,0,0,0,0,1,0.5" {
+		t.Errorf("step 1 row = %s", got)
 	}
 }
 

@@ -126,79 +126,43 @@ func ObserveProv(s ProvSink) Observer {
 type provObserver struct{ s ProvSink }
 
 func (o provObserver) Phase(PhaseMark)  {}
-func (o provObserver) Chunk(p Prov)     { o.s.EmitProv(p) }
+func (o provObserver) Chunk(p Prov)     { o.s.Emit(p) }
 func (o provObserver) Dispatch(e Event) {}
 
-// ObserveMetrics adapts a registry: counters central_ops, local_ops,
-// remote_ops, steals, migrated_iters and iterations grow by each
-// barrier's OpCounts, so one registry shared by many runs holds their
-// sum; histograms chunk_size, queue_wait_<unit> and
-// steal_latency_<unit> observe every chunk and dispatch event; and
-// every barrier records one time-series sample at its step. unit is
-// the substrate's time unit, "ns" (real runtime; wait buckets from
-// 100ns) or "cycles" (simulator; from 1 cycle). nil for a nil
-// registry.
+// ObserveMetrics adapts a registry: its counters grow by each
+// barrier's OpCounts, chunk_size counts and sums every chunk's
+// iterations, queue_wait_<unit> and steal_latency_<unit> every queue
+// wait and steal, and every barrier records one sample at its step.
+// unit is the substrate's time unit, "ns" (real runtime) or "cycles"
+// (simulator). nil for a nil registry.
 func ObserveMetrics(r *Registry, unit string) Observer {
 	if r == nil {
 		return nil
 	}
-	var first float64
-	switch unit {
-	case "ns":
-		first = 100 // 100ns .. ~1.6s
-	case "cycles":
-		first = 1 // 1 cycle .. ~4M cycles
-	default:
+	if unit != "ns" && unit != "cycles" {
 		panic("telemetry: ObserveMetrics unit must be \"ns\" or \"cycles\", got " + unit)
 	}
-	waits := ExpBuckets(first, 4, 12)
-	sizes := ExpBuckets(1, 2, 16) // 1 .. 32768 iterations
-	return &metricsObserver{
-		reg:           r,
-		centralOps:    r.Counter("central_ops"),
-		localOps:      r.Counter("local_ops"),
-		remoteOps:     r.Counter("remote_ops"),
-		steals:        r.Counter("steals"),
-		migratedIters: r.Counter("migrated_iters"),
-		iterations:    r.Counter("iterations"),
-		chunkSize:     r.Histogram("chunk_size", sizes),
-		queueWait:     r.Histogram("queue_wait_"+unit, waits),
-		stealLatency:  r.Histogram("steal_latency_"+unit, waits),
-	}
+	r.setUnit(unit)
+	return metricsObserver{r}
 }
 
-// metricsObserver caches the registry's metric objects so the hot path
-// never does a map lookup.
-type metricsObserver struct {
-	reg *Registry
+type metricsObserver struct{ r *Registry }
 
-	centralOps, localOps, remoteOps    *Counter
-	steals, migratedIters, iterations  *Counter
-	chunkSize, queueWait, stealLatency *Histogram
-}
+func (o metricsObserver) Chunk(p Prov) { o.r.chunkSize.observe(float64(p.Iters())) }
 
-func (o *metricsObserver) Chunk(p Prov) { o.chunkSize.Observe(float64(p.Iters())) }
-
-func (o *metricsObserver) Dispatch(e Event) {
+func (o metricsObserver) Dispatch(e Event) {
 	switch e.Kind {
 	case KindSteal:
-		o.stealLatency.Observe(e.End - e.Start)
+		o.r.stealLatency.observe(e.End - e.Start)
 	case KindQueueWait:
-		o.queueWait.Observe(e.End - e.Start)
+		o.r.queueWait.observe(e.End - e.Start)
 	}
 }
 
-func (o *metricsObserver) Phase(m PhaseMark) {
-	if !m.Barrier {
-		return
+func (o metricsObserver) Phase(m PhaseMark) {
+	if m.Barrier {
+		o.r.barrier(m.Step, m.Ops)
 	}
-	o.centralOps.Add(m.Ops.CentralOps)
-	o.localOps.Add(m.Ops.LocalOps)
-	o.remoteOps.Add(m.Ops.RemoteOps)
-	o.steals.Add(m.Ops.Steals)
-	o.migratedIters.Add(m.Ops.MigratedIters)
-	o.iterations.Add(m.Ops.Iterations)
-	o.reg.Snapshot(m.Step)
 }
 
 // TeeObservers composes observers, dropping nils: nil when none

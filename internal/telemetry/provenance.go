@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync"
-
 // Prov is one per-chunk provenance record: which processor executed
 // the chunk, which queue it came from (and whether it migrated), and
 // the decomposition of the chunk's execution window into the paper's
@@ -63,61 +61,7 @@ func (p Prov) Iters() int { return p.Hi - p.Lo }
 // A ProvSink consumes provenance records as chunks complete. Emit is
 // called from the hot path of both runtimes; implementations should be
 // cheap. Sinks used with the real goroutine runtime must be safe for
-// concurrent use (SyncProvStream).
+// concurrent use (Log is).
 type ProvSink interface {
-	EmitProv(Prov)
-}
-
-// ProvStream is an in-memory ProvSink accumulating records in order.
-// NOT safe for concurrent use — it matches the single-threaded
-// simulator.
-type ProvStream struct {
-	recs []Prov
-}
-
-// NewProvStream creates an empty provenance stream.
-func NewProvStream() *ProvStream { return &ProvStream{} }
-
-// EmitProv appends a record.
-func (s *ProvStream) EmitProv(p Prov) { s.recs = append(s.recs, p) }
-
-// Records returns the accumulated records. The caller must not mutate
-// the returned slice while continuing to EmitProv.
-func (s *ProvStream) Records() []Prov { return s.recs }
-
-// Len returns the number of accumulated records.
-func (s *ProvStream) Len() int { return len(s.recs) }
-
-// Reset discards all accumulated records, keeping capacity.
-func (s *ProvStream) Reset() { s.recs = s.recs[:0] }
-
-// SyncProvStream is a mutex-protected ProvStream safe for the
-// concurrent workers of the real goroutine runtime.
-type SyncProvStream struct {
-	mu sync.Mutex
-	s  ProvStream
-}
-
-// NewSyncProvStream creates an empty concurrent-safe provenance stream.
-func NewSyncProvStream() *SyncProvStream { return &SyncProvStream{} }
-
-// EmitProv appends a record under the lock.
-func (s *SyncProvStream) EmitProv(p Prov) {
-	s.mu.Lock()
-	s.s.EmitProv(p)
-	s.mu.Unlock()
-}
-
-// Records returns a copy of the accumulated records.
-func (s *SyncProvStream) Records() []Prov {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Prov(nil), s.s.recs...)
-}
-
-// Len returns the number of accumulated records.
-func (s *SyncProvStream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.s.recs)
+	Emit(Prov)
 }

@@ -2,94 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// A Counter is a monotonically increasing named total. Safe for
-// concurrent use (the real runtime's workers update shared counters).
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current total.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// A Gauge is a named instantaneous value that may go up or down.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores the current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// A Histogram is a fixed-bucket distribution of observed values
-// (queue-wait cycles, chunk sizes, steal latencies). Buckets are
-// cumulative counts of observations ≤ each upper bound, plus an
-// overflow bucket. Safe for concurrent use.
-type Histogram struct {
-	name   string
-	bounds []float64 // ascending upper bounds
-	counts []atomic.Int64
-	count  atomic.Int64
-	sumMu  sync.Mutex
-	sum    float64
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumMu.Lock()
-	h.sum += v
-	h.sumMu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.sumMu.Lock()
-	defer h.sumMu.Unlock()
-	return h.sum
-}
-
-// BucketCounts returns the per-bucket observation counts; the last
-// entry counts values above the final bound.
-func (h *Histogram) BucketCounts() []int64 {
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
 
 // ExpBuckets builds n exponentially growing upper bounds starting at
 // start with the given growth factor — the standard shape for latency
@@ -104,105 +18,116 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// StepSample is one per-step snapshot of every registered metric:
-// cumulative counter totals, gauge values, and histogram count/sum
-// pairs, keyed by metric name (histograms contribute "<name>_count"
-// and "<name>_sum").
+// StepSample is one per-step snapshot of a registry's series: every
+// value keyed by its name (Registry.MetricNames).
 type StepSample struct {
 	Step   int
 	Values map[string]float64
 }
 
-// Registry holds named metrics and their per-step time series. Metric
-// creation is locked; updates on the returned handles are lock-free
-// (counters, gauges) or finely locked (histogram sums), so hot paths
-// touch no registry-wide lock.
+// Registry is the metrics series ObserveMetrics writes: the six
+// scheduling counters of OpCounts (central_ops, local_ops,
+// remote_ops, steals, migrated_iters, iterations), grown at every
+// barrier, and the count and sum of chunk size, queue wait and steal
+// latency. Each barrier appends one StepSample, turning the registry
+// into a per-step time series (affinity decay across outer-loop
+// phases shows up as the step-over-step delta of migrated_iters). One
+// registry shared by many runs holds their sum. Safe for concurrent
+// use.
 type Registry struct {
 	mu     sync.Mutex
-	order  []string
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
+	unit   string   // the wait metrics' time unit, set by ObserveMetrics
+	names  []string // the sample keys in column order; nil until then
+	ops    OpCounts
 	series []StepSample
+
+	// Each quantity is locked on its own, so the workers observing
+	// chunks and waits contend neither with each other nor with the
+	// barrier's snapshot.
+	chunkSize, queueWait, stealLatency countSum
+}
+
+// countSum is the count and sum of one observed quantity.
+type countSum struct {
+	mu  sync.Mutex
+	n   int64
+	sum float64
+}
+
+func (c *countSum) observe(v float64) {
+	c.mu.Lock()
+	c.n++
+	c.sum += v
+	c.mu.Unlock()
+}
+
+func (c *countSum) read() (n, sum float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return float64(c.n), c.sum
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
+// setUnit names the registry's wait metrics after unit. A registry
+// holds one unit: attaching it again under another panics.
+func (r *Registry) setUnit(unit string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counts[name]; ok {
-		return c
+	if r.unit == unit {
+		return
 	}
-	c := &Counter{name: name}
-	r.counts[name] = c
-	r.order = append(r.order, name)
-	return c
+	if r.unit != "" {
+		panic("telemetry: registry already holds " + r.unit + " metrics, cannot observe " + unit)
+	}
+	r.unit = unit
+	r.names = []string{
+		"central_ops", "local_ops", "remote_ops", "steals", "migrated_iters", "iterations",
+		"chunk_size_count", "chunk_size_sum",
+		"queue_wait_" + unit + "_count", "queue_wait_" + unit + "_sum",
+		"steal_latency_" + unit + "_count", "steal_latency_" + unit + "_sum",
+	}
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
+// barrier adds one barrier's scheduling counts and records the step's
+// sample.
+func (r *Registry) barrier(step int, ops OpCounts) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
+	r.ops.CentralOps += ops.CentralOps
+	r.ops.LocalOps += ops.LocalOps
+	r.ops.RemoteOps += ops.RemoteOps
+	r.ops.Steals += ops.Steals
+	r.ops.MigratedIters += ops.MigratedIters
+	r.ops.Iterations += ops.Iterations
+	r.snapshot(step)
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds on first use (later calls may
-// pass nil bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	if len(bounds) == 0 {
-		bounds = ExpBuckets(1, 4, 12)
-	}
-	sorted := append([]float64(nil), bounds...)
-	sort.Float64s(sorted)
-	h := &Histogram{name: name, bounds: sorted, counts: make([]atomic.Int64, len(sorted)+1)}
-	r.hists[name] = h
-	r.order = append(r.order, name)
-	return h
-}
-
-// Snapshot appends one StepSample capturing the current value of every
-// registered metric, labelled with the given step. Both runtimes call
-// this at each phase barrier, turning the registry into a per-step
-// time series (affinity decay across outer-loop phases shows up as the
-// step-over-step delta of e.g. the "migrated_iters" counter).
+// Snapshot appends one StepSample of every current value, labelled
+// with the given step. Every barrier takes one; a caller takes one
+// more to read the totals after a run.
 func (r *Registry) Snapshot(step int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	vals := make(map[string]float64, len(r.order)+len(r.hists))
-	for name, c := range r.counts {
-		vals[name] = float64(c.Value())
+	r.snapshot(step)
+}
+
+func (r *Registry) snapshot(step int) {
+	o := r.ops
+	sizeN, sizeSum := r.chunkSize.read()
+	waitN, waitSum := r.queueWait.read()
+	stealN, stealSum := r.stealLatency.read()
+	vals := [...]float64{
+		float64(o.CentralOps), float64(o.LocalOps), float64(o.RemoteOps),
+		float64(o.Steals), float64(o.MigratedIters), float64(o.Iterations),
+		sizeN, sizeSum, waitN, waitSum, stealN, stealSum,
 	}
-	for name, g := range r.gauges {
-		vals[name] = g.Value()
+	m := make(map[string]float64, len(r.names))
+	for i, name := range r.names {
+		m[name] = vals[i]
 	}
-	for name, h := range r.hists {
-		vals[name+"_count"] = float64(h.Count())
-		vals[name+"_sum"] = h.Sum()
-	}
-	r.series = append(r.series, StepSample{Step: step, Values: vals})
+	r.series = append(r.series, StepSample{Step: step, Values: m})
 }
 
 // Series returns the recorded per-step samples in order.
@@ -212,25 +137,19 @@ func (r *Registry) Series() []StepSample {
 	return append([]StepSample(nil), r.series...)
 }
 
-// MetricNames returns every sample key in a stable order: registration
-// order, histograms expanded to their _count/_sum pair.
+// MetricNames returns every sample key in column order: the six
+// counters, then the count/sum pairs of chunk_size,
+// queue_wait_<unit> and steal_latency_<unit>. Empty until
+// ObserveMetrics attaches the registry.
 func (r *Registry) MetricNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []string
-	for _, name := range r.order {
-		if _, ok := r.hists[name]; ok {
-			out = append(out, name+"_count", name+"_sum")
-			continue
-		}
-		out = append(out, name)
-	}
-	return out
+	return append([]string(nil), r.names...)
 }
 
 // String summarises the registry for debugging.
 func (r *Registry) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return fmt.Sprintf("registry{%d metrics, %d samples}", len(r.order), len(r.series))
+	return fmt.Sprintf("registry{%d metrics, %d samples}", len(r.names), len(r.series))
 }

@@ -9,12 +9,14 @@
 //     telemetry is off, with adapters feeding the consumers below;
 //   - a structured event stream (exec / steal / queue-wait /
 //     cache-flush / phase-boundary events) behind a pluggable Sink
-//     interface;
-//   - a metrics Registry of named counters, gauges and fixed-bucket
-//     histograms with per-step time-series snapshots (registry.go);
-//   - exporters: JSONL and CSV event dumps (export.go) and the Chrome
-//     trace-event format loadable in chrome://tracing or Perfetto
-//     (chrometrace.go);
+//     interface, with Log as the in-memory record of events or
+//     provenance records;
+//   - the metrics Registry ObserveMetrics fills: the scheduling
+//     counters and the count and sum of chunk size, queue wait and
+//     steal latency, sampled at every barrier (registry.go);
+//   - exporters: a JSONL event dump and the metrics series as CSV
+//     (export.go), and the Chrome trace-event format loadable in
+//     chrome://tracing or Perfetto (chrometrace.go);
 //   - an invariant verifier over the event stream asserting the
 //     paper's correctness properties (tracecheck.go).
 //
@@ -73,87 +75,39 @@ type Event struct {
 // A Sink consumes events as they happen. Emit is called from the hot
 // path of both runtimes; implementations should be cheap. Sinks used
 // with the real goroutine runtime must be safe for concurrent use
-// (use SyncStream or wrap with Synchronized).
+// (Log is).
 type Sink interface {
 	Emit(Event)
 }
 
-// Stream is an in-memory Sink accumulating events in order. It is NOT
-// safe for concurrent use — it matches the single-threaded simulator.
-type Stream struct {
-	events []Event
+// Log is an in-memory record of emitted values in arrival order,
+// mutex-guarded so the real runtime's concurrent workers may share it.
+// A *Log[Event] is a Sink and a *Log[Prov] a ProvSink.
+type Log[T any] struct {
+	mu   sync.Mutex
+	recs []T
 }
 
-// NewStream creates an empty stream.
-func NewStream() *Stream { return &Stream{} }
+// NewLog creates an empty log.
+func NewLog[T any]() *Log[T] { return &Log[T]{} }
 
-// Emit appends an event.
-func (s *Stream) Emit(e Event) { s.events = append(s.events, e) }
-
-// Events returns the accumulated events. The caller must not mutate
-// the returned slice while continuing to Emit.
-func (s *Stream) Events() []Event { return s.events }
-
-// Len returns the number of accumulated events.
-func (s *Stream) Len() int { return len(s.events) }
-
-// Reset discards all accumulated events, keeping capacity.
-func (s *Stream) Reset() { s.events = s.events[:0] }
-
-// SyncStream is a mutex-protected Stream safe for the concurrent
-// workers of the real goroutine runtime.
-type SyncStream struct {
-	mu sync.Mutex
-	s  Stream
-}
-
-// NewSyncStream creates an empty concurrent-safe stream.
-func NewSyncStream() *SyncStream { return &SyncStream{} }
-
-// Emit appends an event under the lock.
-func (s *SyncStream) Emit(e Event) {
-	s.mu.Lock()
-	s.s.Emit(e)
-	s.mu.Unlock()
-}
-
-// Events returns a copy of the accumulated events.
-func (s *SyncStream) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.s.events...)
-}
-
-// Len returns the number of accumulated events.
-func (s *SyncStream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.s.events)
-}
-
-// Reset discards all accumulated events.
-func (s *SyncStream) Reset() {
-	s.mu.Lock()
-	s.s.Reset()
-	s.mu.Unlock()
-}
-
-// Synchronized wraps a sink with a mutex, making it safe for the real
-// runtime's concurrent workers.
-func Synchronized(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &lockedSink{inner: s}
-}
-
-type lockedSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-func (l *lockedSink) Emit(e Event) {
+// Emit appends v under the lock.
+func (l *Log[T]) Emit(v T) {
 	l.mu.Lock()
-	l.inner.Emit(e)
+	l.recs = append(l.recs, v)
 	l.mu.Unlock()
+}
+
+// Records returns a copy of the accumulated values.
+func (l *Log[T]) Records() []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]T(nil), l.recs...)
+}
+
+// Len returns the number of accumulated values.
+func (l *Log[T]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
 }

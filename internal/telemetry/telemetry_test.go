@@ -20,36 +20,37 @@ func TestKindString(t *testing.T) {
 }
 
 func TestStreamAccumulates(t *testing.T) {
-	s := NewStream()
+	s := NewLog[Event]()
 	s.Emit(Event{Kind: KindExec, Proc: 1})
 	s.Emit(Event{Kind: KindSteal, Proc: 2, Victim: 1})
-	if s.Len() != 2 || len(s.Events()) != 2 {
+	if s.Len() != 2 || len(s.Records()) != 2 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.Events()[1].Kind != KindSteal {
+	if s.Records()[1].Kind != KindSteal {
 		t.Error("order not preserved")
 	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Error("reset did not clear")
+	recs := s.Records()
+	recs[0].Proc = 9
+	if s.Records()[0].Proc != 1 {
+		t.Error("Records shares its backing array with the log")
 	}
 }
 
 func TestSyncStreamConcurrent(t *testing.T) {
-	s := NewSyncStream()
+	s := NewLog[Prov]()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Emit(Event{Kind: KindExec, Proc: w, Lo: i, Hi: i + 1})
+				ObserveProv(s).Chunk(Prov{Proc: w, Lo: i, Hi: i + 1})
 			}
 		}(w)
 	}
 	wg.Wait()
 	if s.Len() != 800 {
-		t.Errorf("got %d events, want 800", s.Len())
+		t.Errorf("got %d records, want 800", s.Len())
 	}
 }
 
@@ -57,7 +58,7 @@ func TestTeeObservers(t *testing.T) {
 	if TeeObservers() != nil || TeeObservers(nil, nil) != nil {
 		t.Error("TeeObservers of nothing should be nil")
 	}
-	a, b := NewStream(), NewStream()
+	a, b := NewLog[Event](), NewLog[Event]()
 	oa := ObserveEvents(a)
 	if TeeObservers(oa, nil) != oa {
 		t.Error("single observer should pass through")
@@ -71,113 +72,80 @@ func TestTeeObservers(t *testing.T) {
 	}
 }
 
-// TestObserveMetricsUnits: the time unit picks the wait histograms'
-// names and first bucket, so a registry never holds cycles under an
-// _ns name.
+// TestObserveMetricsUnits: the time unit names the wait metrics, so a
+// registry never holds cycles under an _ns name, and a registry keeps
+// the unit it was first attached with.
 func TestObserveMetricsUnits(t *testing.T) {
-	for unit, first := range map[string]float64{"ns": 100, "cycles": 1} {
+	for _, unit := range []string{"ns", "cycles"} {
 		reg := NewRegistry()
-		ObserveMetrics(reg, unit).Dispatch(Event{Kind: KindSteal, Start: 0, End: 3})
-		for _, name := range []string{"queue_wait_" + unit, "steal_latency_" + unit} {
-			b := reg.Histogram(name, nil).Bounds()
-			if len(b) != 12 || b[0] != first || b[1] != 4*first {
-				t.Errorf("%s buckets %v, want 12 from %v by 4", name, b, first)
-			}
+		obs := ObserveMetrics(reg, unit)
+		obs.Dispatch(Event{Kind: KindSteal, Start: 0, End: 3})
+		obs.Phase(PhaseMark{Barrier: true})
+		got := reg.Series()[0].Values
+		if got["steal_latency_"+unit+"_count"] != 1 || got["steal_latency_"+unit+"_sum"] != 3 {
+			t.Errorf("steal_latency_%s after one 3-%s steal: %v", unit, unit, got)
 		}
-		if got := reg.Histogram("steal_latency_"+unit, nil).Count(); got != 1 {
-			t.Errorf("steal_latency_%s count %d, want 1", unit, got)
+		if _, ok := got["queue_wait_"+unit+"_count"]; !ok {
+			t.Errorf("no queue_wait_%s_count in %v", unit, got)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("an unknown unit should panic")
-		}
-	}()
-	ObserveMetrics(NewRegistry(), "ms")
-}
-
-func TestSynchronized(t *testing.T) {
-	if Synchronized(nil) != nil {
-		t.Error("Synchronized(nil) should stay nil")
-	}
-	s := NewStream()
-	locked := Synchronized(s)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				locked.Emit(Event{Kind: KindExec})
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic", name)
 			}
 		}()
+		f()
 	}
-	wg.Wait()
-	if s.Len() != 200 {
-		t.Errorf("got %d, want 200", s.Len())
-	}
+	mustPanic("an unknown unit", func() { ObserveMetrics(NewRegistry(), "ms") })
+	reg := NewRegistry()
+	ObserveMetrics(reg, "ns")
+	ObserveMetrics(reg, "ns")
+	mustPanic("a second unit on one registry", func() { ObserveMetrics(reg, "cycles") })
 }
 
-func TestRegistryCountersGaugesHistograms(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d", c.Value())
-	}
-	if r.Counter("ops") != c {
-		t.Error("counter not deduplicated")
-	}
-	g := r.Gauge("load")
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Errorf("gauge = %v", g.Value())
-	}
-	h := r.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 50, 500} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 || h.Sum() != 555.5 {
-		t.Errorf("hist count=%d sum=%v", h.Count(), h.Sum())
-	}
-	counts := h.BucketCounts()
-	want := []int64{1, 1, 1, 1} // ≤1, ≤10, ≤100, overflow
-	for i, w := range want {
-		if counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, counts[i], w)
-		}
-	}
-}
-
+// TestRegistrySnapshotSeries: each barrier adds its OpCounts to the
+// counters and records one cumulative sample, keys in column order.
 func TestRegistrySnapshotSeries(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("steals")
-	h := r.Histogram("chunk", []float64{4, 16})
+	if len(r.MetricNames()) != 0 {
+		t.Errorf("an unattached registry names %v", r.MetricNames())
+	}
+	obs := ObserveMetrics(r, "cycles")
 	for step := 0; step < 3; step++ {
-		c.Add(int64(step))
-		h.Observe(float64(step))
-		r.Snapshot(step)
+		obs.Chunk(Prov{Lo: 0, Hi: step})
+		obs.Dispatch(Event{Kind: KindQueueWait, Start: 1, End: 3})
+		obs.Dispatch(Event{Kind: KindExec, Start: 0, End: 100}) // not a wait
+		obs.Phase(PhaseMark{Step: step})                        // begin marks record nothing
+		obs.Phase(PhaseMark{Step: step, Barrier: true, Ops: OpCounts{Steals: int64(step), Iterations: 10}})
 	}
 	series := r.Series()
 	if len(series) != 3 {
 		t.Fatalf("%d samples", len(series))
 	}
-	if series[2].Values["steals"] != 3 {
-		t.Errorf("cumulative steals = %v", series[2].Values["steals"])
-	}
-	if series[1].Values["chunk_count"] != 2 {
-		t.Errorf("chunk_count = %v", series[1].Values["chunk_count"])
-	}
-	names := r.MetricNames()
-	wantNames := []string{"steals", "chunk_count", "chunk_sum"}
-	if len(names) != len(wantNames) {
-		t.Fatalf("names = %v", names)
-	}
-	for i, n := range wantNames {
-		if names[i] != n {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], n)
+	last := series[2].Values
+	for name, want := range map[string]float64{
+		"steals": 3, "iterations": 30, "central_ops": 0,
+		"chunk_size_count": 3, "chunk_size_sum": 3,
+		"queue_wait_cycles_count": 3, "queue_wait_cycles_sum": 6,
+		"steal_latency_cycles_count": 0,
+	} {
+		if last[name] != want {
+			t.Errorf("step 2 %s = %v, want %v", name, last[name], want)
 		}
+	}
+	if series[1].Step != 1 || series[1].Values["chunk_size_count"] != 2 {
+		t.Errorf("step 1 sample = %+v", series[1])
+	}
+	want := []string{"central_ops", "local_ops", "remote_ops", "steals", "migrated_iters", "iterations",
+		"chunk_size_count", "chunk_size_sum", "queue_wait_cycles_count", "queue_wait_cycles_sum",
+		"steal_latency_cycles_count", "steal_latency_cycles_sum"}
+	if got := r.MetricNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("names = %v, want %v", got, want)
+	}
+	if len(last) != len(want) {
+		t.Errorf("a sample holds %d values, want %d", len(last), len(want))
 	}
 }
 
@@ -193,9 +161,9 @@ func TestExpBuckets(t *testing.T) {
 
 func TestRegistryString(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	ObserveMetrics(r, "ns")
 	r.Snapshot(0)
-	if !strings.Contains(r.String(), "1 metrics") || !strings.Contains(r.String(), "1 samples") {
+	if !strings.Contains(r.String(), "12 metrics") || !strings.Contains(r.String(), "1 samples") {
 		t.Errorf("String() = %q", r.String())
 	}
 }

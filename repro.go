@@ -264,9 +264,10 @@ func WithEvents(s EventSink) Option {
 	return func(c *config) { c.events = s }
 }
 
-// WithMetrics attaches a metrics registry accumulating counters and
-// histograms (chunk sizes, steal latencies, queue waits) with a
-// time-series snapshot taken at every phase barrier.
+// WithMetrics attaches a metrics registry accumulating the scheduling
+// counters and the count and sum of chunk sizes, steal latencies and
+// queue waits (queue_wait_ns, steal_latency_ns), with a time-series
+// snapshot taken at every phase barrier.
 func WithMetrics(r *MetricsRegistry) Option {
 	return func(c *config) { c.metrics = r }
 }
@@ -731,10 +732,6 @@ type SimTouch = sim.Touch
 // SimResult reports a simulated execution.
 type SimResult = sim.Metrics
 
-// SimOptions tunes a simulation run (per-processor start delays,
-// jitter seed, optional observer).
-type SimOptions = sim.Options
-
 // TelemetryEvent is one structured scheduling event (exec, steal,
 // queue wait, cache flush, phase boundary) from either substrate.
 type TelemetryEvent = telemetry.Event
@@ -745,10 +742,10 @@ type EventSink = telemetry.Sink
 // EventStream is a concurrent-safe in-memory event sink, usable with
 // both the real runtime (WithEvents) and the simulator
 // (WithSimEvents).
-type EventStream = telemetry.SyncStream
+type EventStream = telemetry.Log[telemetry.Event]
 
 // NewEventStream creates an empty concurrent-safe event stream.
-func NewEventStream() *EventStream { return telemetry.NewSyncStream() }
+func NewEventStream() *EventStream { return telemetry.NewLog[telemetry.Event]() }
 
 // ProvenanceRecord is one per-chunk provenance record: executing
 // processor, owning queue, stolen flag, and the chunk's cost
@@ -762,18 +759,19 @@ type ProvenanceSink = telemetry.ProvSink
 // ProvenanceStream is a concurrent-safe in-memory provenance sink,
 // usable with both the real runtime (WithProvenance) and the simulator
 // (WithSimProvenance accepts any ProvenanceSink).
-type ProvenanceStream = telemetry.SyncProvStream
+type ProvenanceStream = telemetry.Log[telemetry.Prov]
 
 // NewProvenanceStream creates an empty concurrent-safe provenance
 // stream.
-func NewProvenanceStream() *ProvenanceStream { return telemetry.NewSyncProvStream() }
+func NewProvenanceStream() *ProvenanceStream { return telemetry.NewLog[telemetry.Prov]() }
 
 // QueueDepthSample is one timed per-queue backlog sample from
 // WithQueueDepthSampling.
 type QueueDepthSample = core.QueueDepths
 
-// MetricsRegistry holds named counters, gauges and histograms with
-// per-step time-series snapshots.
+// MetricsRegistry holds a run's scheduling counters and the count and
+// sum of its chunk sizes, queue waits and steal latencies, sampled at
+// every phase barrier into a per-step time series.
 type MetricsRegistry = telemetry.Registry
 
 // NewMetricsRegistry creates an empty metrics registry.
@@ -827,7 +825,7 @@ func WithSimEvents(s EventSink) SimOption {
 }
 
 // WithSimMetrics attaches a metrics registry snapshotted at every step
-// barrier; its wait histograms are queue_wait_cycles and
+// barrier; its wait metrics are queue_wait_cycles and
 // steal_latency_cycles.
 func WithSimMetrics(r *MetricsRegistry) SimOption {
 	return simObserve(telemetry.ObserveMetrics(r, "cycles"))
@@ -851,12 +849,6 @@ func WithSimActiveProcs(f func(step int) int) SimOption {
 // corrupting the caches (§2.1, §6).
 func WithSimCacheFlush(everySteps int) SimOption {
 	return func(o *sim.Options) { o.FlushEverySteps = everySteps }
-}
-
-// WithSimOptions applies a whole SimOptions struct at once — the
-// migration path for code written against the deprecated SimulateOpts.
-func WithSimOptions(opts SimOptions) SimOption {
-	return func(o *sim.Options) { *o = opts }
 }
 
 // Simulate runs prog on p simulated processors of m under s.

@@ -17,10 +17,10 @@ import (
 // as loops grow — `perflab overhead` gates that property; these
 // benchmarks are the microscope for it. The traced variants attach a
 // span tracer on top of the plane, the full observer a served
-// submission carries. BenchmarkSmallTraced (2 workers, 512
-// iterations) keeps the span buffers small enough that its allocs/op
-// is steady run to run, so it prices one submission's instrumentation
-// set-up and seal:
+// submission carries. The tracer recycles its worker span buffers, so
+// once warm BenchmarkStreamTraced allocates as often per submission as
+// BenchmarkSmallTraced (2 workers, 512 iterations): both price one
+// submission's instrumentation set-up and seal:
 //
 //	go test ./internal/pool -run '^$' -bench 'Benchmark(Stream|Small)' -benchtime 100x -benchmem
 func benchStream(b *testing.B, procs, n int, obs, traced bool) {

@@ -272,6 +272,36 @@ func TestAbandonStoresNothing(t *testing.T) {
 	}
 }
 
+// TestRecycledBuffersKeepSealedTraces: End and Abandon hand their
+// worker span buffers to the next submission, which must not reach
+// the spans of a trace already sealed.
+func TestRecycledBuffersKeepSealedTraces(t *testing.T) {
+	tracer := spantrace.NewTracer(spantrace.Options{})
+	run := func(base int) *spantrace.Trace {
+		a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 2, Phases: 1})
+		for i := 0; i < 6; i++ {
+			lo := base + i
+			a.Chunk(telemetry.Prov{Proc: i % 2, Owner: i % 2, Lo: lo, Hi: lo + 1, Start: float64(i), End: float64(i + 1)})
+		}
+		a.Phase(telemetry.PhaseMark{N: 6, End: 6, Barrier: true})
+		return a.End("ok")
+	}
+	first := run(0)
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 2, Phases: 1}).Abandon()
+	second := run(100)
+	got, _ := json.Marshal(first)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a later submission rewrote a sealed trace's spans")
+	}
+	if second.Chunks() != 6 || second.Spans[2].Lo != 100 {
+		t.Errorf("second trace: %d chunks, first chunk span %+v", second.Chunks(), second.Spans[2])
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	h := spantrace.Handler(tracer)

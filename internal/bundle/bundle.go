@@ -29,6 +29,10 @@ import (
 	"repro/internal/watchdog"
 )
 
+// exemplars caps how many of the plane's slowest submissions a bundle
+// captures the span trees of.
+const exemplars = 3
+
 // Canonical entry names inside a bundle tar.
 const (
 	// ManifestName is always the FIRST tar entry, so indexers read one
@@ -87,9 +91,6 @@ type Options struct {
 	// CPUProfile is the CPU delta profiling window (default 250ms;
 	// negative disables the CPU profile entirely).
 	CPUProfile time.Duration
-	// Exemplars caps how many slowest span trees are captured
-	// (default 3).
-	Exemplars int
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -100,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CPUProfile == 0 {
 		o.CPUProfile = 250 * time.Millisecond
-	}
-	if o.Exemplars <= 0 {
-		o.Exemplars = 3
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -256,7 +254,7 @@ func (c *Capturer) captureExemplars(snap livemetrics.Snapshot, m *Meta, files *[
 	taken := 0
 	seen := map[uint64]bool{}
 	for _, ex := range snap.SubmissionExemplars {
-		if taken >= c.opts.Exemplars || seen[ex.TraceID] {
+		if taken >= exemplars || seen[ex.TraceID] {
 			continue
 		}
 		seen[ex.TraceID] = true

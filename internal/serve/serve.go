@@ -117,11 +117,8 @@ type Options struct {
 	// for shard-level parallelism.
 	Dispatchers int
 	// Tenants maps tenant names to their policy; absent tenants get
-	// DefaultTenant.
+	// the zero policy (weight 1, no quota).
 	Tenants map[string]TenantConfig
-	// DefaultTenant is the policy for unnamed tenants (zero value:
-	// weight 1, no quota).
-	DefaultTenant TenantConfig
 	// Plane, when set, receives per-tenant admission telemetry and is
 	// attached to every shard executor. Caller-owned.
 	Plane *livemetrics.Plane
@@ -240,13 +237,6 @@ func tenantName(t string) string {
 	return t
 }
 
-func (s *Server) tenantConfig(name string) TenantConfig {
-	if c, ok := s.opts.Tenants[name]; ok {
-		return c
-	}
-	return s.opts.DefaultTenant
-}
-
 func (s *Server) observe(tenant string, wait time.Duration, outcome livemetrics.AdmitOutcome) {
 	if s.plane != nil {
 		s.plane.ObserveAdmission(tenant, wait, outcome)
@@ -283,7 +273,7 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	}
 
 	now := s.now()
-	tc := s.tenantConfig(tenant)
+	tc := s.opts.Tenants[tenant]
 	s.mu.Lock()
 	b, ok := s.buckets[tenant]
 	if !ok {
@@ -439,7 +429,7 @@ func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, b := range s.buckets {
-		tc := s.tenantConfig(name)
+		tc := s.opts.Tenants[name]
 		w := tc.Weight
 		if w <= 0 {
 			w = 1

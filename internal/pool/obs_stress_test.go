@@ -10,14 +10,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/livemetrics"
 	"repro/internal/sched"
+	"repro/internal/spantrace"
 )
 
-// TestObservabilityStress races the observability plane against the
-// engine it watches: submitter goroutines drive normal, panicking and
-// cancelled loops while scraper goroutines hammer Snapshot, flight
-// dumps and the anomaly buffer. Run with -race; the final bookkeeping
-// must balance exactly because the plane's counters are written on the
-// submission path itself, not sampled.
+// TestObservabilityStress races the observability plane and the span
+// tracer against the engine they watch: submitter goroutines drive
+// normal, panicking and cancelled loops, starting and sealing traces
+// that share the tracer's recycled span buffers, while scraper
+// goroutines hammer Snapshot, flight dumps and the anomaly buffer. Run
+// with -race; the final bookkeeping must balance exactly because the
+// plane's counters and the spans are written on the submission path
+// itself, not sampled.
 //
 // Scrapes are not tracecheck'd here: a cancelled phase still emits its
 // phase-end with only partial index coverage, so mid-flight dumps of
@@ -35,6 +38,8 @@ func TestObservabilityStress(t *testing.T) {
 	plane := livemetrics.New(livemetrics.Options{})
 	defer plane.Close()
 	x.SetObservability(plane)
+	tracer := spantrace.NewTracer(spantrace.Options{})
+	x.SetTracer(tracer)
 
 	spec, err := sched.ByName("afs")
 	if err != nil {
@@ -149,6 +154,17 @@ func TestObservabilityStress(t *testing.T) {
 	}
 	if workerHits > workerChunks {
 		t.Errorf("affinity hits %d exceed chunks %d", workerHits, workerChunks)
+	}
+	traces := tracer.Traces()
+	var spanChunks int64
+	for _, tr := range traces {
+		spanChunks += int64(tr.Chunks())
+		if tr.Dropped != 0 {
+			t.Errorf("trace %d dropped %d spans", tr.TraceID, tr.Dropped)
+		}
+	}
+	if int64(len(traces)) != total || spanChunks != c.Chunks {
+		t.Errorf("%d traces hold %d chunk spans, want %d traces and the plane's %d chunks", len(traces), spanChunks, total, c.Chunks)
 	}
 	if wantPanics+wantCancels > 0 && plane.Recorder().Anomaly() == nil {
 		t.Error("no anomaly dump despite panics and cancellations")

@@ -11,6 +11,7 @@
 //	realbench -kernel gauss -trace-out trace.json      # Chrome/Perfetto trace
 //	realbench -kernel sor -metrics-out series.csv -check
 //	realbench -kernel gauss -pprof :6060               # live pprof + expvar
+//	realbench -kernel tc-skew -queue-depths            # per-queue backlog, derived from the chunk records
 //
 // Table 2 (§4.5) on real goroutines — a balanced loop whose worker 0
 // starts late:
@@ -35,6 +36,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/forensics"
 	"repro/internal/job"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -53,7 +55,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the per-phase metrics time series as CSV")
 		check      = flag.Bool("check", false, "verify the event stream against the paper's invariants")
 		traceAlgo  = flag.String("trace-algo", "afs", "algorithm for the instrumented -trace-out/-metrics-out/-check run")
-		queueDepth = flag.Duration("queue-depths", 0, "sample per-queue backlog at this interval during the instrumented run (e.g. 200µs; 0 = off)")
+		queueDepth = flag.Bool("queue-depths", false, "print each work queue's backlog over the instrumented run, derived from its chunk records")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060) during the sweep")
 		startDelay = flag.Duration("start-delay", 0, "delay worker 0's start by this long in every run (§4.5 / Table 2)")
 	)
@@ -134,7 +136,7 @@ func main() {
 	}
 
 	x := cli.Export{TraceOut: *traceOut, MetricsOut: *metricsOut, Check: *check}
-	if x.Wanted() || *queueDepth > 0 {
+	if x.Wanted() || *queueDepth {
 		if err := instrumentedRun(run, counts, *traceAlgo, desc, x, *queueDepth); err != nil {
 			fatal(err)
 		}
@@ -143,25 +145,22 @@ func main() {
 
 // instrumentedRun executes one extra run at the largest worker count
 // with full telemetry, then exports and/or verifies the stream as x
-// asks.
-func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export, depthEvery time.Duration) error {
+// asks, and prints the derived queue backlog when depths is set.
+func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export, depths bool) error {
 	w := counts[len(counts)-1]
 	stream, reg := telemetry.NewLog[telemetry.Event](), telemetry.NewRegistry()
 	expvar.Publish("telemetry_events", expvar.Func(func() any { return stream.Len() }))
 	opts := []repro.Option{repro.WithEvents(stream), repro.WithMetrics(reg)}
-	if depthEvery > 0 {
-		opts = append(opts, repro.WithQueueDepthSampling(depthEvery))
+	var prov *repro.ProvenanceStream
+	if depths {
+		prov = repro.NewProvenanceStream()
+		opts = append(opts, repro.WithProvenance(prov))
 	}
-	st, err := run(w, algo, opts...)
-	if err != nil {
+	if _, err := run(w, algo, opts...); err != nil {
 		return err
 	}
-	if depthEvery > 0 {
-		if len(st.QueueDepthSamples) == 0 {
-			fmt.Fprintf(os.Stderr, "queue-depths: no samples collected (run shorter than %v?)\n", depthEvery)
-		} else {
-			depthTable(st.QueueDepthSamples, algo, w).Render(os.Stdout)
-		}
+	if depths {
+		depthTable(prov.Records(), algo, w).Render(os.Stdout)
 	}
 	x.Chrome = telemetry.ChromeOptions{
 		Label:     fmt.Sprintf("%s, %s, %d workers (real runtime)", desc, algo, w),
@@ -176,38 +175,20 @@ func instrumentedRun(run runFunc, counts []int, algo, desc string, x cli.Export,
 // and scheduler name, plus any extra options.
 type runFunc func(workers int, algo string, opts ...repro.Option) (repro.RunStats, error)
 
-// depthTable summarises per-queue backlog samples: how deep each work
-// queue ran over the instrumented run — the real runtime's view of the
-// imbalance AFS's stealing is meant to drain.
-func depthTable(samples []repro.QueueDepthSample, algo string, workers int) *stats.Table {
-	queues := 0
-	for _, s := range samples {
-		if len(s.Depths) > queues {
-			queues = len(s.Depths)
-		}
-	}
+// depthTable summarises each work queue's backlog over the
+// instrumented run, derived from its chunk records: how deep each queue
+// ran — the real runtime's view of the imbalance AFS's stealing is
+// meant to drain.
+func depthTable(prov []telemetry.Prov, algo string, workers int) *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("queue depths (%s, %d workers, %d samples)", algo, workers, len(samples)),
+		fmt.Sprintf("queue depths (%s, %d workers, derived from %d chunk records)", algo, workers, len(prov)),
 		"queue", "max", "mean", "nonempty")
-	for q := 0; q < queues; q++ {
-		max, sum, nonempty := 0, 0, 0
-		for _, s := range samples {
-			if q >= len(s.Depths) {
-				continue
-			}
-			d := s.Depths[q]
-			if d > max {
-				max = d
-			}
-			sum += d
-			if d > 0 {
-				nonempty++
-			}
+	for _, q := range forensics.QueueBacklogs(prov) {
+		name := strconv.Itoa(q.Queue)
+		if q.Queue < 0 {
+			name = "central"
 		}
-		t.AddRow(strconv.Itoa(q),
-			strconv.Itoa(max),
-			fmt.Sprintf("%.1f", float64(sum)/float64(len(samples))),
-			fmt.Sprintf("%d%%", 100*nonempty/len(samples)))
+		t.AddRow(name, strconv.Itoa(q.Max), fmt.Sprintf("%.1f", q.Mean), fmt.Sprintf("%.0f%%", 100*q.Nonempty))
 	}
 	return t
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/cli"
 )
 
@@ -83,5 +85,42 @@ func TestRealKernelRunsAllPhases(t *testing.T) {
 	}
 	if st.Phases != 3 || st.Iterations != 3*16 {
 		t.Errorf("phases %d iterations %d, want 3 and 48", st.Phases, st.Iterations)
+	}
+}
+
+// The -queue-depths table is derived from the run's chunk records, so
+// even a short run fills it: one row per queue, the central queue
+// named, and each AFS queue's max its ⌈N/P⌉ block.
+func TestDepthTableDerivesFromRecords(t *testing.T) {
+	run, _, err := realKernel("spin", 64, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		algo string
+		rows []string // each row's queue and max
+	}{
+		{"afs", []string{"0 32", "1 32"}},
+		{"gss", []string{"central 64"}},
+	} {
+		prov := repro.NewProvenanceStream()
+		if _, err := run(2, c.algo, repro.WithProvenance(prov)); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		depthTable(prov.Records(), c.algo, 2).Render(&buf)
+		out := buf.String()
+		if !strings.Contains(out, "queue depths ("+c.algo+", 2 workers, derived from") {
+			t.Errorf("%s: table title missing:\n%s", c.algo, out)
+		}
+		var rows []string
+		for _, line := range strings.Split(out, "\n")[3:] {
+			if f := strings.Fields(line); len(f) == 4 {
+				rows = append(rows, f[0]+" "+f[1])
+			}
+		}
+		if !slices.Equal(rows, c.rows) {
+			t.Errorf("%s: rows %q, want %q:\n%s", c.algo, rows, c.rows, out)
+		}
 	}
 }

@@ -62,11 +62,6 @@ type Config struct {
 	// plane, the span tracer) with telemetry.TeeObservers. nil costs
 	// the hot path one pointer check per chunk.
 	Observer Observer
-	// QueueDepthEvery, when positive, samples every work queue's
-	// backlog at this interval into Stats.QueueDepthSamples — the real
-	// runtime's version of the simulator's per-queue imbalance signal.
-	// Supported by the AFS and central-queue dispatchers.
-	QueueDepthEvery time.Duration
 }
 
 // Observer is the runtime's single instrumentation surface; see
@@ -100,20 +95,6 @@ type Stats struct {
 	// Phases executed and iterations executed in total.
 	Phases     int
 	Iterations int64
-	// QueueDepthSamples holds periodic per-queue backlog samples when
-	// Config.QueueDepthEvery was set: one row per tick, one column per
-	// queue (a single column for central-queue algorithms, counting
-	// remaining iterations).
-	QueueDepthSamples []QueueDepths
-}
-
-// QueueDepths is one timed sample of per-queue backlog.
-type QueueDepths struct {
-	// AtNS is the sample time in nanoseconds since the run started.
-	AtNS float64 `json:"at_ns"`
-	// Depths is the backlog per queue: queued iterations per worker
-	// queue (AFS), or one entry of remaining iterations (central).
-	Depths []int `json:"depths"`
 }
 
 // TotalSyncOps sums all successful queue-removal operations.
@@ -180,14 +161,9 @@ type runner struct {
 	// lastOps is the counters' value at the previous barrier, so each
 	// barrier mark reports only its phase's growth.
 	lastOps telemetry.OpCounts
-	// depthSrc is the queue-depth source when cfg.QueueDepthEvery is
-	// set and the dispatcher supports sampling; depthMu orders its
-	// samples.
-	depthSrc depthSampler
-	depthMu  sync.Mutex
-	phaseNo  atomic.Int64
-	phaseWG  sync.WaitGroup
-	aborted  atomic.Bool
+	phaseNo atomic.Int64
+	phaseWG sync.WaitGroup
+	aborted atomic.Bool
 	// cancelled distinguishes a context cancellation from a body panic
 	// (both set aborted to stop dispatch at chunk granularity).
 	cancelled atomic.Bool
@@ -303,49 +279,9 @@ func (r *runner) work(w, ph int) {
 }
 
 // depthSampler is implemented by dispatchers that can report their
-// queues' backlog concurrently with execution.
+// queues' backlog concurrently with execution (Engine.QueueDepths).
 type depthSampler interface {
 	depths() []int
-}
-
-// startDepthSampler launches the periodic queue-depth sampler when
-// configured and supported, returning a stop function that waits for
-// the sampler goroutine to finish (so Stats reads race-free). The
-// ticker only adds samples between the one Execute takes at every
-// phase start, so a run shorter than a tick still records each
-// phase's starting backlog.
-func (r *runner) startDepthSampler() func() {
-	ds, ok := r.d.(depthSampler)
-	if !ok || r.cfg.QueueDepthEvery <= 0 {
-		return func() {}
-	}
-	r.depthSrc = ds
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(r.cfg.QueueDepthEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.sampleDepths()
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
-}
-
-// sampleDepths appends one queue-depth sample. The clock is read under
-// depthMu, so samples stay in time order whichever goroutine takes
-// them.
-func (r *runner) sampleDepths() {
-	r.depthMu.Lock()
-	r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples,
-		QueueDepths{AtNS: r.nowNS(), Depths: r.depthSrc.depths()})
-	r.depthMu.Unlock()
 }
 
 // phaseOps returns the counters' growth since the previous barrier.
@@ -393,8 +329,8 @@ type centralDispatch struct {
 }
 
 func (d *centralDispatch) initPhase(r *runner, ph, n int) {
-	// Under the lock: the queue-depth sampler may read d.disp
-	// concurrently with the phase transition.
+	// Under the lock: Engine.QueueDepths may read d.disp concurrently
+	// with the phase transition.
 	d.mu.Lock()
 	d.disp = sched.NewDispenser(d.sizer, n, r.p)
 	d.mu.Unlock()

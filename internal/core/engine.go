@@ -261,7 +261,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 	// host; nothing downstream replays from these values.
 	start := time.Now() //lint:allow determinism real-runtime wall time anchors Stats.Elapsed and the ns-since-start telemetry clock
 	r.t0 = start
-	stopSampler := r.startDepthSampler()
 	completed := 0
 	for ph := 0; ph < phases; ph++ {
 		nn := n(ph)
@@ -270,9 +269,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		r.phaseNo.Store(int64(ph))
 		d.initPhase(r, ph, nn)
-		if r.depthSrc != nil {
-			r.sampleDepths()
-		}
 		var phStart float64
 		if r.obs != nil {
 			phStart = r.nowNS()
@@ -295,7 +291,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		completed++
 	}
-	stopSampler()
 
 	r.stats.Elapsed = time.Since(start) //lint:allow determinism real-runtime wall time is the measured quantity here
 	r.stats.Phases = completed

@@ -137,48 +137,6 @@ func TestStolenProvIsItsSteal(t *testing.T) {
 	}
 }
 
-// TestQueueDepthSampling: every phase start contributes one sample of
-// the freshly filled queues (all n iterations queued) whether or not
-// the ticker ever fires, and samples come out in time order.
-func TestQueueDepthSampling(t *testing.T) {
-	const n, phases = 256, 4
-	for _, name := range []string{"afs", "gss"} {
-		spec, _ := sched.ByName(name)
-		st, err := Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: 200 * time.Microsecond},
-			phases, func(int) int { return n }, slowBody)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantCols := 4
-		if name == "gss" {
-			wantCols = 1 // central dispenser: one backlog column
-		}
-		full := 0
-		for i, s := range st.QueueDepthSamples {
-			if len(s.Depths) != wantCols {
-				t.Fatalf("%s: sample has %d columns, want %d", name, len(s.Depths), wantCols)
-			}
-			if i > 0 && s.AtNS < st.QueueDepthSamples[i-1].AtNS {
-				t.Errorf("%s: sample %d at %vns precedes sample %d at %vns", name, i, s.AtNS, i-1, st.QueueDepthSamples[i-1].AtNS)
-			}
-			total := 0
-			for q, d := range s.Depths {
-				if d < 0 {
-					t.Errorf("%s: negative depth %d on queue %d", name, d, q)
-				}
-				total += d
-			}
-			if total == n {
-				full++
-			}
-		}
-		if full < phases {
-			t.Errorf("%s: %d samples of full queues in %d samples, want at least one per phase (%d)",
-				name, full, len(st.QueueDepthSamples), phases)
-		}
-	}
-}
-
 // TestProvenanceConcurrentSink exercises the sync stream under real
 // contention (belt-and-braces for the race detector).
 func TestProvenanceConcurrentSink(t *testing.T) {

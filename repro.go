@@ -131,15 +131,14 @@ type config struct {
 	// lowering.
 	spec *Scheduler
 	// Process-local attachments, applied on top of the lowered config.
-	ctx             context.Context
-	costHint        func(ph, i int) float64
-	startDelay      []time.Duration
-	events          EventSink
-	metrics         *MetricsRegistry
-	prov            ProvenanceSink
-	queueDepthEvery time.Duration
-	obs             *livemetrics.Plane
-	tracer          *spantrace.Tracer
+	ctx        context.Context
+	costHint   func(ph, i int) float64
+	startDelay []time.Duration
+	events     EventSink
+	metrics    *MetricsRegistry
+	prov       ProvenanceSink
+	obs        *livemetrics.Plane
+	tracer     *spantrace.Tracer
 
 	// cc is the lowered core config, resolved once by buildConfig.
 	cc  core.Config
@@ -280,27 +279,15 @@ func WithProvenance(s ProvenanceSink) Option {
 	return func(c *config) { c.prov = s }
 }
 
-// WithQueueDepthSampling samples every work queue's backlog at the
-// given interval into RunStats.QueueDepthSamples — the real runtime's
-// version of the simulator's per-queue imbalance signal.
-func WithQueueDepthSampling(every time.Duration) Option {
-	return func(c *config) {
-		if every < 0 {
-			c.fail(optionErr("WithQueueDepthSampling", "interval must be ≥ 0, got %v", every))
-			return
-		}
-		c.queueDepthEvery = every
-	}
-}
-
 // Observability is a live observability plane: lock-cheap rolling
 // latency quantiles (per submission and per chunk), per-worker
 // utilization / steal-rate / queue-depth / affinity-hit gauges, and a
 // bounded flight recorder of recent telemetry that freezes
 // automatically on panic or cancellation. Create with NewObservability,
 // attach with WithObservability, scrape with Snapshot or serve over
-// HTTP with ObservabilityHandler (see also cmd/loopserved), and Close
-// when done.
+// HTTP with ObservabilityHandler (see also cmd/loopserved). A plane
+// starts no goroutine: its rate gauges refresh when it is read, so
+// there is nothing to stop.
 type Observability = livemetrics.Plane
 
 // ObservabilityOptions sizes a plane's instruments (rolling window,
@@ -319,7 +306,7 @@ func NewObservability(opts ObservabilityOptions) *Observability {
 // subsequent submission (latencies, per-chunk instruments, flight
 // recorder, live queue depths); on a one-shot call it observes that
 // run. An Executor submission may only re-pass the executor's own
-// plane. The caller owns the plane and Closes it.
+// plane. The caller owns the plane; it may outlive the executor.
 func WithObservability(p *Observability) Option {
 	return func(c *config) { c.obs = p }
 }
@@ -422,7 +409,6 @@ func (c *config) lower() (core.Config, error) {
 	cc.StartDelay = c.startDelay
 	cc.Observer = telemetry.TeeObservers(notableEvents(c.events),
 		telemetry.ObserveMetrics(c.metrics, "ns"), telemetry.ObserveProv(c.prov))
-	cc.QueueDepthEvery = c.queueDepthEvery
 	return cc, nil
 }
 
@@ -764,10 +750,6 @@ type ProvenanceStream = telemetry.Log[telemetry.Prov]
 // NewProvenanceStream creates an empty concurrent-safe provenance
 // stream.
 func NewProvenanceStream() *ProvenanceStream { return telemetry.NewLog[telemetry.Prov]() }
-
-// QueueDepthSample is one timed per-queue backlog sample from
-// WithQueueDepthSampling.
-type QueueDepthSample = core.QueueDepths
 
 // MetricsRegistry holds a run's scheduling counters and the count and
 // sum of its chunk sizes, queue waits and steal latencies, sampled at

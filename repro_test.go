@@ -390,7 +390,6 @@ func TestOptionErrorsNameOption(t *testing.T) {
 		{repro.WithScheduler("not-a-scheduler"), "WithScheduler"},
 		{repro.WithGrain(-1), "WithGrain"},
 		{repro.WithStartDelay(-time.Second), "WithStartDelay"},
-		{repro.WithQueueDepthSampling(-time.Millisecond), "WithQueueDepthSampling"},
 		{repro.WithJobSpec(repro.JobSpec{Kernel: "not-a-kernel"}), "WithJobSpec"},
 		{repro.WithJobSpec(repro.JobSpec{Procs: -1}), "jobspec.procs"},
 	}

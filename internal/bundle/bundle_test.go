@@ -17,7 +17,6 @@ import (
 func newPlane(t *testing.T) *livemetrics.Plane {
 	t.Helper()
 	p := livemetrics.New(livemetrics.Options{})
-	t.Cleanup(p.Close)
 	return p
 }
 

@@ -17,7 +17,6 @@ import (
 // declarations and duplicate sample identities).
 func TestCombinedPromValid(t *testing.T) {
 	plane := livemetrics.New(livemetrics.Options{})
-	defer plane.Close()
 	sloEng, err := slo.New(plane.Snapshot, slo.DefaultObjectives(), slo.Options{})
 	if err != nil {
 		t.Fatal(err)

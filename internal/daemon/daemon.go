@@ -108,11 +108,10 @@ func Start(name, label string, f Flags, objectives []slo.Objective, rules []watc
 		FlightEvents: f.Flight,
 	})}
 	if err := s.arm(f, objectives, rules); err != nil {
-		s.Plane.Close()
 		return nil, err
 	}
 	s.sampler.Sample() // prime the runtime baselines before the first tick
-	s.stops = []func(){s.Plane.Close, slo.Every(time.Second, s.slo.Tick), slo.Every(time.Second, s.sampler.Sample), slo.Every(f.WatchdogTick, s.wd.Tick)}
+	s.stops = []func(){slo.Every(time.Second, s.slo.Tick), slo.Every(time.Second, s.sampler.Sample), slo.Every(f.WatchdogTick, s.wd.Tick)}
 	return s, nil
 }
 
@@ -149,7 +148,7 @@ func (s *Stack) arm(f Flags, objectives []slo.Objective, rules []watchdog.Rule) 
 	return nil
 }
 
-// Close stops the detectors, then the plane, in reverse start order.
+// Close stops the detectors in reverse start order.
 func (s *Stack) Close() {
 	for i := len(s.stops) - 1; i >= 0; i-- {
 		s.stops[i]()

@@ -215,7 +215,6 @@ func goldenStack(t *testing.T) *httptest.Server {
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Close()
-		plane.Close()
 	})
 	return hs
 }

@@ -3,11 +3,13 @@ package forensics
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/livemetrics"
@@ -206,32 +208,12 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-// TestFromEventsFallback analyzes a trace stripped of provenance and
-// checks the event-stream reconstruction still yields a full
-// attribution (compute-only windows, steals recovered).
-func TestFromEventsFallback(t *testing.T) {
+// TestAnalyzeRequiresProvenance: the analysis reads the chunk
+// records only, so a trace without them is an error, not a guess.
+func TestAnalyzeRequiresProvenance(t *testing.T) {
 	tr := captureSkewed(t)
-	full, err := Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := &telemetry.TraceFile{Meta: tr.Meta, Events: tr.Events}
-	a, err := Analyze(stripped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.StealCount != full.StealCount || a.MigratedIters != full.MigratedIters {
-		t.Errorf("fallback steal graph (%d, %d) != provenance steal graph (%d, %d)",
-			a.StealCount, a.MigratedIters, full.StealCount, full.MigratedIters)
-	}
-	const relTol = 1e-9
-	for _, p := range a.Procs {
-		if math.Abs(p.Buckets.Sum()-p.Span) > relTol*p.Span {
-			t.Errorf("fallback proc %d buckets sum %g != span %g", p.Proc, p.Buckets.Sum(), p.Span)
-		}
-		if p.Buckets.CacheReload != 0 || p.Buckets.Interconnect != 0 {
-			t.Errorf("fallback proc %d has cost buckets events cannot carry: %+v", p.Proc, p.Buckets)
-		}
+	if _, err := Analyze(&telemetry.TraceFile{Meta: tr.Meta, Events: tr.Events}); err == nil {
+		t.Fatal("Analyze of an events-only trace succeeded")
 	}
 }
 
@@ -322,7 +304,6 @@ func flightTraceFile(t *testing.T) ([]byte, int, float64) {
 	}
 	defer x.Close()
 	p := livemetrics.New(livemetrics.Options{})
-	defer p.Close()
 	x.SetObservability(p)
 	const subs, n = 3, 4096
 	data := make([]float64, n)
@@ -433,5 +414,71 @@ func TestRealRuntimeProvAnalyzes(t *testing.T) {
 	p1 := a.Procs[1].Buckets
 	if p1.Compute != 550 || p1.QueueWait != 50 || p1.Idle != 200 {
 		t.Errorf("proc 1 buckets: %+v", p1)
+	}
+}
+
+// TestFlightAndSpanTraceAttributeAlike: one AFS submission with
+// steals, observed by a live plane and a span tracer, analyzes into
+// the same per-processor buckets whether loopdoctor reads it from
+// /flight?format=trace (attach) or /trace?id=…&format=trace (trace):
+// both carry every chunk's queue wait.
+func TestFlightAndSpanTraceAttributeAlike(t *testing.T) {
+	x, err := pool.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	p := livemetrics.New(livemetrics.Options{})
+	tracer := spantrace.NewTracer(spantrace.Options{})
+	x.SetObservability(p)
+	x.SetTracer(tracer)
+	p.SetTracer(tracer)
+	// Worker 0 starts late, so the others steal from its block.
+	cfg := core.Config{Procs: 4, Spec: sched.SpecAFS(), StartDelay: []time.Duration{5 * time.Millisecond}}
+	if _, err := x.SubmitPhases(context.Background(), cfg, 2,
+		func(int) int { return 2048 }, func(ph, i int) { _ = ph * i }); err != nil {
+		t.Fatal(err)
+	}
+	traces := tracer.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces, want 1", len(traces))
+	}
+	h := livemetrics.NewHandler(p, "test-engine")
+	analyze := func(url string) *Analysis {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d (body %q)", url, rec.Code, rec.Body.String())
+		}
+		tr, err := telemetry.ReadTrace(rec.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		a, err := Analyze(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		return a
+	}
+	flight := analyze("/flight?format=trace")
+	span := analyze(fmt.Sprintf("/trace?id=%d&format=trace", traces[0].TraceID))
+	if flight.StealCount == 0 {
+		t.Fatal("the submission stole nothing")
+	}
+	if span.StealCount != flight.StealCount || span.MigratedIters != flight.MigratedIters {
+		t.Errorf("steals: trace %d (%d iters), flight %d (%d iters)",
+			span.StealCount, span.MigratedIters, flight.StealCount, flight.MigratedIters)
+	}
+	if len(span.Procs) != len(flight.Procs) {
+		t.Fatalf("trace has %d procs, flight %d", len(span.Procs), len(flight.Procs))
+	}
+	for i := range flight.Procs {
+		if span.Procs[i].Buckets != flight.Procs[i].Buckets {
+			t.Errorf("proc %d: trace buckets %+v, flight buckets %+v", i, span.Procs[i].Buckets, flight.Procs[i].Buckets)
+		}
+	}
+	if flight.TotalBuckets.QueueWait == 0 {
+		t.Error("no queue wait attributed, though chunks were stolen")
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 func TestAdmissionAbsentUntilObserved(t *testing.T) {
 	p := livemetrics.New(livemetrics.Options{})
-	defer p.Close()
 	if s := p.Snapshot(); s.Admission != nil {
 		t.Fatalf("Admission block present before any admission: %+v", s.Admission)
 	}
@@ -31,7 +30,6 @@ func TestAdmissionAbsentUntilObserved(t *testing.T) {
 
 func TestAdmissionCountersAndProm(t *testing.T) {
 	p := livemetrics.New(livemetrics.Options{})
-	defer p.Close()
 
 	for i := 0; i < 5; i++ {
 		p.ObserveAdmission("team-a", time.Duration(i+1)*time.Millisecond, livemetrics.AdmitAdmitted)

@@ -180,7 +180,6 @@ func TestFlightAnomalyLatestWins(t *testing.T) {
 // wrapped ring sees every surviving chunk's time, not idle.
 func TestFlightWrapKeepsProvPerExec(t *testing.T) {
 	p := New(Options{})
-	defer p.Close()
 	o := p.Observer()
 	const steps, chunks = 600, 8
 	for s := 0; s < steps; s++ {

@@ -28,7 +28,6 @@ func startEngine(t *testing.T) (*pool.Executor, *livemetrics.Plane, *httptest.Se
 	}
 	t.Cleanup(func() { x.Close() })
 	p := livemetrics.New(livemetrics.Options{})
-	t.Cleanup(p.Close)
 	x.SetObservability(p)
 	spec, err := sched.ByName("afs")
 	if err != nil {

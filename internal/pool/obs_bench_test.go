@@ -32,7 +32,6 @@ func benchStream(b *testing.B, procs, n int, obs, traced bool) {
 	defer x.Close()
 	if obs {
 		p := livemetrics.New(livemetrics.Options{})
-		defer p.Close()
 		x.SetObservability(p)
 	}
 	if traced {

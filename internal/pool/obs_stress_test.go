@@ -36,7 +36,6 @@ func TestObservabilityStress(t *testing.T) {
 	)
 	x := newExec(t, procs)
 	plane := livemetrics.New(livemetrics.Options{})
-	defer plane.Close()
 	x.SetObservability(plane)
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	x.SetTracer(tracer)

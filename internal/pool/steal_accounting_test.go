@@ -19,7 +19,6 @@ import (
 func TestPlaneStealAccounting(t *testing.T) {
 	x := newExec(t, 4)
 	plane := livemetrics.New(livemetrics.Options{})
-	defer plane.Close()
 	x.SetObservability(plane)
 
 	// Worker 0 starts late, so the others drain their own blocks and

@@ -151,7 +151,6 @@ func TestQuotaShedDeterministic(t *testing.T) {
 func TestOverloadFavoredTenantUnharmed(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	plane := livemetrics.New(livemetrics.Options{})
-	defer plane.Close()
 	s, err := New(Options{
 		Procs: 2,
 		Tenants: map[string]TenantConfig{
@@ -297,7 +296,6 @@ func TestRejectedTenantLabelParses(t *testing.T) {
 		if err := livemetrics.WriteProm(&buf, plane.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
-		plane.Close()
 		exp, err := promtext.Parse(&buf)
 		if err != nil {
 			t.Errorf("tenant %q: the scrape does not parse: %v", tenant, err)
@@ -506,6 +504,110 @@ func TestJobsBodyLimits(t *testing.T) {
 		code, er := post(append(append([]byte{}, spec...), trailer...))
 		if code != http.StatusBadRequest || !strings.Contains(er.Error, "decoding spec") {
 			t.Errorf("spec followed by %q = %d %+v, want 400 decoding spec", trailer, code, er)
+		}
+	}
+}
+
+// TestEveryJobOneAdmissionOutcome: each posted job reaches exactly one
+// admission outcome, whatever happens to it — completed, shed by quota
+// or by the full backlog, withdrawn while queued, or cancelled mid-run
+// (a job a dispatcher took stays admitted). Per tenant, submitted =
+// admitted + shed + rejected = jobs posted.
+func TestEveryJobOneAdmissionOutcome(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	plane := livemetrics.New(livemetrics.Options{})
+	s, err := New(Options{
+		Procs:      2,
+		QueueLimit: 1,
+		// Tenant a's bucket holds four tokens and, on the frozen
+		// clock, never refills.
+		Tenants: map[string]TenantConfig{"a": {Rate: 0.001, Burst: 4}},
+		Plane:   plane,
+		Now:     clock.now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	row := func(tenant string) livemetrics.TenantSnapshot {
+		if a := plane.Snapshot().Admission; a != nil {
+			for _, r := range a.Tenants {
+				if r.Tenant == tenant {
+					return r
+				}
+			}
+		}
+		return livemetrics.TenantSnapshot{Tenant: tenant}
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	submit := func(ctx context.Context, spec job.Spec) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(ctx, spec)
+			errc <- err
+		}()
+		return errc
+	}
+
+	// 1. A long job, cancelled once a dispatcher has taken it.
+	runCtx, cancelRun := context.WithCancel(context.Background())
+	defer cancelRun()
+	long := tinySpec("a")
+	long.Params = job.Params{N: 65536, Phases: 100000, Work: 64}
+	running := submit(runCtx, long)
+	waitFor("the long job's admission", func() bool { return row("a").Admitted == 1 })
+
+	// 2. A job queued behind it, later withdrawn.
+	queueCtx, withdraw := context.WithCancel(context.Background())
+	defer withdraw()
+	queued := submit(queueCtx, tinySpec("a"))
+	waitFor("the second job to queue", func() bool { return s.Status().Queued == 1 })
+
+	// 3. The backlog (limit 1) is full: shed.
+	var shed *ShedError
+	if _, err := s.Submit(context.Background(), tinySpec("a")); !errors.As(err, &shed) || shed.Reason != "backlog" {
+		t.Fatalf("third job: err = %v, want a backlog shed", err)
+	}
+	withdraw()
+	if err := <-queued; !errors.Is(err, context.Canceled) {
+		t.Fatalf("withdrawn job: err = %v, want context.Canceled", err)
+	}
+	cancelRun()
+	if err := <-running; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
+	}
+	waitFor("the withdrawn job to leave the queue", func() bool { return s.Status().Queued == 0 })
+
+	// 4. The last token runs a job to completion; 5. the next sheds.
+	if _, err := s.Submit(context.Background(), tinySpec("a")); err != nil {
+		t.Fatalf("fourth job: %v", err)
+	}
+	if _, err := s.Submit(context.Background(), tinySpec("a")); !errors.As(err, &shed) || shed.Reason != "quota" {
+		t.Fatalf("fifth job: err = %v, want a quota shed", err)
+	}
+	// Tenant b has no quota: one completed job.
+	if _, err := s.Submit(context.Background(), tinySpec("b")); err != nil {
+		t.Fatalf("tenant b: %v", err)
+	}
+
+	for _, want := range []livemetrics.TenantSnapshot{
+		{Tenant: "a", Submitted: 5, Admitted: 2, Shed: 2, Rejected: 1, Completed: 1},
+		{Tenant: "b", Submitted: 1, Admitted: 1, Completed: 1},
+	} {
+		got := row(want.Tenant)
+		if got != want {
+			t.Errorf("tenant %s: %+v, want %+v", want.Tenant, got, want)
+		}
+		if got.Submitted != got.Admitted+got.Shed+got.Rejected {
+			t.Errorf("tenant %s: submitted %d != admitted %d + shed %d + rejected %d",
+				want.Tenant, got.Submitted, got.Admitted, got.Shed, got.Rejected)
 		}
 	}
 }

@@ -37,7 +37,6 @@ func TestScrapeRace(t *testing.T) {
 	}
 	defer px.Close()
 	plane := livemetrics.New(livemetrics.Options{Window: 10 * time.Second})
-	defer plane.Close()
 	tracer := spantrace.NewTracer(spantrace.Options{Store: 32})
 	plane.SetTracer(tracer)
 	px.SetObservability(plane)

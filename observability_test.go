@@ -16,7 +16,6 @@ import (
 // the plane sees every submission.
 func TestObservabilityExecutor(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
-	defer plane.Close()
 	ex, err := repro.NewExecutor(repro.WithProcs(4), repro.WithObservability(plane))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +56,6 @@ func TestObservabilityExecutor(t *testing.T) {
 // through the same plane option.
 func TestObservabilityOneShot(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
-	defer plane.Close()
 	n := 1024
 	var hits [1024]int32
 	if _, err := repro.ParallelFor(n, func(i int) { hits[i]++ },
@@ -79,7 +77,6 @@ func TestObservabilityOneShot(t *testing.T) {
 // trace IDs, and TraceHandler serves the trees over HTTP.
 func TestTracingExecutor(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
-	defer plane.Close()
 	tracer := repro.NewTracing(repro.TracingOptions{})
 	ex, err := repro.NewExecutor(repro.WithProcs(2),
 		repro.WithObservability(plane), repro.WithTracing(tracer))
@@ -171,7 +168,6 @@ func TestTracingOneShot(t *testing.T) {
 // wrapper and decodes the scrape.
 func TestObservabilityHandler(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
-	defer plane.Close()
 	if _, err := repro.ParallelFor(512, func(int) {},
 		repro.WithProcs(2), repro.WithObservability(plane)); err != nil {
 		t.Fatal(err)
@@ -198,9 +194,7 @@ func TestObservabilityHandler(t *testing.T) {
 // option silently ignored; re-passing the executor's own is fine.
 func TestExecutorRejectsSubmissionPlaneOrTracer(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
-	defer plane.Close()
 	other := repro.NewObservability(repro.ObservabilityOptions{})
-	defer other.Close()
 	tracer := repro.NewTracing(repro.TracingOptions{})
 
 	bare, err := repro.NewExecutor(repro.WithProcs(2))

@@ -212,16 +212,15 @@ func (a *Analysis) TopOverhead() (BucketKind, float64) {
 	return best, bestV
 }
 
-// Analyze builds the full forensic breakdown of a trace. When the
-// trace carries no provenance records, equivalent records are
-// reconstructed from the event stream (with compute-only windows).
+// Analyze builds the full forensic breakdown of a trace. Every
+// per-chunk quantity — attribution, steals, the critical path's
+// chunks — comes from the provenance records; the event stream only
+// widens the analysis window to the phase marks and dates each step's
+// begin.
 func Analyze(t *telemetry.TraceFile) (*Analysis, error) {
 	prov := t.Prov
 	if len(prov) == 0 {
-		prov = FromEvents(t.Events)
-	}
-	if len(prov) == 0 {
-		return nil, fmt.Errorf("forensics: trace has no provenance records and no exec events")
+		return nil, fmt.Errorf("forensics: trace has no provenance records")
 	}
 
 	procs := t.Meta.Procs
@@ -289,39 +288,28 @@ func Analyze(t *telemetry.TraceFile) (*Analysis, error) {
 		a.AvgBuckets = a.TotalBuckets.scale(1 / float64(procs))
 	}
 
-	a.Steals, a.StealCount, a.MigratedIters = stealGraph(t.Events, prov)
+	a.Steals, a.StealCount, a.MigratedIters = stealGraph(prov)
 	a.CriticalPath, a.PathBuckets = criticalPath(t.Events, prov)
 	return a, nil
 }
 
-// stealGraph aggregates migration edges, preferring explicit steal
-// events and falling back to stolen provenance records.
-func stealGraph(events []telemetry.Event, prov []telemetry.Prov) ([]StealEdge, int, int) {
+// stealGraph aggregates migration edges from the stolen chunks'
+// records: each is its steal's one record (victim Owner, thief Proc).
+func stealGraph(prov []telemetry.Prov) ([]StealEdge, int, int) {
 	type key struct{ v, t int }
 	agg := map[key]*StealEdge{}
-	add := func(victim, thief, iters int) {
-		k := key{victim, thief}
+	for _, r := range prov {
+		if !r.Stolen {
+			continue
+		}
+		k := key{r.Owner, r.Proc}
 		e, ok := agg[k]
 		if !ok {
-			e = &StealEdge{Victim: victim, Thief: thief}
+			e = &StealEdge{Victim: r.Owner, Thief: r.Proc}
 			agg[k] = e
 		}
 		e.Count++
-		e.Iters += iters
-	}
-	sawEvents := false
-	for _, e := range events {
-		if e.Kind == telemetry.KindSteal {
-			sawEvents = true
-			add(e.Victim, e.Proc, e.Hi-e.Lo)
-		}
-	}
-	if !sawEvents {
-		for _, r := range prov {
-			if r.Stolen {
-				add(r.Owner, r.Proc, r.Iters())
-			}
-		}
+		e.Iters += r.Iters()
 	}
 	edges := make([]StealEdge, 0, len(agg))
 	count, iters := 0, 0
@@ -410,42 +398,4 @@ func criticalPath(events []telemetry.Event, prov []telemetry.Prov) ([]PathSeg, B
 		}
 	}
 	return path, buckets
-}
-
-// FromEvents reconstructs provenance records from a bare event stream
-// (traces captured before provenance existed, or sinks that only kept
-// events). Windows are compute-only; steal events mark the matching
-// exec chunk stolen and contribute their latency as queue wait;
-// queue-wait events attach to the processor's next chunk.
-func FromEvents(events []telemetry.Event) []telemetry.Prov {
-	type stealKey struct{ step, proc, lo, hi int }
-	steals := map[stealKey]telemetry.Event{}
-	for _, e := range events {
-		if e.Kind == telemetry.KindSteal {
-			steals[stealKey{e.Step, e.Proc, e.Lo, e.Hi}] = e
-		}
-	}
-	pendingWait := map[int]float64{}
-	var out []telemetry.Prov
-	for _, e := range events {
-		switch e.Kind {
-		case telemetry.KindQueueWait:
-			pendingWait[e.Proc] += e.End - e.Start
-		case telemetry.KindExec:
-			r := telemetry.Prov{
-				Step: e.Step, Proc: e.Proc, Owner: e.Proc,
-				Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End,
-				Compute: e.End - e.Start,
-			}
-			if se, ok := steals[stealKey{e.Step, e.Proc, e.Lo, e.Hi}]; ok {
-				r.Stolen = true
-				r.Owner = se.Victim
-				r.QueueWait += se.End - se.Start
-			}
-			r.QueueWait += pendingWait[e.Proc]
-			delete(pendingWait, e.Proc)
-			out = append(out, r)
-		}
-	}
-	return out
 }

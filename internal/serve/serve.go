@@ -139,6 +139,10 @@ type submission struct {
 	ctx    context.Context
 	res    Result
 	done   chan struct{}
+	// taken is claimed once, by the dispatcher that runs the job, by
+	// Close, or by a submitter withdrawing it, so the job reaches
+	// exactly one admission outcome.
+	taken atomic.Bool
 }
 
 // Result is one completed submission.
@@ -308,9 +312,13 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	case <-j.done:
 		return j.res, j.res.err
 	case <-ctx.Done():
-		// Withdrawn while queued (or mid-run — the shard sees the same
-		// ctx and cancels at chunk granularity; its result is discarded).
-		s.observe(tenant, 0, livemetrics.AdmitRejected)
+		// Withdrawn while queued, or cancelled mid-run: the shard sees
+		// the same ctx and cancels at chunk granularity, and its result
+		// is discarded. Only a job no dispatcher took is rejected; a
+		// taken one was already counted as admitted.
+		if j.taken.CompareAndSwap(false, true) {
+			s.observe(tenant, 0, livemetrics.AdmitRejected)
+		}
 		return Result{}, ctx.Err()
 	}
 }
@@ -325,8 +333,8 @@ func (s *Server) dispatch() {
 			return
 		}
 		j := en.e
-		if j.ctx.Err() != nil {
-			continue // withdrawn while queued; the submitter already returned
+		if j.ctx.Err() != nil || !j.taken.CompareAndSwap(false, true) {
+			continue // withdrawn while queued; its submitter records it
 		}
 		wait := s.now().Sub(en.enqueued)
 		s.observe(j.tenant, wait, livemetrics.AdmitAdmitted)
@@ -469,7 +477,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	for _, en := range s.q.close() {
-		s.observe(en.e.tenant, 0, livemetrics.AdmitRejected)
+		if en.e.taken.CompareAndSwap(false, true) {
+			s.observe(en.e.tenant, 0, livemetrics.AdmitRejected)
+		}
 		en.e.res = Result{err: ErrClosed}
 		close(en.e.done)
 	}

@@ -32,7 +32,7 @@ func (t *Trace) Telemetry() ([]telemetry.Event, []telemetry.Prov) {
 			pvs = append(pvs, telemetry.Prov{
 				Step: s.Phase, Proc: s.Proc, Owner: s.Owner, Stolen: s.Stolen,
 				Lo: s.Lo, Hi: s.Hi, Start: s.Start, End: s.End,
-				Compute: s.End - s.Start,
+				QueueWait: s.QueueWait, Compute: s.End - s.Start,
 			})
 		case KindSteal:
 			evs = append(evs, telemetry.Event{Kind: telemetry.KindSteal,

@@ -101,6 +101,11 @@ type Span struct {
 	// Start/End bound the span on the telemetry clock.
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
+	// QueueWait is a chunk span's dispatch wait (its Prov's QueueWait:
+	// a steal's length, or a contended central-queue lock), kept in
+	// memory only so Telemetry lowers the chunk's full record; the
+	// span tree's JSON form does not carry it.
+	QueueWait float64 `json:"-"`
 }
 
 // Trace is one sealed submission's span tree.
@@ -386,7 +391,7 @@ func (a *Active) Chunk(p telemetry.Prov) {
 	}
 	a.add(Span{Parent: phaseSpanID(p.Step), Kind: KindChunk,
 		Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen, StealsFrom: from,
-		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End})
+		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End, QueueWait: p.QueueWait})
 }
 
 // add appends s to its worker's buffer under the next ID of that

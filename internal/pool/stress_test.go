@@ -124,20 +124,23 @@ func TestConcurrentSubmitStress(t *testing.T) {
 }
 
 // TestSubmissionsNeverOverlap: per-loop isolation means the executor
-// never interleaves two submissions' bodies.
+// never interleaves two submissions' bodies. A submission counts as
+// active from its first executed iteration to its last, both marked
+// inside the bodies, so the count never depends on when Submit
+// returns to its caller.
 func TestSubmissionsNeverOverlap(t *testing.T) {
 	x := newExec(t, 4)
+	const n = 200
 	var active, maxActive int64
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, err := x.Submit(context.Background(), core.Config{Spec: sched.SpecAFS()}, 200,
+			var begun, ended int64
+			_, err := x.Submit(context.Background(), core.Config{Spec: sched.SpecAFS()}, n,
 				func(i int) {
-					if i == 0 {
-						// First iteration of each loop: bump the
-						// active-submission count.
+					if atomic.AddInt64(&begun, 1) == 1 {
 						cur := atomic.AddInt64(&active, 1)
 						for {
 							m := atomic.LoadInt64(&maxActive)
@@ -145,10 +148,14 @@ func TestSubmissionsNeverOverlap(t *testing.T) {
 								break
 							}
 						}
+					}
+					if i == 0 {
 						time.Sleep(time.Millisecond)
 					}
+					if atomic.AddInt64(&ended, 1) == n {
+						atomic.AddInt64(&active, -1)
+					}
 				})
-			atomic.AddInt64(&active, -1)
 			if err != nil {
 				t.Error(err)
 			}

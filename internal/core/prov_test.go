@@ -91,7 +91,7 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 // TestStolenProvIsItsSteal: a stolen chunk's Prov starts at the clock
 // read that ended its steal and carries the steal's length as
 // QueueWait and its victim as Owner, so the Prov alone is the steal's
-// record (telemetry.Prov.StealEvent).
+// record (telemetry.Prov.DispatchEvent).
 func TestStolenProvIsItsSteal(t *testing.T) {
 	evs := telemetry.NewLog[telemetry.Event]()
 	prov := telemetry.NewLog[telemetry.Prov]()
@@ -125,8 +125,8 @@ func TestStolenProvIsItsSteal(t *testing.T) {
 			t.Errorf("stolen Prov start %v wait %v owner %d; its steal runs [%v, %v] from %d",
 				p.Start, p.QueueWait, p.Owner, e.Start, e.End, e.Victim)
 		}
-		if got := p.StealEvent(); got != e {
-			t.Errorf("StealEvent() = %+v, steal event %+v", got, e)
+		if got, ok := p.DispatchEvent(); !ok || got != e {
+			t.Errorf("DispatchEvent() = %+v, %v; steal event %+v", got, ok, e)
 		}
 	}
 	if stolen == 0 {

@@ -48,7 +48,7 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet, addr string) {
 	fs.StringVar(&f.Addr, "addr", addr, "HTTP listen address (host:port)")
 	fs.DurationVar(&f.Window, "window", 10*time.Second, "rolling-quantile window")
-	fs.IntVar(&f.Flight, "flight", 4096, "flight-recorder capacity in records (one per chunk, phase boundary or contended queue wait)")
+	fs.IntVar(&f.Flight, "flight", 4096, "flight-recorder capacity in records (one per chunk or phase boundary)")
 	fs.DurationVar(&f.Duration, "duration", 0, "stop after this long (0 = run until signalled)")
 	fs.StringVar(&f.Bundles, "bundles", "", "capture watchdog diagnostic bundles into this directory (empty = watchdog only, no capture)")
 	fs.DurationVar(&f.WatchdogTick, "watchdog-tick", 250*time.Millisecond, "watchdog detector tick interval")

@@ -7,14 +7,18 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/livemetrics"
+	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/spantrace"
 	"repro/internal/telemetry"
 )
@@ -417,68 +421,126 @@ func TestRealRuntimeProvAnalyzes(t *testing.T) {
 	}
 }
 
-// TestFlightAndSpanTraceAttributeAlike: one AFS submission with
-// steals, observed by a live plane and a span tracer, analyzes into
-// the same per-processor buckets whether loopdoctor reads it from
-// /flight?format=trace (attach) or /trace?id=…&format=trace (trace):
-// both carry every chunk's queue wait.
+// TestFlightAndSpanTraceAttributeAlike: one submission with steals
+// (AFS) or contended central-queue waits (GSS), observed by a fresh
+// live plane and span tracer, lowers to identical events and records
+// whether loopdoctor reads it from /flight?format=trace (attach) or
+// /trace?id=…&format=trace (trace), and so to the same per-processor
+// buckets.
 func TestFlightAndSpanTraceAttributeAlike(t *testing.T) {
-	x, err := pool.New(4)
+	for _, algo := range []string{"afs", "gss"} {
+		t.Run(algo, func(t *testing.T) {
+			spec, err := sched.ByName(algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := pool.New(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			p := livemetrics.New(livemetrics.Options{})
+			tracer := spantrace.NewTracer(spantrace.Options{})
+			x.SetObservability(p)
+			x.SetTracer(tracer)
+			p.SetTracer(tracer)
+			// Worker 0 starts late, so the others steal from its block.
+			cfg := core.Config{Procs: 4, Spec: spec, StartDelay: []time.Duration{5 * time.Millisecond}}
+			if _, err := x.SubmitPhases(context.Background(), cfg, 2,
+				func(int) int { return 2048 }, func(ph, i int) { _ = ph * i }); err != nil {
+				t.Fatal(err)
+			}
+			traces := tracer.Traces()
+			if len(traces) != 1 {
+				t.Fatalf("retained %d traces, want 1", len(traces))
+			}
+			h := livemetrics.NewHandler(p, "test-engine")
+			read := func(url string) *telemetry.TraceFile {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+				if rec.Code != 200 {
+					t.Fatalf("%s: status %d (body %q)", url, rec.Code, rec.Body.String())
+				}
+				tr, err := telemetry.ReadTrace(rec.Body)
+				if err != nil {
+					t.Fatalf("%s: %v", url, err)
+				}
+				return tr
+			}
+			ft := read("/flight?format=trace")
+			st := read(fmt.Sprintf("/trace?id=%d&format=trace", traces[0].TraceID))
+			if !reflect.DeepEqual(ft.Events, st.Events) {
+				t.Errorf("events differ: flight %d, trace %d", len(ft.Events), len(st.Events))
+			}
+			if !reflect.DeepEqual(ft.Prov, st.Prov) {
+				t.Errorf("records differ: flight %d, trace %d", len(ft.Prov), len(st.Prov))
+			}
+			flight, err := Analyze(ft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span, err := Analyze(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if algo == "afs" && flight.StealCount == 0 {
+				t.Fatal("the submission stole nothing")
+			}
+			for i := range flight.Procs {
+				if span.Procs[i].Buckets != flight.Procs[i].Buckets {
+					t.Errorf("proc %d: trace buckets %+v, flight buckets %+v", i, span.Procs[i].Buckets, flight.Procs[i].Buckets)
+				}
+			}
+			if flight.TotalBuckets.QueueWait == 0 {
+				t.Error("no queue wait attributed")
+			}
+		})
+	}
+}
+
+// TestSimSpanTraceMatchesProvenance: a simulated run observed through
+// a provenance log, an event log and a span tracer at once analyzes
+// into the same buckets from the logs as from the trace's lowering —
+// the trace keeps each chunk's cache-reload and interconnect costs.
+func TestSimSpanTraceMatchesProvenance(t *testing.T) {
+	const procs = 8
+	m := machine.Iris()
+	build, _, err := cli.BuildKernel("sor", 64, 4, 0, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.Close()
-	p := livemetrics.New(livemetrics.Options{})
-	tracer := spantrace.NewTracer(spantrace.Options{})
-	x.SetObservability(p)
-	x.SetTracer(tracer)
-	p.SetTracer(tracer)
-	// Worker 0 starts late, so the others steal from its block.
-	cfg := core.Config{Procs: 4, Spec: sched.SpecAFS(), StartDelay: []time.Duration{5 * time.Millisecond}}
-	if _, err := x.SubmitPhases(context.Background(), cfg, 2,
-		func(int) int { return 2048 }, func(ph, i int) { _ = ph * i }); err != nil {
+	events := telemetry.NewLog[telemetry.Event]()
+	prov := telemetry.NewLog[telemetry.Prov]()
+	active := spantrace.NewTracer(spantrace.Options{}).StartSubmission(spantrace.SubmissionInfo{
+		Scheduler: "AFS", Procs: procs, Phases: 4,
+	})
+	obs := telemetry.TeeObservers(telemetry.ObserveProv(prov), telemetry.ObserveEvents(events), active)
+	if _, err := sim.RunOpts(m, procs, sched.SpecAFS(), build(), sim.Options{Observer: obs}); err != nil {
+		active.Abandon()
 		t.Fatal(err)
 	}
-	traces := tracer.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("retained %d traces, want 1", len(traces))
+	tr := active.End("ok")
+	meta := telemetry.TraceMeta{Substrate: "sim", Procs: procs, TimeUnit: "cycles"}
+	logs, err := Analyze(&telemetry.TraceFile{Meta: meta, Events: events.Records(), Prov: prov.Records()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h := livemetrics.NewHandler(p, "test-engine")
-	analyze := func(url string) *Analysis {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != 200 {
-			t.Fatalf("%s: status %d (body %q)", url, rec.Code, rec.Body.String())
-		}
-		tr, err := telemetry.ReadTrace(rec.Body)
-		if err != nil {
-			t.Fatalf("%s: %v", url, err)
-		}
-		a, err := Analyze(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", url, err)
-		}
-		return a
+	lowered := &telemetry.TraceFile{Meta: meta}
+	lowered.Events, lowered.Prov = tr.Telemetry()
+	span, err := Analyze(lowered)
+	if err != nil {
+		t.Fatal(err)
 	}
-	flight := analyze("/flight?format=trace")
-	span := analyze(fmt.Sprintf("/trace?id=%d&format=trace", traces[0].TraceID))
-	if flight.StealCount == 0 {
-		t.Fatal("the submission stole nothing")
+	if logs.TotalBuckets.CacheReload == 0 || logs.TotalBuckets.Interconnect == 0 {
+		t.Fatalf("the run paid no cache reload or interconnect: %+v", logs.TotalBuckets)
 	}
-	if span.StealCount != flight.StealCount || span.MigratedIters != flight.MigratedIters {
-		t.Errorf("steals: trace %d (%d iters), flight %d (%d iters)",
-			span.StealCount, span.MigratedIters, flight.StealCount, flight.MigratedIters)
-	}
-	if len(span.Procs) != len(flight.Procs) {
-		t.Fatalf("trace has %d procs, flight %d", len(span.Procs), len(flight.Procs))
-	}
-	for i := range flight.Procs {
-		if span.Procs[i].Buckets != flight.Procs[i].Buckets {
-			t.Errorf("proc %d: trace buckets %+v, flight buckets %+v", i, span.Procs[i].Buckets, flight.Procs[i].Buckets)
+	for i := range logs.Procs {
+		if span.Procs[i].Buckets != logs.Procs[i].Buckets {
+			t.Errorf("proc %d: trace buckets %+v, log buckets %+v", i, span.Procs[i].Buckets, logs.Procs[i].Buckets)
 		}
 	}
-	if flight.TotalBuckets.QueueWait == 0 {
-		t.Error("no queue wait attributed, though chunks were stolen")
+	if span.TotalBuckets != logs.TotalBuckets {
+		t.Errorf("totals: trace %+v, logs %+v", span.TotalBuckets, logs.TotalBuckets)
 	}
 }

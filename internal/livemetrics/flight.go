@@ -1,6 +1,7 @@
 package livemetrics
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,19 +9,20 @@ import (
 )
 
 // Recorder is the bounded flight recorder: one fixed-size ring of the
-// most recent chunk records, phase marks and contended queue waits
-// across submissions, so the last moments before an anomaly are always
-// recoverable without paying full-trace memory. Each submission's
-// observer (Plane.Observer) records into its own slot; Dump merges the
-// ring into one coherent stream by rebasing every submission's step
-// numbers and zero-based clocks onto a shared axis.
+// most recent chunk records and phase marks across submissions, so the
+// last moments before an anomaly are always recoverable without paying
+// full-trace memory. Each submission's observer (Plane.Observer)
+// records into its own slot; Dump merges the ring into one coherent
+// stream by rebasing every submission's step numbers and zero-based
+// clocks onto a shared axis, then lowers it as the span tracer lowers
+// a trace (telemetry.Lower).
 type Recorder struct {
 	mu   sync.Mutex
 	recs []flightRec
 	next int
 	full bool
-	// droppedEvents / droppedProv count what evicted records would
-	// have dumped (a stolen chunk dumps two events).
+	// droppedEvents / droppedProv count what evicted slots would have
+	// dumped (a chunk record dumps its exec and any dispatch event).
 	droppedEvents int64
 	droppedProv   int64
 
@@ -32,12 +34,14 @@ type Recorder struct {
 }
 
 // flightRec is one ring slot, tagged with its submission: a chunk
-// record (kind KindExec), or a phase mark or queue wait whose event
-// fields are all a Prov's too (Step, Proc, Lo, Hi, Start, End).
+// record, or a phase mark (mark) held in the record fields it shares —
+// Step, Start, End, and N in Hi — so a slot stays the size of a record
+// (a separate PhaseMark field would widen every slot from 120 to 208
+// bytes).
 type flightRec struct {
-	sub  int64
-	kind telemetry.Kind
-	p    telemetry.Prov
+	sub           int64
+	mark, barrier bool
+	p             telemetry.Prov
 }
 
 func newRecorder(capacity int) *Recorder {
@@ -49,38 +53,33 @@ func newRecorder(capacity int) *Recorder {
 
 // submissionObserver is one submission's view of the plane
 // (Plane.Observer): chunk records feed the collector, and chunk
-// records, phase marks and contended queue waits land in the flight
-// recorder tagged with its slot. A steal is its chunk's record.
+// records and phase marks land in the flight recorder tagged with its
+// slot. A steal or a queue wait is its chunk's record.
 type submissionObserver struct {
 	col *Collector
 	rec *Recorder
 	sub int64
 }
 
-func (o *submissionObserver) Phase(m telemetry.PhaseMark) { o.addEvent(m.Event()) }
+func (o *submissionObserver) Phase(m telemetry.PhaseMark) {
+	o.rec.add(flightRec{sub: o.sub, mark: true, barrier: m.Barrier,
+		p: telemetry.Prov{Step: m.Step, Hi: m.N, Start: m.Start, End: m.End}})
+}
 
 func (o *submissionObserver) Chunk(p telemetry.Prov) {
 	o.col.chunk(p)
-	o.rec.add(flightRec{o.sub, telemetry.KindExec, p})
+	o.rec.add(flightRec{sub: o.sub, p: p})
 }
 
-func (o *submissionObserver) Dispatch(e telemetry.Event) {
-	if e.Kind == telemetry.KindQueueWait && e.Notable() {
-		o.addEvent(e)
-	}
-}
-
-func (o *submissionObserver) addEvent(e telemetry.Event) {
-	o.rec.add(flightRec{o.sub, e.Kind, telemetry.Prov{Step: e.Step, Proc: e.Proc, Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End}})
-}
+func (o *submissionObserver) Dispatch(telemetry.Event) {}
 
 func (r *Recorder) add(fr flightRec) {
 	r.mu.Lock()
 	if old := &r.recs[r.next]; r.full {
 		r.droppedEvents++
-		if old.kind == telemetry.KindExec {
+		if !old.mark {
 			r.droppedProv++
-			if old.p.Stolen {
+			if _, ok := old.p.DispatchEvent(); ok {
 				r.droppedEvents++
 			}
 		}
@@ -112,7 +111,8 @@ type FlightDump struct {
 	// DroppedEvents / DroppedProv are ring evictions up to the dump.
 	DroppedEvents int64 `json:"dropped_events"`
 	DroppedProv   int64 `json:"dropped_prov"`
-	// Events and Prov are in capture order with rebased Step/Start/End.
+	// Events and Prov are telemetry.Lower's output, with rebased
+	// Step/Start/End.
 	Events []telemetry.Event `json:"events"`
 	Prov   []telemetry.Prov  `json:"prov,omitempty"`
 }
@@ -121,18 +121,24 @@ type FlightDump struct {
 // their phases from 0 and their clocks from their own start, so the
 // dump shifts each captured submission onto a shared axis: submission
 // g's steps land after all of g-1's steps and its clock starts where
-// g-1's last record ended. Every chunk record yields its steal event
-// (when stolen), its exec event and its Prov, so each exec event in a
-// dump has its Prov.
+// g-1's last slot ended. The rebased marks and records are then
+// lowered by telemetry.Lower, so every exec event in a dump has its
+// Prov, and a stolen chunk's steal and a contended central-queue wait
+// ([Start-QueueWait, Start]) are derived from its record.
 func (r *Recorder) Dump(reason string) *FlightDump {
 	r.mu.Lock()
-	recs := ringOrder(r.recs, r.next, r.full)
+	older := r.recs[r.next:] // oldest first, once the ring has wrapped
+	if !r.full {
+		older = nil
+	}
+	recs := slices.Concat(older, r.recs[:r.next])
 	d := &FlightDump{Reason: reason, DroppedEvents: r.droppedEvents, DroppedProv: r.droppedProv}
 	r.mu.Unlock()
 
-	// One pass over the ring establishes each submission's step and
-	// time offsets, in arrival order (the engine serialises
-	// submissions, so each one's records are contiguous).
+	// One pass over the ring fixes each submission's step and time
+	// offsets when its first slot arrives (the engine serialises
+	// submissions, so each one's slots are contiguous) and shifts every
+	// mark and record by its submission's offsets.
 	type offsets struct {
 		step    int
 		time    float64
@@ -142,6 +148,8 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 	subOff := map[int64]*offsets{}
 	stepOff, timeOff := 0, 0.0
 	var cur *offsets
+	var marks []telemetry.PhaseMark
+	prov := make([]telemetry.Prov, 0, len(recs))
 	for _, fr := range recs {
 		o, ok := subOff[fr.sub]
 		if !ok {
@@ -153,44 +161,18 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 			subOff[fr.sub] = o
 			cur = o
 		}
-		if fr.p.Step > o.maxStep {
-			o.maxStep = fr.p.Step
-		}
-		if fr.p.End > o.maxEnd {
-			o.maxEnd = fr.p.End
+		p := fr.p
+		o.maxStep, o.maxEnd = max(o.maxStep, p.Step), max(o.maxEnd, p.End)
+		p.Step, p.Start, p.End = p.Step+o.step, p.Start+o.time, p.End+o.time
+		if fr.mark {
+			marks = append(marks, telemetry.PhaseMark{Step: p.Step, N: p.Hi, Start: p.Start, End: p.End, Barrier: fr.barrier})
+		} else {
+			prov = append(prov, p)
 		}
 	}
 	d.Submissions = len(subOff)
-
-	d.Events = make([]telemetry.Event, 0, len(recs))
-	for _, fr := range recs {
-		o := subOff[fr.sub]
-		fr.p.Step += o.step
-		fr.p.Start += o.time
-		fr.p.End += o.time
-		if fr.kind != telemetry.KindExec {
-			e := fr.p.ExecEvent()
-			e.Kind = fr.kind
-			d.Events = append(d.Events, e)
-			continue
-		}
-		if fr.p.Stolen {
-			d.Events = append(d.Events, fr.p.StealEvent())
-		}
-		d.Events = append(d.Events, fr.p.ExecEvent())
-		d.Prov = append(d.Prov, fr.p)
-	}
+	d.Events, d.Prov = telemetry.Lower(marks, prov)
 	return d
-}
-
-// ringOrder returns the ring's contents oldest-first.
-func ringOrder[T any](ring []T, next int, full bool) []T {
-	if !full {
-		return append([]T(nil), ring[:next]...)
-	}
-	out := make([]T, 0, len(ring))
-	out = append(out, ring[next:]...)
-	return append(out, ring[:next]...)
 }
 
 // Consistent trims the dump to fully captured program steps — those
@@ -201,29 +183,17 @@ func ringOrder[T any](ring []T, next int, full bool) []T {
 // therefore satisfies telemetry.Check's coverage invariant, holds one
 // Prov per exec event, and is safe to feed to forensics or tracecheck.
 func (d *FlightDump) Consistent() ([]telemetry.Event, []telemetry.Prov) {
-	begin := map[int]bool{}
-	end := map[int]bool{}
+	bounds := map[int]int{} // step -> 1 (begin) | 2 (end)
 	for _, e := range d.Events {
 		switch e.Kind {
 		case telemetry.KindPhaseBegin:
-			begin[e.Step] = true
+			bounds[e.Step] |= 1
 		case telemetry.KindPhaseEnd:
-			end[e.Step] = true
+			bounds[e.Step] |= 2
 		}
 	}
-	keep := func(s int) bool { return begin[s] && end[s] }
-	var evs []telemetry.Event
-	for _, e := range d.Events {
-		if keep(e.Step) {
-			evs = append(evs, e)
-		}
-	}
-	var pvs []telemetry.Prov
-	for _, p := range d.Prov {
-		if keep(p.Step) {
-			pvs = append(pvs, p)
-		}
-	}
+	evs := slices.DeleteFunc(slices.Clone(d.Events), func(e telemetry.Event) bool { return bounds[e.Step] != 3 })
+	pvs := slices.DeleteFunc(slices.Clone(d.Prov), func(p telemetry.Prov) bool { return bounds[p.Step] != 3 })
 	return evs, pvs
 }
 

@@ -34,9 +34,10 @@ import (
 type Options struct {
 	// Window is the span the rolling latency quantiles describe.
 	Window time.Duration
-	// FlightEvents caps the flight recorder's ring of records: one per
-	// chunk, phase boundary and contended queue wait. A chunk dumps as
-	// its exec event plus, when stolen, its steal event.
+	// FlightEvents caps the flight recorder's ring of slots: one per
+	// chunk record and phase mark. A chunk dumps as its exec event
+	// plus, when stolen, its steal event, or, after a contended
+	// central-queue wait, that wait (telemetry.Lower).
 	FlightEvents int
 }
 

@@ -298,7 +298,8 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	// cfg.Spec.Name is the resolved scheduler, the AFS default applied.
 	key := shardKey{sched: cfg.Spec.Name, procs: procs}
 	j := &submission{run: run, cfg: cfg, key: key, tenant: tenant, ctx: ctx, done: make(chan struct{})}
-	if !s.q.push(j, tc.Weight, now) {
+	en := s.q.push(j, tc.Weight, now)
+	if en == nil {
 		if s.closed.Load() {
 			return Result{}, ErrClosed
 		}
@@ -314,9 +315,11 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 	case <-ctx.Done():
 		// Withdrawn while queued, or cancelled mid-run: the shard sees
 		// the same ctx and cancels at chunk granularity, and its result
-		// is discarded. Only a job no dispatcher took is rejected; a
-		// taken one was already counted as admitted.
+		// is discarded. Only a job no dispatcher took is rejected, and
+		// it leaves the backlog at once; a taken one was already
+		// counted as admitted.
 		if j.taken.CompareAndSwap(false, true) {
+			s.q.remove(en)
 			s.observe(tenant, 0, livemetrics.AdmitRejected)
 		}
 		return Result{}, ctx.Err()

@@ -53,12 +53,12 @@ func TestWFQProportionalShare(t *testing.T) {
 	q := newWFQ(1000)
 	now := time.Unix(0, 0)
 	for i := 0; i < 90; i++ {
-		if !q.push(&submission{tenant: "a"}, 1, now) {
+		if q.push(&submission{tenant: "a"}, 1, now) == nil {
 			t.Fatal("push a refused")
 		}
 	}
 	for i := 0; i < 90; i++ {
-		if !q.push(&submission{tenant: "b"}, 2, now) {
+		if q.push(&submission{tenant: "b"}, 2, now) == nil {
 			t.Fatal("push b refused")
 		}
 	}
@@ -85,15 +85,43 @@ func TestWFQProportionalShare(t *testing.T) {
 	}
 }
 
+// TestWFQRemoveFreesSlot: removing a queued entry frees its depth slot
+// at once, leaves the others' tags and order alone, and is a no-op
+// once the entry has been popped.
+func TestWFQRemoveFreesSlot(t *testing.T) {
+	q := newWFQ(3)
+	now := time.Unix(0, 0)
+	var ens []*entry
+	for _, tenant := range []string{"a", "b", "a"} {
+		ens = append(ens, q.push(&submission{tenant: tenant}, 1, now))
+	}
+	tags := [][2]float64{{ens[0].start, ens[0].finish}, {ens[2].start, ens[2].finish}}
+	q.remove(ens[1])
+	if q.depth() != 2 || q.push(&submission{tenant: "c"}, 1, now) == nil {
+		t.Fatalf("removal did not free a slot (depth %d)", q.depth())
+	}
+	first := q.pop()
+	q.remove(first) // already popped
+	if first != ens[0] || q.depth() != 2 {
+		t.Fatalf("popped %+v, depth %d after removing it again", first, q.depth())
+	}
+	if second, third := q.pop(), q.pop(); second.e.tenant != "c" || third != ens[2] {
+		t.Fatalf("then popped %s and %s, want c and the remaining a job", second.e.tenant, third.e.tenant)
+	}
+	if got := [][2]float64{{ens[0].start, ens[0].finish}, {ens[2].start, ens[2].finish}}; got[0] != tags[0] || got[1] != tags[1] {
+		t.Fatalf("tags moved from %v to %v", tags, got)
+	}
+}
+
 func TestWFQBoundedDepth(t *testing.T) {
 	q := newWFQ(3)
 	now := time.Unix(0, 0)
 	for i := 0; i < 3; i++ {
-		if !q.push(&submission{tenant: "a"}, 1, now) {
+		if q.push(&submission{tenant: "a"}, 1, now) == nil {
 			t.Fatalf("push %d refused under the bound", i)
 		}
 	}
-	if q.push(&submission{tenant: "a"}, 1, now) {
+	if q.push(&submission{tenant: "a"}, 1, now) != nil {
 		t.Fatal("push beyond the depth bound accepted")
 	}
 	if q.depth() != 3 {
@@ -575,15 +603,30 @@ func TestEveryJobOneAdmissionOutcome(t *testing.T) {
 	if _, err := s.Submit(context.Background(), tinySpec("a")); !errors.As(err, &shed) || shed.Reason != "backlog" {
 		t.Fatalf("third job: err = %v, want a backlog shed", err)
 	}
+	// The withdrawn job frees its backlog slot as its Submit returns.
 	withdraw()
 	if err := <-queued; !errors.Is(err, context.Canceled) {
 		t.Fatalf("withdrawn job: err = %v, want context.Canceled", err)
+	}
+	if q := s.Status().Queued; q != 0 {
+		t.Fatalf("the withdrawn job still holds a backlog slot: %d queued", q)
+	}
+	// Tenant b (no quota) posts while the long job still runs: queued,
+	// not shed.
+	queuedB := submit(context.Background(), tinySpec("b"))
+	waitFor("tenant b's job to queue", func() bool { return s.Status().Queued == 1 })
+	select {
+	case err := <-queuedB:
+		t.Fatalf("tenant b's job returned while the long job runs: %v", err)
+	default:
 	}
 	cancelRun()
 	if err := <-running; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
 	}
-	waitFor("the withdrawn job to leave the queue", func() bool { return s.Status().Queued == 0 })
+	if err := <-queuedB; err != nil {
+		t.Fatalf("tenant b: %v", err)
+	}
 
 	// 4. The last token runs a job to completion; 5. the next sheds.
 	if _, err := s.Submit(context.Background(), tinySpec("a")); err != nil {
@@ -591,10 +634,6 @@ func TestEveryJobOneAdmissionOutcome(t *testing.T) {
 	}
 	if _, err := s.Submit(context.Background(), tinySpec("a")); !errors.As(err, &shed) || shed.Reason != "quota" {
 		t.Fatalf("fifth job: err = %v, want a quota shed", err)
-	}
-	// Tenant b has no quota: one completed job.
-	if _, err := s.Submit(context.Background(), tinySpec("b")); err != nil {
-		t.Fatalf("tenant b: %v", err)
 	}
 
 	for _, want := range []livemetrics.TenantSnapshot{
@@ -609,5 +648,42 @@ func TestEveryJobOneAdmissionOutcome(t *testing.T) {
 			t.Errorf("tenant %s: submitted %d != admitted %d + shed %d + rejected %d",
 				want.Tenant, got.Submitted, got.Admitted, got.Shed, got.Rejected)
 		}
+	}
+}
+
+// TestConcurrentWithdrawals: submitters withdraw queued and running
+// jobs while the dispatcher pops the queue. Once every Submit has
+// returned, no withdrawn entry still counts toward the backlog, and
+// every job reached exactly one admission outcome.
+func TestConcurrentWithdrawals(t *testing.T) {
+	const jobs = 48
+	plane := livemetrics.New(livemetrics.Options{})
+	s, err := New(Options{Procs: 2, QueueLimit: jobs, Plane: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if i%3 != 0 { // two in three are withdrawn, some queued, some running
+				time.AfterFunc(time.Duration(i)*20*time.Microsecond, cancel)
+			}
+			spec := tinySpec("a")
+			spec.Params.Phases = 20
+			_, _ = s.Submit(ctx, spec) // each outcome is tallied below
+		}(i)
+	}
+	wg.Wait()
+	if q := s.Status().Queued; q != 0 {
+		t.Fatalf("%d entries left in the backlog after every Submit returned", q)
+	}
+	row := plane.Snapshot().Admission.Tenants[0]
+	if row.Submitted != jobs || row.Submitted != row.Admitted+row.Shed+row.Rejected {
+		t.Fatalf("tally %+v, want %d submitted = admitted + shed + rejected", row, jobs)
 	}
 }

@@ -52,6 +52,7 @@ type entry struct {
 	finish   float64
 	seq      uint64
 	enqueued time.Time
+	index    int // position in the heap; -1 once popped or removed
 }
 
 // wfq is a start-time fair queue (SFQ) over tenants: each arriving job
@@ -80,24 +81,37 @@ func newWFQ(limit int) *wfq {
 	return q
 }
 
-// push enqueues under the tenant's weight; false means the queue is at
-// its depth bound (or closed) and the job must be shed.
-func (q *wfq) push(j *submission, weight float64, now time.Time) bool {
+// push enqueues under the tenant's weight and returns the job's entry;
+// nil means the queue is at its depth bound (or closed) and the job
+// must be shed.
+func (q *wfq) push(j *submission, weight float64, now time.Time) *entry {
 	if weight <= 0 {
 		weight = 1
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.heap.Len() >= q.limit {
-		return false
+		return nil
 	}
 	s := math.Max(q.vtime, q.lastFinish[j.tenant])
 	f := s + 1/weight
 	q.lastFinish[j.tenant] = f
 	q.seq++
-	heap.Push(&q.heap, &entry{e: j, start: s, finish: f, seq: q.seq, enqueued: now})
+	en := &entry{e: j, start: s, finish: f, seq: q.seq, enqueued: now}
+	heap.Push(&q.heap, en)
 	q.cond.Signal()
-	return true
+	return en
+}
+
+// remove takes a withdrawn job's entry out of the queue at once, so it
+// no longer counts toward the depth bound; the other entries keep
+// their tags. A no-op once the entry has been popped.
+func (q *wfq) remove(en *entry) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if en.index >= 0 {
+		heap.Remove(&q.heap, en.index)
+	}
 }
 
 // pop blocks for the next job in virtual-finish order, advancing
@@ -151,13 +165,21 @@ func (h entryHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*entry)) }
+func (h entryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *entryHeap) Push(x any) {
+	en := x.(*entry)
+	en.index = len(*h)
+	*h = append(*h, en)
+}
 func (h *entryHeap) Pop() any {
 	old := *h
 	n := len(old)
 	x := old[n-1]
 	old[n-1] = nil
+	x.index = -1
 	*h = old[:n-1]
 	return x
 }

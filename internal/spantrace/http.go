@@ -11,8 +11,8 @@ import (
 )
 
 // WriteForensics serializes the trace as a telemetry.TraceFile (the
-// shape loopdoctor analyze/attach read), lowering the span tree
-// through Telemetry.
+// shape loopdoctor analyze/attach read), lowering its records through
+// Telemetry.
 func (t *Trace) WriteForensics(w io.Writer, substrate, timeUnit string) error {
 	f := telemetry.TraceFile{
 		Meta: telemetry.TraceMeta{Label: t.Label, Substrate: substrate, Procs: t.Procs, TimeUnit: timeUnit},
@@ -41,11 +41,12 @@ type TraceSummary struct {
 
 // Summary condenses a trace to its list row.
 func (t *Trace) Summary() TraceSummary {
+	chunks, steals := t.Chunks(), t.Steals()
 	return TraceSummary{
 		TraceID: t.TraceID, Label: t.Label, Scheduler: t.Scheduler,
 		Procs: t.Procs, Phases: t.Phases, Outcome: t.Outcome,
-		DurationNS: t.DurationNS, Spans: len(t.Spans),
-		Chunks: t.Chunks(), Steals: t.Steals(), Dropped: t.Dropped,
+		DurationNS: t.DurationNS, Spans: 1 + t.Phases + chunks + steals,
+		Chunks: chunks, Steals: steals, Dropped: t.Dropped,
 	}
 }
 

@@ -1,25 +1,26 @@
 // Package spantrace is the causal tracing layer for the execution
-// engine: every submission becomes a span tree — one submission root,
-// one span per phase, one span per executed chunk, one span per steal
-// — with parent/child and steals-from causal links, so a tail-latency
-// exemplar surfaced by the live plane (internal/livemetrics) resolves
-// to the exact dispatch history that produced it.
+// engine: every submission is kept as its chunk records
+// (telemetry.Prov) and phase marks, viewed as a span tree — one
+// submission root, one span per phase, per executed chunk and per
+// steal — with parent/child and steals-from causal links, so a
+// tail-latency exemplar surfaced by the live plane
+// (internal/livemetrics) resolves to the exact dispatch history that
+// produced it. Trace.Telemetry lowers the records as the flight
+// recorder does, through telemetry.Lower.
 //
-// Layering mirrors livemetrics: an *Active satisfies core.Observer
-// (telemetry.Observer) structurally, so core never imports this
-// package. The hot path is
-// allocation- and lock-free per observation: each worker goroutine
-// appends to its own span buffer (single writer; the phase barrier
-// publishes the writes before End merges them), pre-grown by the
-// earlier submissions that handed it back to the Tracer, span IDs are
-// derived deterministically from (worker, local index), and the only
-// shared mutable state is an atomic drop counter. The simulator takes
-// the same observer (sim.Options.Observer), so its trees are built the
-// same way, in cycles, bit-identical across runs at a fixed seed.
+// An *Active satisfies core.Observer (telemetry.Observer)
+// structurally, so core never imports this package, and reads only
+// Chunk and Phase. The hot path is allocation- and lock-free: each
+// worker goroutine appends to its own record buffer (single writer;
+// the phase barrier publishes the writes before End merges them),
+// pre-grown by earlier submissions, and the only shared mutable state
+// is an atomic drop counter. The simulator takes the same observer, so
+// its traces are bit-identical across runs at a fixed seed.
 package spantrace
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -76,7 +77,8 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 type Span struct {
 	// ID is unique within the trace and deterministic for a fixed
 	// schedule: the root is 1, phase ph is 2+ph, and worker w's i-th
-	// recorded span is (w+1)<<20 + i.
+	// span is (w+1)<<20 + i, a stolen chunk's steal span just before
+	// its chunk span.
 	ID uint64 `json:"id"`
 	// Parent is the enclosing span's ID (0 for the root). Chunk and
 	// steal spans parent to their phase span.
@@ -101,14 +103,11 @@ type Span struct {
 	// Start/End bound the span on the telemetry clock.
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
-	// QueueWait is a chunk span's dispatch wait (its Prov's QueueWait:
-	// a steal's length, or a contended central-queue lock), kept in
-	// memory only so Telemetry lowers the chunk's full record; the
-	// span tree's JSON form does not carry it.
-	QueueWait float64 `json:"-"`
 }
 
-// Trace is one sealed submission's span tree.
+// Trace is one sealed submission: its chunk records and phase marks,
+// plus the header below. Its span tree is the view Spans builds, and
+// its JSON form is the header with that tree.
 type Trace struct {
 	// TraceID identifies the trace within its Tracer; exemplars in the
 	// live plane carry it so /metrics tails resolve to span trees.
@@ -125,35 +124,69 @@ type Trace struct {
 	DurationNS float64 `json:"duration_ns"`
 	// Dropped counts spans discarded at the per-trace cap.
 	Dropped int64 `json:"dropped,omitempty"`
-	// Spans is the whole tree, sorted by (Start, ID); Spans[0] is the
-	// root.
-	Spans []Span `json:"spans"`
+
+	marks  []telemetry.PhaseMark
+	recs   []telemetry.Prov // worker-major, each worker's in its order
+	steals int              // stolen records
 }
 
-// Chunks counts the trace's chunk spans.
-func (t *Trace) Chunks() int { return t.countKind(KindChunk) }
+// Chunks counts the trace's chunk spans: one per record.
+func (t *Trace) Chunks() int { return len(t.recs) }
 
-// Steals counts the trace's steal spans.
-func (t *Trace) Steals() int { return t.countKind(KindSteal) }
+// Steals counts the trace's steal spans: one per stolen record.
+func (t *Trace) Steals() int { return t.steals }
 
-func (t *Trace) countKind(k Kind) int {
-	n := 0
-	for _, s := range t.Spans {
-		if s.Kind == k {
-			n++
-		}
-	}
-	return n
+// Telemetry returns the trace's events and records, lowered from its
+// phase marks and unchanged chunk records by telemetry.Lower, so a
+// single submission's trace feeds the forensics attribution pipeline
+// (loopdoctor trace) exactly as the flight recorder's dump does.
+func (t *Trace) Telemetry() ([]telemetry.Event, []telemetry.Prov) {
+	return telemetry.Lower(t.marks, slices.Clone(t.recs))
 }
 
-// Span returns the span with the given ID, or nil.
-func (t *Trace) Span(id uint64) *Span {
-	for i := range t.Spans {
-		if t.Spans[i].ID == id {
-			return &t.Spans[i]
+// Spans builds the span tree: the root, one span per phase, and per
+// chunk record one chunk span, preceded by a steal span over
+// [Start-QueueWait, Start] when the chunk was stolen. Spans[0] is the
+// root; the rest are sorted by (Start, ID).
+func (t *Trace) Spans() []Span {
+	spans := make([]Span, 1, 1+t.Phases+len(t.recs)+t.Steals())
+	spans[0] = Span{ID: 1, Kind: KindSubmission, Phase: -1, Proc: -1, Owner: -1, End: t.DurationNS}
+	for _, m := range t.marks {
+		if m.Barrier {
+			spans = append(spans, Span{ID: phaseSpanID(m.Step), Parent: 1, Kind: KindPhase,
+				Phase: m.Step, Proc: -1, Owner: -1, Hi: m.N, Start: m.Start, End: m.End})
 		}
 	}
-	return nil
+	next := make([]int, t.Procs) // each worker's next span index
+	for _, p := range t.recs {
+		var from uint64
+		if p.Stolen {
+			from = spanID(p.Proc, next[p.Proc])
+			next[p.Proc]++
+			spans = append(spans, Span{ID: from, Parent: phaseSpanID(p.Step), Kind: KindSteal,
+				Phase: p.Step, Proc: p.Proc, Owner: p.Owner,
+				Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start})
+		}
+		spans = append(spans, Span{ID: spanID(p.Proc, next[p.Proc]), Parent: phaseSpanID(p.Step), Kind: KindChunk,
+			Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen, StealsFrom: from,
+			Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End})
+		next[p.Proc]++
+	}
+	// Deterministic presentation order: by start time, span ID breaking
+	// ties (IDs themselves are schedule-deterministic).
+	slices.SortFunc(spans[1:], func(x, y Span) int {
+		return cmp.Or(cmp.Compare(x.Start, y.Start), cmp.Compare(x.ID, y.ID))
+	})
+	return spans
+}
+
+// MarshalJSON renders the header and the span tree (Spans).
+func (t *Trace) MarshalJSON() ([]byte, error) {
+	type header Trace // without methods, so the embedding below does not recurse
+	return json.Marshal(struct {
+		*header
+		Spans []Span `json:"spans"`
+	}{(*header)(t), t.Spans()})
 }
 
 // Options sizes a Tracer. The zero value gives usable defaults.
@@ -161,7 +194,8 @@ type Options struct {
 	// MaxSpans caps one trace's span count (default 16384); further
 	// observations increment Trace.Dropped instead of growing the tree.
 	// The cap is split evenly across workers, so one runaway worker
-	// cannot evict the others' spans.
+	// cannot evict the others' spans, and a stolen chunk (a steal and a
+	// chunk span) is kept or dropped whole.
 	MaxSpans int
 	// Store caps the completed traces retained for lookup (default 64,
 	// evicted oldest-first). Pinned traces outlive their eviction.
@@ -193,9 +227,9 @@ type Tracer struct {
 	// has evicted the trace, so only the pin keeps it in byID.
 	pinned  map[uint64]bool
 	evicted int64
-	// free holds the emptied worker span buffers that End and Abandon
-	// hand back, so later submissions append into grown slices.
-	free [][]Span
+	// free holds the emptied worker record buffers that End and
+	// Abandon hand back, so later submissions append into grown slices.
+	free [][]telemetry.Prov
 }
 
 // NewTracer creates a tracer.
@@ -212,7 +246,7 @@ type SubmissionInfo struct {
 	Phases    int
 }
 
-// StartSubmission opens a span collection for one submission. The
+// StartSubmission opens a record collection for one submission. The
 // returned Active satisfies core.Observer structurally; wire it into
 // the submission's observer, then seal with End (storing the trace)
 // or discard with Abandon. Every Start must be paired with exactly one
@@ -241,7 +275,7 @@ func (t *Tracer) StartSubmission(info SubmissionInfo) *Active {
 		if n == 0 {
 			break
 		}
-		a.workers[w].spans, t.free = t.free[n-1], t.free[:n-1]
+		a.workers[w].recs, t.free = t.free[n-1], t.free[:n-1]
 	}
 	t.mu.Unlock()
 	return a
@@ -320,19 +354,20 @@ func (t *Tracer) store(tr *Trace) {
 	}
 }
 
-// workerBuf is one worker's private span buffer. Only worker w's
+// workerBuf is one worker's private record buffer. Only worker w's
 // goroutine touches workers[w] during execution; the phase barrier
 // orders those writes before End's merge. Padded so neighbouring
 // workers don't share a cache line.
 type workerBuf struct {
-	spans []Span
-	_     [5]uint64
+	recs  []telemetry.Prov
+	spans int // the span view's size of recs: a stolen chunk is two
+	_     [4]uint64
 }
 
-// Active is one in-flight submission's span collection. Phase, Chunk
-// and Dispatch are its core.Observer methods (the last two called
-// inline from workers); End and Abandon seal it. An Active must not be
-// reused after End or Abandon.
+// Active is one in-flight submission's record collection. Phase and
+// Chunk are its core.Observer methods (Chunk called inline from
+// workers); End and Abandon seal it. An Active must not be reused
+// after End or Abandon.
 type Active struct {
 	tracer       *Tracer
 	id           uint64
@@ -340,12 +375,9 @@ type Active struct {
 	procs        int
 	maxPerWorker int
 	workers      []workerBuf
-	phases       []Span // appended only by the submitting goroutine
+	marks        []telemetry.PhaseMark // appended only by the submitting goroutine
 	dropped      atomic.Int64
 }
-
-// TraceID is the ID the sealed trace will carry.
-func (a *Active) TraceID() uint64 { return a.id }
 
 const workerIDBase = uint64(1) << 20
 
@@ -356,60 +388,38 @@ func phaseSpanID(ph int) uint64 { return uint64(2 + ph) }
 // phase IDs (2+ph) never collide for any realistic phase count.
 func spanID(w, i int) uint64 { return uint64(w+1)*workerIDBase + uint64(i) }
 
-// Phase records phase m.Step's span once its barrier has drained
-// (begin marks carry nothing the barrier mark lacks). Called by the
-// submitting goroutine.
+// Phase keeps phase mark m. Called by the submitting goroutine. A
+// phase is a begin and a barrier mark, and its span is the barrier's,
+// so MaxSpans phases fill the cap.
 func (a *Active) Phase(m telemetry.PhaseMark) {
-	if !m.Barrier {
+	if len(a.marks) >= 2*a.tracer.opts.MaxSpans {
+		if m.Barrier {
+			a.dropped.Add(1)
+		}
 		return
 	}
-	if len(a.phases) >= a.tracer.opts.MaxSpans {
-		a.dropped.Add(1)
-		return
-	}
-	a.phases = append(a.phases, Span{
-		ID: phaseSpanID(m.Step), Parent: 1, Kind: KindPhase,
-		Phase: m.Step, Proc: -1, Owner: -1, Hi: m.N,
-		Start: m.Start, End: m.End,
-	})
+	a.marks = append(a.marks, m)
 }
 
-// Chunk records one executed chunk. Called inline from worker p.Proc's
-// goroutine. A stolen chunk's Prov also carries its steal
-// ([Start-QueueWait, Start] from Owner), so the steal span goes first
-// and the chunk span links to it through StealsFrom.
+// Chunk keeps one executed chunk's record in worker p.Proc's buffer,
+// or counts its spans dropped at the per-worker cap. Called inline
+// from that worker's goroutine.
 func (a *Active) Chunk(p telemetry.Prov) {
-	if p.Proc < 0 || p.Proc >= len(a.workers) {
-		a.dropped.Add(1)
+	n := 1
+	if p.Stolen {
+		n = 2 // its steal span and its chunk span
+	}
+	if p.Proc < 0 || p.Proc >= len(a.workers) || a.workers[p.Proc].spans+n > a.maxPerWorker {
+		a.dropped.Add(int64(n))
 		return
 	}
-	var from uint64
-	if p.Stolen {
-		from = a.add(Span{Parent: phaseSpanID(p.Step), Kind: KindSteal,
-			Phase: p.Step, Proc: p.Proc, Owner: p.Owner,
-			Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start})
-	}
-	a.add(Span{Parent: phaseSpanID(p.Step), Kind: KindChunk,
-		Phase: p.Step, Proc: p.Proc, Owner: p.Owner, Stolen: p.Stolen, StealsFrom: from,
-		Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End, QueueWait: p.QueueWait})
+	w := &a.workers[p.Proc]
+	w.spans += n
+	w.recs = append(w.recs, p)
 }
 
-// add appends s to its worker's buffer under the next ID of that
-// worker and returns the ID, or counts a drop and returns 0 at the
-// per-worker cap.
-func (a *Active) add(s Span) uint64 {
-	w := &a.workers[s.Proc]
-	if len(w.spans) >= a.maxPerWorker {
-		a.dropped.Add(1)
-		return 0
-	}
-	s.ID = spanID(s.Proc, len(w.spans))
-	w.spans = append(w.spans, s)
-	return s.ID
-}
-
-// Dispatch ignores dispatch events: queue waits are not spans, and a
-// steal's span comes from its chunk's Prov (Chunk).
+// Dispatch ignores dispatch events: a steal or a queue wait is its
+// chunk's record (Chunk).
 func (a *Active) Dispatch(telemetry.Event) {}
 
 // End seals the collection into a Trace, stores it in the tracer, and
@@ -429,64 +439,56 @@ func (a *Active) End(outcome string) *Trace {
 // by a closed engine).
 func (a *Active) Abandon() { a.release() }
 
-// release hands the worker span buffers back to the tracer, emptied:
-// End has already copied their spans into the Trace, and an abandoned
-// collection keeps none.
+// release hands the worker record buffers back to the tracer, emptied:
+// End has already copied their records into the Trace, and an
+// abandoned collection keeps none.
 func (a *Active) release() {
 	t := a.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for w := range a.workers {
-		if s := a.workers[w].spans; cap(s) > 0 {
-			t.free = append(t.free, s[:0])
+		if r := a.workers[w].recs; cap(r) > 0 {
+			t.free = append(t.free, r[:0])
 		}
-		a.workers[w].spans = nil
+		a.workers[w] = workerBuf{}
 	}
 }
 
 func (a *Active) seal(outcome string) *Trace {
-	total := 1 + len(a.phases)
+	total := 0
 	for w := range a.workers {
-		total += len(a.workers[w].spans)
+		total += len(a.workers[w].recs)
 	}
-	spans := make([]Span, 0, total)
-	root := Span{ID: 1, Kind: KindSubmission, Phase: -1, Proc: -1, Owner: -1}
+	recs := make([]telemetry.Prov, 0, total)
+	for w := range a.workers {
+		recs = append(recs, a.workers[w].recs...)
+	}
+	phases := 0
 	var maxEnd float64
-	for _, s := range a.phases {
-		if s.End > maxEnd {
-			maxEnd = s.End
+	for _, m := range a.marks {
+		if m.Barrier {
+			phases++
+			maxEnd = max(maxEnd, m.End)
 		}
 	}
-	for w := range a.workers {
-		for _, s := range a.workers[w].spans {
-			if s.End > maxEnd {
-				maxEnd = s.End
-			}
+	steals := 0
+	for _, p := range recs {
+		maxEnd = max(maxEnd, p.End)
+		if p.Stolen {
+			steals++
 		}
 	}
-	root.End = maxEnd
-	spans = append(spans, root)
-	spans = append(spans, a.phases...)
-	for w := range a.workers {
-		spans = append(spans, a.workers[w].spans...)
-	}
-	// Deterministic presentation order: by start time, span ID breaking
-	// ties (IDs themselves are schedule-deterministic).
-	slices.SortFunc(spans[1:], func(x, y Span) int {
-		if c := cmp.Compare(x.Start, y.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.ID, y.ID)
-	})
 	return &Trace{
 		TraceID:    a.id,
 		Label:      a.info.Label,
 		Scheduler:  a.info.Scheduler,
 		Procs:      a.procs,
-		Phases:     len(a.phases),
+		Phases:     phases,
 		Outcome:    outcome,
 		DurationNS: maxEnd,
 		Dropped:    a.dropped.Load(),
-		Spans:      spans,
+		marks:      a.marks,
+		recs:       recs,
+		steals:     steals,
 	}
 }

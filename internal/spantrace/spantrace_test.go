@@ -47,8 +47,13 @@ func TestLiveTraceStructure(t *testing.T) {
 	if tr.Outcome != "ok" || tr.Procs != procs || tr.Phases != phases {
 		t.Fatalf("trace header: %+v", tr.Summary())
 	}
-	if tr.Spans[0].Kind != spantrace.KindSubmission || tr.Spans[0].ID != 1 {
-		t.Fatalf("Spans[0] is not the root: %+v", tr.Spans[0])
+	spans := tr.Spans()
+	if spans[0].Kind != spantrace.KindSubmission || spans[0].ID != 1 {
+		t.Fatalf("Spans()[0] is not the root: %+v", spans[0])
+	}
+	byID := make(map[uint64]spantrace.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
 	}
 	if tr.DurationNS <= 0 {
 		t.Fatalf("non-positive duration %v", tr.DurationNS)
@@ -60,11 +65,11 @@ func TestLiveTraceStructure(t *testing.T) {
 	for ph := 0; ph < phases; ph++ {
 		covered[ph] = make([]bool, n)
 	}
-	for _, s := range tr.Spans {
+	for _, s := range spans {
 		switch s.Kind {
 		case spantrace.KindChunk:
-			phase := tr.Span(s.Parent)
-			if phase == nil || phase.Kind != spantrace.KindPhase || phase.Phase != s.Phase {
+			phase, ok := byID[s.Parent]
+			if !ok || phase.Kind != spantrace.KindPhase || phase.Phase != s.Phase {
 				t.Fatalf("chunk %d has bad parent: %+v", s.ID, s)
 			}
 			if s.Start < phase.Start || s.End > phase.End {
@@ -78,8 +83,8 @@ func TestLiveTraceStructure(t *testing.T) {
 				covered[s.Phase][i] = true
 			}
 			if s.Stolen && s.StealsFrom != 0 {
-				steal := tr.Span(s.StealsFrom)
-				if steal == nil || steal.Kind != spantrace.KindSteal {
+				steal, ok := byID[s.StealsFrom]
+				if !ok || steal.Kind != spantrace.KindSteal {
 					t.Fatalf("chunk %d steals_from %d is not a steal span", s.ID, s.StealsFrom)
 				}
 				if steal.Proc != s.Proc {
@@ -106,8 +111,8 @@ func TestLiveTraceStructure(t *testing.T) {
 	}
 
 	// Presentation order is (Start, ID) after the root.
-	for i := 2; i < len(tr.Spans); i++ {
-		a, b := tr.Spans[i-1], tr.Spans[i]
+	for i := 2; i < len(spans); i++ {
+		a, b := spans[i-1], spans[i]
 		if a.Start > b.Start || (a.Start == b.Start && a.ID >= b.ID) {
 			t.Fatalf("spans out of order at %d: %+v then %+v", i, a, b)
 		}
@@ -192,8 +197,33 @@ func TestSpanCapDrops(t *testing.T) {
 		t.Fatal("cap exceeded without drops")
 	}
 	// 8 spans split across 2 workers: 4 each, plus root and phase.
-	if got := len(tr.Spans); got != 1+1+8 {
+	if got := len(tr.Spans()); got != 1+1+8 {
 		t.Fatalf("kept %d spans, want 10", got)
+	}
+}
+
+// TestSpanCapKeepsStealsWhole: at the per-worker cap a stolen chunk —
+// a steal span and a chunk span — is kept or dropped whole, never a
+// steal without its chunk. The second stolen chunk would leave one
+// free span, room for its steal alone.
+func TestSpanCapKeepsStealsWhole(t *testing.T) {
+	tracer := spantrace.NewTracer(spantrace.Options{MaxSpans: 4})
+	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 1, Phases: 1})
+	a.Chunk(telemetry.Prov{Owner: 0, Lo: 0, Hi: 1, Start: 1, End: 2})
+	a.Chunk(telemetry.Prov{Owner: 1, Stolen: true, Lo: 1, Hi: 2, Start: 3, End: 4, QueueWait: 1})
+	a.Chunk(telemetry.Prov{Owner: 1, Stolen: true, Lo: 2, Hi: 3, Start: 5, End: 6, QueueWait: 1})
+	a.Phase(telemetry.PhaseMark{N: 3, End: 6, Barrier: true})
+	tr := a.End("ok")
+	if tr.Chunks() != 2 || tr.Steals() != 1 || tr.Dropped != 2 {
+		t.Fatalf("kept %d chunks and %d steals, dropped %d; want 2, 1 and 2", tr.Chunks(), tr.Steals(), tr.Dropped)
+	}
+	for _, s := range tr.Spans() {
+		if s.Kind == spantrace.KindChunk && s.Stolen && s.StealsFrom == 0 {
+			t.Fatalf("stolen chunk span without its steal: %+v", s)
+		}
+	}
+	if got := tr.Summary().Spans; got != len(tr.Spans()) {
+		t.Fatalf("summary counts %d spans, the tree has %d", got, len(tr.Spans()))
 	}
 }
 
@@ -273,8 +303,8 @@ func TestAbandonStoresNothing(t *testing.T) {
 }
 
 // TestRecycledBuffersKeepSealedTraces: End and Abandon hand their
-// worker span buffers to the next submission, which must not reach
-// the spans of a trace already sealed.
+// worker record buffers to the next submission, which must not reach
+// the records of a trace already sealed.
 func TestRecycledBuffersKeepSealedTraces(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{})
 	run := func(base int) *spantrace.Trace {
@@ -297,8 +327,8 @@ func TestRecycledBuffersKeepSealedTraces(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("a later submission rewrote a sealed trace's spans")
 	}
-	if second.Chunks() != 6 || second.Spans[2].Lo != 100 {
-		t.Errorf("second trace: %d chunks, first chunk span %+v", second.Chunks(), second.Spans[2])
+	if second.Chunks() != 6 || second.Spans()[2].Lo != 100 {
+		t.Errorf("second trace: %d chunks, first chunk span %+v", second.Chunks(), second.Spans()[2])
 	}
 }
 

@@ -17,9 +17,11 @@ package telemetry
 //
 // A stolen chunk's Prov is the whole record of its steal: Owner is the
 // victim, QueueWait the steal's length and Start its End, so the
-// KindSteal event dispatched just before is Prov.StealEvent. The live
-// plane and the span tracer read steals from the Prov alone; a chunk
-// whose body panics reports no Prov, so its steal is only the event.
+// KindSteal event dispatched just before is Prov.DispatchEvent. The live
+// plane and the span tracer read only Chunk and Phase: they keep the
+// records and marks, and Lower derives their steal and contended
+// queue-wait events from the records. A chunk whose body panics
+// reports no Prov, so its steal is only the event.
 //
 // On the real runtime Chunk and Dispatch are called inline from
 // worker goroutines, so implementations must be safe for concurrent
@@ -84,10 +86,16 @@ func (p Prov) ExecEvent() Event {
 	return Event{Kind: KindExec, Proc: p.Proc, Victim: -1, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start, End: p.End}
 }
 
-// StealEvent returns a stolen record's steal as a KindSteal event: the
-// chunk's range moved from Owner to Proc over [Start-QueueWait, Start].
-func (p Prov) StealEvent() Event {
-	return Event{Kind: KindSteal, Proc: p.Proc, Victim: p.Owner, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start}
+// DispatchEvent returns the dispatch that preceded the record's chunk,
+// when an event stream carries one: a stolen chunk's steal (the range
+// moved from Owner to Proc), or an unstolen chunk's queue wait when it
+// is Notable; either over [Start-QueueWait, Start].
+func (p Prov) DispatchEvent() (Event, bool) {
+	if p.Stolen {
+		return Event{Kind: KindSteal, Proc: p.Proc, Victim: p.Owner, Step: p.Step, Lo: p.Lo, Hi: p.Hi, Start: p.Start - p.QueueWait, End: p.Start}, true
+	}
+	e := Event{Kind: KindQueueWait, Proc: p.Proc, Victim: -1, Step: p.Step, Start: p.Start - p.QueueWait, End: p.Start}
+	return e, e.Notable()
 }
 
 // Notable reports whether a real-runtime dispatch event belongs in an

@@ -39,7 +39,7 @@ type Prov struct {
 	// immediately before this chunk (central-queue serialisation,
 	// contended local queue, or steal latency). It precedes Start. On
 	// a stolen chunk it is exactly the steal: [Start-QueueWait, Start]
-	// (StealEvent).
+	// (DispatchEvent).
 	QueueWait float64
 	// Compute is pure loop-body time within the window.
 	Compute float64

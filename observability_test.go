@@ -137,7 +137,10 @@ func TestTracingExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var tree repro.SpanTrace
+	var tree struct { // a repro.SpanTrace's JSON form
+		TraceID uint64       `json:"trace_id"`
+		Spans   []repro.Span `json:"spans"`
+	}
 	if err := json.NewDecoder(resp2.Body).Decode(&tree); err != nil {
 		t.Fatalf("/trace does not decode: %v", err)
 	}

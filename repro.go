@@ -336,7 +336,9 @@ type Tracing = spantrace.Tracer
 // ring). The zero value gives usable defaults.
 type TracingOptions = spantrace.Options
 
-// SpanTrace is one sealed submission's span tree.
+// SpanTrace is one sealed submission's trace: its chunk records and
+// phase marks, viewed as a span tree by Spans() and lowered for
+// forensics by Telemetry().
 type SpanTrace = spantrace.Trace
 
 // Span is one node of a span tree.

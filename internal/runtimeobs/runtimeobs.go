@@ -29,13 +29,13 @@ import (
 // Metric names sampled from runtime/metrics. Kept in one place so the
 // probe in New and the readers in Sample cannot drift apart.
 const (
-	nameGoroutines  = "/sched/goroutines:goroutines"
-	nameSchedLat    = "/sched/latencies:seconds"
-	nameGCPauses    = "/gc/pauses:seconds"
-	nameGCCycles    = "/gc/cycles/total:gc-cycles"
-	nameHeapObjects = "/memory/classes/heap/objects:bytes"
-	nameGCCPU       = "/cpu/classes/gc/total:cpu-seconds"
-	nameTotalCPU    = "/cpu/classes/total:cpu-seconds"
+	nameGoroutines = "/sched/goroutines:goroutines"
+	nameSchedLat   = "/sched/latencies:seconds"
+	nameGCPauses   = "/gc/pauses:seconds"
+	nameGCCycles   = "/gc/cycles/total:gc-cycles"
+	nameHeapLive   = "/gc/heap/live:bytes"
+	nameGCCPU      = "/cpu/classes/gc/total:cpu-seconds"
+	nameTotalCPU   = "/cpu/classes/total:cpu-seconds"
 )
 
 // Snapshot is one sampled view of the Go runtime.
@@ -46,8 +46,9 @@ type Snapshot struct {
 	SampledAgoSeconds float64 `json:"sampled_ago_seconds"`
 	IntervalSeconds   float64 `json:"interval_seconds"`
 	// Goroutines is the live goroutine count; HeapLiveBytes the bytes
-	// of live heap objects; GCCycles completed GC cycles since process
-	// start.
+	// of live heap objects as the last GC marked them (garbage
+	// allocated since does not count); GCCycles completed GC cycles
+	// since process start.
 	Goroutines    int64  `json:"goroutines"`
 	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 	GCCycles      uint64 `json:"gc_cycles"`
@@ -96,7 +97,7 @@ func NewSampler() *Sampler {
 	}
 	for _, name := range []string{
 		nameGoroutines, nameSchedLat, nameGCPauses,
-		nameGCCycles, nameHeapObjects, nameGCCPU, nameTotalCPU,
+		nameGCCycles, nameHeapLive, nameGCCPU, nameTotalCPU,
 	} {
 		if supported[name] {
 			s.idx[name] = len(s.samples)
@@ -137,7 +138,7 @@ func (s *Sampler) Sample() {
 	if v, ok := s.value(nameGoroutines); ok && v.Kind() == metrics.KindUint64 {
 		snap.Goroutines = int64(v.Uint64())
 	}
-	if v, ok := s.value(nameHeapObjects); ok && v.Kind() == metrics.KindUint64 {
+	if v, ok := s.value(nameHeapLive); ok && v.Kind() == metrics.KindUint64 {
 		snap.HeapLiveBytes = v.Uint64()
 	}
 	if v, ok := s.value(nameGCCycles); ok && v.Kind() == metrics.KindUint64 {

@@ -3,6 +3,7 @@ package runtimeobs
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -142,5 +143,30 @@ func TestHistQuantileEdges(t *testing.T) {
 	infCounts := []uint64{1, 1}
 	if got := histQuantile(infBounds, infCounts, 2, 0.99); got != 1e-6*1e9 {
 		t.Errorf("p99 with +Inf edge = %g, want finite lower edge in ns", got)
+	}
+}
+
+// dropped keeps the garbage TestHeapLiveIgnoresGarbage allocates
+// reachable until the test drops it.
+var dropped [][]byte
+
+// TestHeapLiveIgnoresGarbage: HeapLiveBytes is the live heap, so
+// garbage allocated after the last GC — dead, but not yet swept —
+// does not count. With the collector off, 32 MiB allocated and dropped
+// between two samples must not move the gauge by half that.
+func TestHeapLiveIgnoresGarbage(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	runtime.GC()
+	s := NewSampler()
+	s.Sample()
+	before := s.Snapshot().HeapLiveBytes
+	for i := 0; i < 32; i++ {
+		dropped = append(dropped, make([]byte, 1<<20))
+	}
+	dropped = nil
+	s.Sample()
+	if after := s.Snapshot().HeapLiveBytes; after >= before+16<<20 {
+		t.Errorf("heap_live_bytes grew from %d to %d after 32 MiB of garbage", before, after)
 	}
 }

@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var obs []telemetry.Observer
 	if *showTrace || x.TraceOut != "" || x.Check {
 		stream = telemetry.NewLog[telemetry.Event]()
-		obs = append(obs, telemetry.ObserveEvents(stream))
+		obs = append(obs, telemetry.ObserveEvents(stream, "cycles"))
 	}
 	if x.MetricsOut != "" {
 		reg = telemetry.NewRegistry()

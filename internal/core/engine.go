@@ -267,7 +267,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		if nn < 0 {
 			nn = 0
 		}
-		r.phaseNo.Store(int64(ph))
 		d.initPhase(r, ph, nn)
 		var phStart float64
 		if r.obs != nil {

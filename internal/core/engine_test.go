@@ -461,8 +461,7 @@ func (o *phaseSpans) Phase(m telemetry.PhaseMark) {
 		o.ns = append(o.ns, m.End-m.Start)
 	}
 }
-func (o *phaseSpans) Chunk(telemetry.Prov)     {}
-func (o *phaseSpans) Dispatch(telemetry.Event) {}
+func (o *phaseSpans) Chunk(telemetry.Prov) {}
 
 // TestStartDelayOnlyFirstPhase: a worker's StartDelay holds up the
 // first phase of each submission and no later one. The checks are one

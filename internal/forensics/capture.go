@@ -44,7 +44,7 @@ func CaptureSim(spec CaptureSpec) (*telemetry.TraceFile, sim.Metrics, error) {
 	events := telemetry.NewLog[telemetry.Event]()
 	prov := telemetry.NewLog[telemetry.Prov]()
 	met, err := sim.RunOpts(m, spec.Procs, s, build(), sim.Options{
-		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
+		Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events, "cycles"), telemetry.ObserveProv(prov)),
 	})
 	if err != nil {
 		return nil, sim.Metrics{}, fmt.Errorf("simulate %s/%s/%s: %w",

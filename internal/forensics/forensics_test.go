@@ -515,7 +515,7 @@ func TestSimSpanTraceMatchesProvenance(t *testing.T) {
 	active := spantrace.NewTracer(spantrace.Options{}).StartSubmission(spantrace.SubmissionInfo{
 		Scheduler: "AFS", Procs: procs, Phases: 4,
 	})
-	obs := telemetry.TeeObservers(telemetry.ObserveProv(prov), telemetry.ObserveEvents(events), active)
+	obs := telemetry.TeeObservers(telemetry.ObserveProv(prov), telemetry.ObserveEvents(events, "cycles"), active)
 	if _, err := sim.RunOpts(m, procs, sched.SpecAFS(), build(), sim.Options{Observer: obs}); err != nil {
 		active.Abandon()
 		t.Fatal(err)
@@ -527,7 +527,7 @@ func TestSimSpanTraceMatchesProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	lowered := &telemetry.TraceFile{Meta: meta}
-	lowered.Events, lowered.Prov = tr.Telemetry()
+	lowered.Events, lowered.Prov = tr.Telemetry("cycles")
 	span, err := Analyze(lowered)
 	if err != nil {
 		t.Fatal(err)

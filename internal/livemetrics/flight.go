@@ -71,15 +71,13 @@ func (o *submissionObserver) Chunk(p telemetry.Prov) {
 	o.rec.add(flightRec{sub: o.sub, p: p})
 }
 
-func (o *submissionObserver) Dispatch(telemetry.Event) {}
-
 func (r *Recorder) add(fr flightRec) {
 	r.mu.Lock()
 	if old := &r.recs[r.next]; r.full {
 		r.droppedEvents++
 		if !old.mark {
 			r.droppedProv++
-			if _, ok := old.p.DispatchEvent(); ok {
+			if _, ok := old.p.DispatchEvent("ns"); ok {
 				r.droppedEvents++
 			}
 		}
@@ -171,7 +169,7 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 		}
 	}
 	d.Submissions = len(subOff)
-	d.Events, d.Prov = telemetry.Lower(marks, prov)
+	d.Events, d.Prov = telemetry.Lower(marks, prov, "ns")
 	return d
 }
 

@@ -150,7 +150,7 @@ func TestPerSubmissionTelemetryIsolation(t *testing.T) {
 	for sub, n := range []int{3000, 1700} {
 		stream := telemetry.NewLog[telemetry.Event]()
 		st, err := x.Submit(context.Background(),
-			core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream)}, n, func(int) {})
+			core.Config{Spec: sched.SpecAFS(), Observer: telemetry.ObserveEvents(stream, "ns")}, n, func(int) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 					stream := telemetry.NewLog[telemetry.Event]()
 					counts := make([]int32, n)
 					st, err := x.Submit(context.Background(),
-						core.Config{Spec: spec, Observer: telemetry.ObserveEvents(stream)}, n,
+						core.Config{Spec: spec, Observer: telemetry.ObserveEvents(stream, "ns")}, n,
 						func(i int) { atomic.AddInt32(&counts[i], 1) })
 					if err != nil {
 						errs <- fmt.Errorf("sub %d (%s): %v", idx, spec.Name, err)

@@ -543,7 +543,7 @@ func TestEngineTraceRecording(t *testing.T) {
 			return 1
 		},
 	})
-	res, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.ObserveEvents(stream)})
+	res, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.ObserveEvents(stream, "cycles")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,7 +884,7 @@ func TestEngineReleasesCallerMemory(t *testing.T) {
 	prog := Program{Name: "counted", Steps: 2, Step: func(int) ParLoop { return countedLoop(40, 10, executed) }}
 	e := newEngine()
 	e.simulate(machine.Iris(), 4, sched.SpecGSS(), prog, Options{
-		Observer:    telemetry.ObserveEvents(telemetry.NewLog[telemetry.Event]()),
+		Observer:    telemetry.ObserveEvents(telemetry.NewLog[telemetry.Event](), "cycles"),
 		ActiveProcs: func(int) int { return 3 },
 	})
 	if e.m != nil || e.prog.Step != nil || e.spec.NewSizer != nil || e.loop.Cost != nil || e.loop.Touches != nil ||

@@ -82,7 +82,7 @@ func (c poolConfig) run(t *testing.T, run runFunc) poolResult {
 	events := telemetry.NewLog[telemetry.Event]()
 	prov := telemetry.NewLog[telemetry.Prov]()
 	if c.observe {
-		opts.Observer = telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov))
+		opts.Observer = telemetry.TeeObservers(telemetry.ObserveEvents(events, "cycles"), telemetry.ObserveProv(prov))
 	}
 	res := poolResult{met: run(c.machine, c.procs, spec, build(), opts)}
 	if c.observe && (len(events.Records()) == 0 || len(prov.Records()) == 0) {

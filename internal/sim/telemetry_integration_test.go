@@ -8,6 +8,7 @@ package sim_test
 // and the stream must agree with the engine's aggregate metrics.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cli"
@@ -46,7 +47,7 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	for kname, build := range kernels {
 		for _, spec := range sched.AllSpecs() {
 			stream := telemetry.NewLog[telemetry.Event]()
-			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
+			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Observer: telemetry.ObserveEvents(stream, "cycles")})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, spec.Name, err)
 			}
@@ -147,6 +148,43 @@ func TestSimRegistryTimeSeries(t *testing.T) {
 	}
 }
 
+// TestWaitMetricsSumToQueueWait: each chunk's queue wait lands in
+// exactly one of the registry's wait metrics — a stolen chunk's in
+// steal_latency_cycles, any other nonzero one in queue_wait_cycles — so
+// the two sums add up to the engine's QueueWaitCycles. The registry
+// adds the waits in completion order and the engine in fetch order,
+// and a steal's wait is split off, so the float sums may differ by
+// rounding only (on tc-skew AFS by 2.4e-16 of the total).
+func TestWaitMetricsSumToQueueWait(t *testing.T) {
+	m := machine.Iris()
+	for _, c := range []struct {
+		kernel string
+		spec   sched.Spec
+	}{{"gauss", sched.SpecAFS()}, {"gauss", sched.SpecGSS()}, {"gauss", sched.SpecSS()},
+		{"tc-skew", sched.SpecAFS()}, {"tc-skew", sched.SpecFactoring()}} {
+		build, _, err := cli.BuildKernel(c.kernel, 64, 0, 1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := c.spec
+		reg := telemetry.NewRegistry()
+		res, err := sim.RunOpts(m, 8, spec, build(), sim.Options{Seed: 11, Observer: telemetry.ObserveMetrics(reg, "cycles")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := reg.Series()
+		last := series[len(series)-1].Values
+		got := last["queue_wait_cycles_sum"] + last["steal_latency_cycles_sum"]
+		if math.Abs(got-res.QueueWaitCycles) > 1e-12*res.QueueWaitCycles || res.QueueWaitCycles == 0 {
+			t.Errorf("%s/%s: queue_wait_cycles_sum %v + steal_latency_cycles_sum %v = %v, QueueWaitCycles %v",
+				c.kernel, spec.Name, last["queue_wait_cycles_sum"], last["steal_latency_cycles_sum"], got, res.QueueWaitCycles)
+		}
+		if int(last["steal_latency_cycles_count"]) != res.Steals {
+			t.Errorf("%s/%s: steal_latency_cycles_count %v, Steals %d", c.kernel, spec.Name, last["steal_latency_cycles_count"], res.Steals)
+		}
+	}
+}
+
 // TestPhaseAndQueueWaitEvents: the stream carries phase boundaries for
 // every step and queue waits under a contended central queue.
 func TestPhaseAndQueueWaitEvents(t *testing.T) {
@@ -156,7 +194,7 @@ func TestPhaseAndQueueWaitEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewLog[telemetry.Event]()
-	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream)})
+	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream, "cycles")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +229,7 @@ func TestCacheFlushEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewLog[telemetry.Event]()
-	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream), FlushEverySteps: 2}); err != nil {
+	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.ObserveEvents(stream, "cycles"), FlushEverySteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	flushes := 0

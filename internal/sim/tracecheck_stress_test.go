@@ -57,7 +57,7 @@ func TestTracecheckStealHeavyAFS(t *testing.T) {
 			events := telemetry.NewLog[telemetry.Event]()
 			prov := telemetry.NewLog[telemetry.Prov]()
 			if _, err := sim.RunOpts(m, c.procs, spec, build(), sim.Options{
-				Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events), telemetry.ObserveProv(prov)),
+				Observer: telemetry.TeeObservers(telemetry.ObserveEvents(events, "cycles"), telemetry.ObserveProv(prov)),
 			}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

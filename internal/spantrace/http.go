@@ -20,7 +20,7 @@ func (t *Trace) WriteForensics(w io.Writer, substrate, timeUnit string) error {
 	if f.Meta.Label == "" {
 		f.Meta.Label = fmt.Sprintf("trace %d (%s)", t.TraceID, t.Scheduler)
 	}
-	f.Events, f.Prov = t.Telemetry()
+	f.Events, f.Prov = t.Telemetry(timeUnit)
 	return f.Write(w)
 }
 

@@ -40,7 +40,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 	r := NewRegistry()
 	obs := ObserveMetrics(r, "ns")
 	obs.Phase(PhaseMark{Step: 0, Barrier: true, Ops: OpCounts{Steals: 2}})
-	obs.Dispatch(Event{Kind: KindSteal, Start: 0, End: 0.5})
+	obs.Chunk(Prov{Stolen: true, QueueWait: 0.5})
 	obs.Phase(PhaseMark{Step: 1, Barrier: true, Ops: OpCounts{Steals: 3}})
 	var b strings.Builder
 	if err := WriteSeriesCSV(&b, r); err != nil {
@@ -53,7 +53,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 	if len(recs) != 3 || recs[0][4] != "steals" || recs[1][4] != "2" || recs[2][4] != "5" {
 		t.Errorf("series csv = %v", recs)
 	}
-	if got := strings.Join(recs[2], ","); got != "1,0,0,0,5,0,0,0,0,0,0,1,0.5" {
+	if got := strings.Join(recs[2], ","); got != "1,0,0,0,5,0,0,1,0,0,0,1,0.5" {
 		t.Errorf("step 1 row = %s", got)
 	}
 }

@@ -7,22 +7,27 @@ import (
 
 // Lower turns a run's phase marks and chunk records into the events
 // and records of a TraceFile: the one lowering the span tracer and the
-// flight recorder share, so their views of one submission agree. A
-// mark becomes its boundary event (PhaseMark.Event), a record its
-// dispatch event if any (Prov.DispatchEvent) and its exec event. Lower
+// flight recorder share, so their views of one submission agree, and
+// the one ObserveEvents streams. A mark becomes its boundary event
+// (PhaseMark.Event) and any cache flush (PhaseMark.FlushEvent), a
+// record its dispatch event if any (Prov.DispatchEvent, with unit the
+// substrate's time unit) and its exec event. Lower
 // sorts recs in place by (step, start, proc) and returns them with the
 // events sorted by (step, start, kind), so the output does not depend
 // on the order the marks and records arrived in.
-func Lower(marks []PhaseMark, recs []Prov) ([]Event, []Prov) {
+func Lower(marks []PhaseMark, recs []Prov, unit string) ([]Event, []Prov) {
 	slices.SortFunc(recs, func(a, b Prov) int { return compareEvents(a.ExecEvent(), b.ExecEvent()) })
-	// The exec events now follow the records' order; the few boundary
-	// and dispatch events are sorted apart and merged in.
+	// The exec events now follow the records' order; the few boundary,
+	// flush and dispatch events are sorted apart and merged in.
 	side := make([]Event, 0, len(marks))
 	for _, m := range marks {
 		side = append(side, m.Event())
+		if e, ok := m.FlushEvent(); ok {
+			side = append(side, e)
+		}
 	}
 	for _, p := range recs {
-		if e, ok := p.DispatchEvent(); ok {
+		if e, ok := p.DispatchEvent(unit); ok {
 			side = append(side, e)
 		}
 	}

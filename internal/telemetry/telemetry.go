@@ -8,7 +8,8 @@
 //     default so instrumented hot paths pay exactly one nil check when
 //     telemetry is off, with adapters feeding the consumers below;
 //   - a structured event stream (exec / steal / queue-wait /
-//     cache-flush / phase-boundary events) behind a pluggable Sink
+//     cache-flush / phase-boundary events), each a view of one of the
+//     Observer's records or marks, behind a pluggable Sink
 //     interface, with Log as the in-memory record of events or
 //     provenance records;
 //   - the metrics Registry ObserveMetrics fills: the scheduling

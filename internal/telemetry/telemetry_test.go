@@ -59,13 +59,12 @@ func TestTeeObservers(t *testing.T) {
 		t.Error("TeeObservers of nothing should be nil")
 	}
 	a, b := NewLog[Event](), NewLog[Event]()
-	oa := ObserveEvents(a)
+	oa := ObserveEvents(a, "ns")
 	if TeeObservers(oa, nil) != oa {
 		t.Error("single observer should pass through")
 	}
-	both := TeeObservers(oa, ObserveEvents(b))
-	both.Chunk(Prov{Lo: 0, Hi: 4})
-	both.Dispatch(Event{Kind: KindQueueWait, Start: 0, End: 1})
+	both := TeeObservers(oa, ObserveEvents(b, "ns"))
+	both.Chunk(Prov{Lo: 0, Hi: 4, Start: 5000, QueueWait: 2000}) // a queue wait and an exec
 	both.Phase(PhaseMark{Barrier: true})
 	if a.Len() != 3 || b.Len() != 3 {
 		t.Errorf("fan-out delivered %d and %d events, want 3 each", a.Len(), b.Len())
@@ -79,7 +78,7 @@ func TestObserveMetricsUnits(t *testing.T) {
 	for _, unit := range []string{"ns", "cycles"} {
 		reg := NewRegistry()
 		obs := ObserveMetrics(reg, unit)
-		obs.Dispatch(Event{Kind: KindSteal, Start: 0, End: 3})
+		obs.Chunk(Prov{Stolen: true, QueueWait: 3})
 		obs.Phase(PhaseMark{Barrier: true})
 		got := reg.Series()[0].Values
 		if got["steal_latency_"+unit+"_count"] != 1 || got["steal_latency_"+unit+"_sum"] != 3 {
@@ -114,10 +113,8 @@ func TestRegistrySnapshotSeries(t *testing.T) {
 	}
 	obs := ObserveMetrics(r, "cycles")
 	for step := 0; step < 3; step++ {
-		obs.Chunk(Prov{Lo: 0, Hi: step})
-		obs.Dispatch(Event{Kind: KindQueueWait, Start: 1, End: 3})
-		obs.Dispatch(Event{Kind: KindExec, Start: 0, End: 100}) // not a wait
-		obs.Phase(PhaseMark{Step: step})                        // begin marks record nothing
+		obs.Chunk(Prov{Lo: 0, Hi: step, QueueWait: 2})
+		obs.Phase(PhaseMark{Step: step}) // begin marks record nothing
 		obs.Phase(PhaseMark{Step: step, Barrier: true, Ops: OpCounts{Steals: int64(step), Iterations: 10}})
 	}
 	series := r.Series()

@@ -2,7 +2,6 @@ package livemetrics
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/spantrace"
 )
@@ -26,15 +25,13 @@ type Exemplar struct {
 const exemplarsPerBucket = 2
 
 // exemplarStore retains the slowest traced submissions per histogram
-// bucket within the rolling window. Mutex-guarded: it is fed once per
-// submission (not per chunk), so a lock here never touches the
-// dispatch hot path. A bucket drops its expired exemplars (and their
+// bucket within the rolling window. It is fed once per submission,
+// under the plane's mutex, which guards it. A bucket drops its expired exemplars (and their
 // pins) at its next observation, so at most exemplarsPerBucket traces
 // per bucket stay pinned.
 type exemplarStore struct {
 	windowNS int64
 	bounds   []float64
-	mu       sync.Mutex
 	buckets  [][]Exemplar
 }
 
@@ -63,15 +60,13 @@ func (s *exemplarStore) boundOf(b int) float64 {
 // observe retains the submission if it is among the bucket's slowest
 // within the window. traceID 0 (untraced submission) is ignored. t
 // (nil-safe) holds a pin on every retained exemplar's trace, taken and
-// released under the store's lock so pins match retention exactly.
+// released with the retention change so pins match retention exactly.
 func (s *exemplarStore) observe(nowNS int64, latencyNS float64, traceID uint64, t *spantrace.Tracer) {
 	if traceID == 0 {
 		return
 	}
 	b := s.bucket(latencyNS)
 	e := Exemplar{TraceID: traceID, LatencyNS: latencyNS, BucketNS: s.boundOf(b), atNS: nowNS}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	kept := s.buckets[b][:0]
 	for _, old := range s.buckets[b] {
 		if nowNS-old.atNS <= s.windowNS {
@@ -95,7 +90,6 @@ func (s *exemplarStore) observe(nowNS int64, latencyNS float64, traceID uint64, 
 // snapshot returns the live exemplars, slowest first — the head is
 // the current tail-latency exemplar, the one CI resolves end to end.
 func (s *exemplarStore) snapshot(nowNS int64) []Exemplar {
-	s.mu.Lock()
 	var out []Exemplar
 	for _, b := range s.buckets {
 		for _, e := range b {
@@ -105,7 +99,6 @@ func (s *exemplarStore) snapshot(nowNS int64) []Exemplar {
 			}
 		}
 	}
-	s.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].LatencyNS > out[j].LatencyNS })
 	return out
 }

@@ -17,6 +17,9 @@ import (
 // clocks onto a shared axis, then lowers it as the span tracer lowers
 // a trace (telemetry.Lower).
 type Recorder struct {
+	subSeq atomic.Int64 // the last submission number handed out
+
+	// mu guards every field below.
 	mu   sync.Mutex
 	recs []flightRec
 	next int
@@ -25,12 +28,8 @@ type Recorder struct {
 	// dumped (a chunk record dumps its exec and any dispatch event).
 	droppedEvents int64
 	droppedProv   int64
-
-	subSeq atomic.Int64
-
-	anomMu  sync.Mutex
-	anomaly *FlightDump
-	anomSeq atomic.Int64
+	anomaly       *FlightDump
+	anomSeq       int64
 }
 
 // flightRec is one ring slot, tagged with its submission: a chunk
@@ -51,28 +50,81 @@ func newRecorder(capacity int) *Recorder {
 	return &Recorder{recs: make([]flightRec, capacity)}
 }
 
+// bufRecords is the most records a worker buffers before it folds
+// them into the plane itself, so a long phase (a one-phase
+// self-scheduled loop over a large N) holds bounded memory and the
+// live series lag it by at most this many records per worker.
+const bufRecords = 256
+
+// workerBuf is one worker's chunk records of the current phase. Only
+// that worker appends to it; the phase barrier orders its appends
+// before the fold. Padded so neighbouring workers' buffers don't
+// share a cache line.
+type workerBuf struct {
+	recs []telemetry.Prov
+	_    [5]uint64
+}
+
 // submissionObserver is one submission's view of the plane
-// (Plane.Observer): chunk records feed the collector, and chunk
-// records and phase marks land in the flight recorder tagged with its
-// slot. A steal or a queue wait is its chunk's record.
+// (Plane.Observer). Chunk appends the record to its worker's buffer:
+// no lock, atomic or clock read. A begin mark goes into the flight
+// ring at once, so a step's begin precedes its records there; the
+// barrier mark folds every worker's buffer into the plane
+// (Plane.fold). Core sends the barrier mark after the phase's
+// workers have all finished, on the cancel and panic paths too.
 type submissionObserver struct {
-	col *Collector
-	rec *Recorder
-	sub int64
+	plane *Plane
+	procs int
+	sub   int64
+	bufs  []workerBuf // held from a begin mark to its barrier mark
 }
 
 func (o *submissionObserver) Phase(m telemetry.PhaseMark) {
-	o.rec.add(flightRec{sub: o.sub, mark: true, barrier: m.Barrier,
-		p: telemetry.Prov{Step: m.Step, Hi: m.N, Start: m.Start, End: m.End}})
+	p := o.plane
+	if !m.Barrier {
+		if o.bufs == nil {
+			o.bufs = p.takeBufs(o.procs)
+		}
+		p.rec.add(o.sub, nil, &m)
+		return
+	}
+	p.fold(o.sub, o.bufs, &m)
+	if o.bufs != nil {
+		p.putBufs(o.bufs)
+		o.bufs = nil
+	}
 }
 
-func (o *submissionObserver) Chunk(p telemetry.Prov) {
-	o.col.chunk(p)
-	o.rec.add(flightRec{sub: o.sub, p: p})
+func (o *submissionObserver) Chunk(r telemetry.Prov) {
+	if r.Proc < 0 || r.Proc >= len(o.bufs) { // outside a phase or its workers: fold at once
+		o.plane.fold(o.sub, []workerBuf{{recs: []telemetry.Prov{r}}}, nil)
+		return
+	}
+	b := &o.bufs[r.Proc]
+	b.recs = append(b.recs, r)
+	if len(b.recs) == bufRecords {
+		o.plane.fold(o.sub, o.bufs[r.Proc:r.Proc+1], nil)
+	}
 }
 
-func (r *Recorder) add(fr flightRec) {
+// add appends one submission's buffered records and then the mark m,
+// if any, to the ring, under one lock.
+func (r *Recorder) add(sub int64, bufs []workerBuf, m *telemetry.PhaseMark) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range bufs {
+		for j := range bufs[i].recs {
+			r.push(flightRec{sub: sub, p: bufs[i].recs[j]})
+		}
+	}
+	if m != nil {
+		r.push(flightRec{sub: sub, mark: true, barrier: m.Barrier,
+			p: telemetry.Prov{Step: m.Step, Hi: m.N, Start: m.Start, End: m.End}})
+	}
+}
+
+// push writes one slot over the oldest; the caller holds mu.
+func (r *Recorder) push(fr flightRec) {
 	if old := &r.recs[r.next]; r.full {
 		r.droppedEvents++
 		if !old.mark {
@@ -88,7 +140,6 @@ func (r *Recorder) add(fr flightRec) {
 		r.next = 0
 		r.full = true
 	}
-	r.mu.Unlock()
 }
 
 // Dropped reports how many events and provenance records the ring has
@@ -117,12 +168,16 @@ type FlightDump struct {
 
 // Dump freezes the ring into one coherent stream. Submissions number
 // their phases from 0 and their clocks from their own start, so the
-// dump shifts each captured submission onto a shared axis: submission
-// g's steps land after all of g-1's steps and its clock starts where
-// g-1's last slot ended. The rebased marks and records are then
-// lowered by telemetry.Lower, so every exec event in a dump has its
-// Prov, and a stolen chunk's steal and a contended central-queue wait
-// ([Start-QueueWait, Start]) are derived from its record.
+// dump shifts each captured submission onto a shared axis, in order of
+// its first slot in the ring: submission g's steps land after all of
+// g-1's steps and its clock starts where g-1's last slot ended. The
+// submissions of executors that share a plane run at once and
+// interleave in the ring, so each one's full step and time extent is
+// taken before any offset is assigned. The rebased marks and records
+// are then lowered by telemetry.Lower, so every exec event in a dump
+// has its Prov, and a stolen chunk's steal and a contended
+// central-queue wait ([Start-QueueWait, Start]) are derived from its
+// record.
 func (r *Recorder) Dump(reason string) *FlightDump {
 	r.mu.Lock()
 	older := r.recs[r.next:] // oldest first, once the ring has wrapped
@@ -133,34 +188,31 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 	d := &FlightDump{Reason: reason, DroppedEvents: r.droppedEvents, DroppedProv: r.droppedProv}
 	r.mu.Unlock()
 
-	// One pass over the ring fixes each submission's step and time
-	// offsets when its first slot arrives (the engine serialises
-	// submissions, so each one's slots are contiguous) and shifts every
-	// mark and record by its submission's offsets.
 	type offsets struct {
-		step    int
-		time    float64
-		maxStep int
-		maxEnd  float64
+		step, maxStep int
+		time, maxEnd  float64
 	}
 	subOff := map[int64]*offsets{}
+	var order []*offsets
+	for _, fr := range recs {
+		o := subOff[fr.sub]
+		if o == nil {
+			o = &offsets{}
+			subOff[fr.sub] = o
+			order = append(order, o)
+		}
+		o.maxStep, o.maxEnd = max(o.maxStep, fr.p.Step), max(o.maxEnd, fr.p.End)
+	}
 	stepOff, timeOff := 0, 0.0
-	var cur *offsets
+	for _, o := range order {
+		o.step, o.time = stepOff, timeOff
+		stepOff += o.maxStep + 1
+		timeOff += o.maxEnd
+	}
 	var marks []telemetry.PhaseMark
 	prov := make([]telemetry.Prov, 0, len(recs))
 	for _, fr := range recs {
-		o, ok := subOff[fr.sub]
-		if !ok {
-			if cur != nil {
-				stepOff += cur.maxStep + 1
-				timeOff += cur.maxEnd
-			}
-			o = &offsets{step: stepOff, time: timeOff}
-			subOff[fr.sub] = o
-			cur = o
-		}
-		p := fr.p
-		o.maxStep, o.maxEnd = max(o.maxStep, p.Step), max(o.maxEnd, p.End)
+		o, p := subOff[fr.sub], fr.p
 		p.Step, p.Start, p.End = p.Step+o.step, p.Start+o.time, p.End+o.time
 		if fr.mark {
 			marks = append(marks, telemetry.PhaseMark{Step: p.Step, N: p.Hi, Start: p.Start, End: p.End, Barrier: fr.barrier})
@@ -200,21 +252,25 @@ func (d *FlightDump) Consistent() ([]telemetry.Event, []telemetry.Prov) {
 // panic or cancellation survive subsequent traffic.
 func (r *Recorder) NoteAnomaly(reason string) {
 	d := r.Dump(reason)
-	r.anomMu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.anomaly = d
-	r.anomMu.Unlock()
-	r.anomSeq.Add(1)
+	r.anomSeq++
 }
 
 // AnomalySeq counts anomaly dumps taken since creation — the
 // monotonic edge the watchdog's flight-freeze trigger watches, so a
 // panic or cancellation that froze the ring also produces a
 // diagnostic bundle.
-func (r *Recorder) AnomalySeq() int64 { return r.anomSeq.Load() }
+func (r *Recorder) AnomalySeq() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.anomSeq
+}
 
 // Anomaly returns the most recent anomaly dump, or nil.
 func (r *Recorder) Anomaly() *FlightDump {
-	r.anomMu.Lock()
-	defer r.anomMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.anomaly
 }

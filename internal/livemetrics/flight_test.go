@@ -4,20 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
-// emitSub pushes one synthetic submission through a plane observer
-// recording into r: steps phased loops of n iterations over two
+// emitSub pushes one synthetic submission through an observer of p:
+// steps phased loops of n iterations over two
 // workers, each step carrying a mid-phase steal (worker 1 steals the
 // top half of worker 0's range) plus a deliberately zero-duration
 // exec chunk — the shapes that used to break Chrome trace export.
 // Steps and clocks are 0-based per submission, exactly as a real
 // engine reports them.
-func emitSub(r *Recorder, steps, n int) {
-	o := &submissionObserver{col: newCollector(func() int64 { return 0 }, time.Second), rec: r, sub: r.subSeq.Add(1)}
+func emitSub(p *Plane, steps, n int) {
+	o := p.Observer(2)
 	for s := 0; s < steps; s++ {
 		base := float64(s * 1000)
 		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base})
@@ -45,11 +44,11 @@ const eventsPerStep, recordsPerStep = 6, 5
 // shared axis — steps strictly increasing across submission
 // boundaries, clocks never jumping backwards.
 func TestFlightDumpRebasing(t *testing.T) {
-	r := newRecorder(1024)
+	p := New(Options{FlightEvents: 1024})
 	for i := 0; i < 3; i++ {
-		emitSub(r, 2, 64)
+		emitSub(p, 2, 64)
 	}
-	d := r.Dump("test")
+	d := p.Recorder().Dump("test")
 	if d.Submissions != 3 {
 		t.Fatalf("dump sees %d submissions, want 3", d.Submissions)
 	}
@@ -95,6 +94,53 @@ func TestFlightDumpRebasing(t *testing.T) {
 	}
 }
 
+// TestFlightDumpInterleavedSubmissions: executors that share a plane
+// run at once, so their submissions interleave in the ring. A's step 0
+// runs, B begins, then A's step 1 overlaps B's step 0. The dump must
+// still give each rebased step exactly one begin, and the consistent
+// view must pass tracecheck (each iteration executed once per step).
+func TestFlightDumpInterleavedSubmissions(t *testing.T) {
+	const n = 8
+	p := New(Options{FlightEvents: 1024})
+	a, b := p.Observer(1), p.Observer(1)
+	begin := func(o telemetry.Observer, s int) {
+		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: float64(100 * s), End: float64(100 * s)})
+	}
+	finish := func(o telemetry.Observer, s int) {
+		base := float64(100 * s)
+		o.Chunk(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: n, Start: base + 10, End: base + 90})
+		o.Phase(telemetry.PhaseMark{Step: s, N: n, Start: base, End: base + 95, Barrier: true})
+	}
+	begin(a, 0)
+	finish(a, 0)
+	begin(b, 0)
+	begin(a, 1)
+	finish(b, 0)
+	finish(a, 1)
+	d := p.Recorder().Dump("interleaved")
+	if d.Submissions != 2 {
+		t.Fatalf("dump sees %d submissions, want 2", d.Submissions)
+	}
+	begins := map[int]int{}
+	for _, e := range d.Events {
+		if e.Kind == telemetry.KindPhaseBegin {
+			begins[e.Step]++
+		}
+	}
+	if len(begins) != 3 {
+		t.Errorf("dump has begins on steps %v, want 3 distinct steps", begins)
+	}
+	for s, c := range begins {
+		if c != 1 {
+			t.Errorf("rebased step %d has %d phase-begins, want 1", s, c)
+		}
+	}
+	evs, _ := d.Consistent()
+	if err := telemetry.Check(evs).Err(); err != nil {
+		t.Errorf("interleaved dump fails tracecheck: %v", err)
+	}
+}
+
 // TestFlightConsistentSurvivesEviction is the mid-step ring
 // regression test: the ring is sized so eviction cuts an old
 // submission mid-step — stranding chunk records whose phase-begin is
@@ -104,11 +150,11 @@ func TestFlightConsistentSurvivesEviction(t *testing.T) {
 	// 4 submissions × 3 steps × recordsPerStep = 60 records; a 37-slot
 	// ring holds ~2.5 submissions and the cut lands mid-submission,
 	// and (with recordsPerStep not dividing 37) mid-step.
-	r := newRecorder(37)
+	p := New(Options{FlightEvents: 37})
 	for i := 0; i < 4; i++ {
-		emitSub(r, 3, 64)
+		emitSub(p, 3, 64)
 	}
-	d := r.Dump("evicted")
+	d := p.Recorder().Dump("evicted")
 	if d.DroppedEvents == 0 || d.DroppedProv == 0 {
 		t.Fatalf("test needs eviction to bite (dropped events %d, prov %d)", d.DroppedEvents, d.DroppedProv)
 	}
@@ -156,15 +202,16 @@ func TestFlightConsistentSurvivesEviction(t *testing.T) {
 // TestFlightAnomalyLatestWins: NoteAnomaly freezes a dump; a later
 // anomaly replaces it; the frozen dump is immune to later traffic.
 func TestFlightAnomalyLatestWins(t *testing.T) {
-	r := newRecorder(1024)
-	emitSub(r, 1, 32)
+	p := New(Options{FlightEvents: 1024})
+	r := p.Recorder()
+	emitSub(p, 1, 32)
 	r.NoteAnomaly("panic: first")
 	first := r.Anomaly()
 	if first == nil || first.Reason != "panic: first" {
 		t.Fatalf("anomaly = %+v, want reason %q", first, "panic: first")
 	}
 	nEvents := len(first.Events)
-	emitSub(r, 1, 32)
+	emitSub(p, 1, 32)
 	if got := len(r.Anomaly().Events); got != nEvents {
 		t.Errorf("frozen anomaly grew from %d to %d events after new traffic", nEvents, got)
 	}
@@ -180,7 +227,7 @@ func TestFlightAnomalyLatestWins(t *testing.T) {
 // wrapped ring sees every surviving chunk's time, not idle.
 func TestFlightWrapKeepsProvPerExec(t *testing.T) {
 	p := New(Options{})
-	o := p.Observer()
+	o := p.Observer(4)
 	const steps, chunks = 600, 8
 	for s := 0; s < steps; s++ {
 		base := float64(s * 100)

@@ -1,8 +1,10 @@
 // Package livemetrics is the live observability plane for the
-// persistent execution engine: lock-cheap rolling instruments fed by
-// the runtime's observer (core.Config.Observer), a bounded flight
-// recorder of recent telemetry, and an HTTP introspection surface (see
-// http.go and cmd/loopserved).
+// persistent execution engine: rolling instruments fed by the
+// runtime's observer (core.Config.Observer), a bounded flight recorder
+// of recent telemetry, and an HTTP introspection surface (see http.go
+// and cmd/loopserved). A worker pays one append per chunk: each
+// submission's observer buffers its chunk records per worker and folds
+// them into the plane once per phase, under one lock.
 //
 // The paper's claim — affinity scheduling wins because cache-reload
 // cost dominates as loops repeat — is otherwise only visible post-hoc
@@ -20,9 +22,8 @@ package livemetrics
 
 import (
 	"slices"
-	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/spantrace"
@@ -96,15 +97,6 @@ const (
 	AdmitRejected
 )
 
-// tenantState is one tenant's monotonic admission totals.
-type tenantState struct {
-	submitted atomic.Int64
-	admitted  atomic.Int64
-	shed      atomic.Int64
-	rejected  atomic.Int64
-	completed atomic.Int64
-}
-
 // Plane is one engine's live observability surface. Create with New,
 // bind to executors via internal/pool (or repro.WithObservability) and
 // scrape with Snapshot or the HTTP handler. A plane starts no
@@ -113,46 +105,46 @@ type tenantState struct {
 type Plane struct {
 	opts Options
 	t0   time.Time
-	col  *Collector
 	rec  *Recorder
 
-	subHist *rollingHist
+	// mu guards every field below. It is taken once per phase of an
+	// observed submission (the fold), once per submission and
+	// admission decision, and once per scrape — never per chunk.
+	mu       sync.Mutex
+	counters Counters
+	// workers holds one row per worker index seen, sized exactly to
+	// the highest: every row becomes a worker in Snapshot (and a
+	// per-worker series in /metrics.prom), so it never over-allocates.
+	workers   []workerTotals
+	chunkHist *rollingHist
+	stealHist *rollingHist
+	subHist   *rollingHist
 	// exemplars retains the slowest traced submissions per latency
 	// bucket, so /metrics tail quantiles resolve to span trees.
 	exemplars *exemplarStore
 	// tracer, when set, is the span tracer whose trace IDs the
 	// exemplars reference; the HTTP handler serves /trace and /traces
 	// from it.
-	tracer      atomic.Pointer[spantrace.Tracer]
-	submissions atomic.Int64
-	completed   atomic.Int64
-	cancelled   atomic.Int64
-	panicked    atomic.Int64
-
+	tracer *spantrace.Tracer
 	// Admission instruments (serving layer): windowed queue-wait
-	// latency plus global and per-tenant decision totals. Touched only
-	// when a serving frontend calls ObserveAdmission, so a plane bound
-	// to a bare executor snapshots exactly as before.
-	admitHist     *rollingHist
-	admitted      atomic.Int64
-	shed          atomic.Int64
-	admitRejected atomic.Int64
-	tenantMu      sync.Mutex
-	tenants       map[string]*tenantState
-
-	// bindMu guards the bound executors' engines: every open one the
+	// latency plus per-tenant decision totals, whose sums are the
+	// global totals. Touched only when a serving frontend calls
+	// ObserveAdmission, so a plane bound to a bare executor snapshots
+	// exactly as before.
+	admitHist *rollingHist
+	tenants   map[string]*TenantSnapshot
+	// sources are the bound executors' engines: every open one the
 	// plane observes, each a live queue-depth source with a worker
 	// count. Bind appends; Unbind replaces the slice.
-	bindMu  sync.Mutex
 	sources []Source
-
-	// gaugeMu guards the per-worker rate gauges and the counters and
-	// instant they were last refreshed from.
-	gaugeMu  sync.Mutex
-	gauges   []workerRates
-	prevBusy []int64
-	prevVict []int64
-	prevAt   time.Time
+	// rates are the per-worker rate gauges, refreshed from the totals
+	// in prev, taken at prevAt.
+	rates  []workerRates
+	prev   []workerTotals
+	prevAt time.Time
+	// free holds emptied per-worker record buffer sets, so later
+	// submissions append into grown slices.
+	free [][]workerBuf
 }
 
 // Source is one bound engine (core.Engine satisfies it): a live
@@ -168,31 +160,38 @@ type workerRates struct {
 	stealRate   float64
 }
 
+// workerTotals is one worker's monotonic totals.
+type workerTotals struct {
+	chunks, iters, affinityHits, stolenExec, victimized, busyNS int64
+}
+
 // New creates a plane.
 func New(opts Options) *Plane {
 	o := opts.withDefaults()
 	p := &Plane{
-		opts: o,
-		t0:   time.Now(),
-		rec:  newRecorder(o.FlightEvents),
+		opts:      o,
+		t0:        time.Now(),
+		rec:       newRecorder(o.FlightEvents),
+		chunkHist: newRollingHist(int64(o.Window), windowSlots, latencyBounds),
+		stealHist: newRollingHist(int64(o.Window), windowSlots, latencyBounds),
+		subHist:   newRollingHist(int64(o.Window), windowSlots, latencyBounds),
+		admitHist: newRollingHist(int64(o.Window), windowSlots, latencyBounds),
+		exemplars: newExemplarStore(int64(o.Window), latencyBounds),
+		tenants:   make(map[string]*TenantSnapshot),
 	}
 	p.prevAt = p.t0
-	p.col = newCollector(p.nowNS, o.Window)
-	p.subHist = newRollingHist(int64(o.Window), windowSlots, latencyBounds)
-	p.admitHist = newRollingHist(int64(o.Window), windowSlots, latencyBounds)
-	p.tenants = make(map[string]*tenantState)
-	p.exemplars = newExemplarStore(int64(o.Window), latencyBounds)
 	return p
 }
 
 // nowNS is the plane's monotonic clock (ns since New).
 func (p *Plane) nowNS() int64 { return int64(time.Since(p.t0)) }
 
-// Observer returns one submission's observer (core.Observer): the
-// collector's rolling instruments plus a fresh flight-recorder slot
-// that tags the submission's records for later rebasing.
-func (p *Plane) Observer() telemetry.Observer {
-	return &submissionObserver{col: p.col, rec: p.rec, sub: p.rec.subSeq.Add(1)}
+// Observer returns the observer (core.Observer) of one submission
+// running on procs workers: it buffers each worker's chunk records and
+// folds them into the plane's instruments and flight ring once per
+// phase, tagged with a fresh flight-recorder submission number.
+func (p *Plane) Observer(procs int) telemetry.Observer {
+	return &submissionObserver{plane: p, procs: max(procs, 1), sub: p.rec.subSeq.Add(1)}
 }
 
 // Recorder returns the plane's flight recorder.
@@ -203,33 +202,38 @@ func (p *Plane) Recorder() *Recorder { return p.rec }
 // them all: Snapshot sums each queue index across the sources, as the
 // per-worker counters already merge them by worker index.
 func (p *Plane) Bind(src Source) {
-	p.bindMu.Lock()
-	defer p.bindMu.Unlock()
-	for _, s := range p.sources {
-		if s == src {
-			return
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !slices.Contains(p.sources, src) {
+		p.sources = append(p.sources, src)
 	}
-	p.sources = append(p.sources, src)
 }
 
 // Unbind removes an engine from the plane's sources: its executor has
 // closed or detached the plane, so a plane outliving many executors
 // neither reads nor retains their engines.
 func (p *Plane) Unbind(src Source) {
-	p.bindMu.Lock()
-	defer p.bindMu.Unlock()
-	// A copy: queueDepths iterates the old slice outside the lock.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// A copy: Snapshot reads the old slice outside the lock.
 	p.sources = slices.DeleteFunc(slices.Clone(p.sources), func(s Source) bool { return s == src })
 }
 
 // SetTracer attaches a span tracer: exemplar trace IDs reference its
 // traces and the HTTP handler serves /trace and /traces from it. nil
 // detaches.
-func (p *Plane) SetTracer(t *spantrace.Tracer) { p.tracer.Store(t) }
+func (p *Plane) SetTracer(t *spantrace.Tracer) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tracer = t
+}
 
 // Tracer returns the attached span tracer, or nil.
-func (p *Plane) Tracer() *spantrace.Tracer { return p.tracer.Load() }
+func (p *Plane) Tracer() *spantrace.Tracer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tracer
+}
 
 // ObserveSubmission records one finished submission: its wall latency
 // and outcome. traceID, when non-zero, is the submission's span-trace
@@ -238,36 +242,41 @@ func (p *Plane) Tracer() *spantrace.Tracer { return p.tracer.Load() }
 // panic) snapshot the flight recorder so the last moments before the
 // anomaly stay recoverable; detail labels the snapshot.
 func (p *Plane) ObserveSubmission(d time.Duration, outcome Outcome, detail string, traceID uint64) {
-	p.submissions.Add(1)
+	p.mu.Lock()
 	now := p.nowNS()
+	p.counters.Submissions++
 	p.subHist.observe(now, float64(d))
-	p.exemplars.observe(now, float64(d), traceID, p.tracer.Load())
+	p.exemplars.observe(now, float64(d), traceID, p.tracer)
 	switch outcome {
 	case OutcomeCancelled:
-		p.cancelled.Add(1)
+		p.counters.Cancellations++
+	case OutcomePanicked:
+		p.counters.Panics++
+	default:
+		p.counters.Completed++
+	}
+	p.mu.Unlock()
+	switch outcome {
+	case OutcomeCancelled:
 		p.rec.NoteAnomaly("cancelled: " + detail)
 	case OutcomePanicked:
-		p.panicked.Add(1)
 		p.rec.NoteAnomaly("panic: " + detail)
-	default:
-		p.completed.Add(1)
 	}
 }
 
-// tenant fetches (or creates) a tenant's counter row. "" maps to the
-// default tenant so anonymous submissions still account somewhere.
-func (p *Plane) tenant(name string) *tenantState {
+// tenant fetches (or creates) a tenant's counter row; the caller holds
+// mu. "" maps to the default tenant so anonymous submissions still
+// account somewhere.
+func (p *Plane) tenant(name string) *TenantSnapshot {
 	if name == "" {
 		name = "default"
 	}
-	p.tenantMu.Lock()
-	defer p.tenantMu.Unlock()
-	ts := p.tenants[name]
-	if ts == nil {
-		ts = &tenantState{}
-		p.tenants[name] = ts
+	t := p.tenants[name]
+	if t == nil {
+		t = &TenantSnapshot{Tenant: name}
+		p.tenants[name] = t
 	}
-	return ts
+	return t
 }
 
 // ObserveAdmission records one serving-layer admission decision for
@@ -279,18 +288,17 @@ func (p *Plane) tenant(name string) *tenantState {
 // captures a diagnostic bundle rather than freezing the flight
 // recorder on every refusal.
 func (p *Plane) ObserveAdmission(tenantName string, wait time.Duration, outcome AdmitOutcome) {
-	ts := p.tenant(tenantName)
-	ts.submitted.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.tenant(tenantName)
+	t.Submitted++
 	switch outcome {
 	case AdmitShed:
-		p.shed.Add(1)
-		ts.shed.Add(1)
+		t.Shed++
 	case AdmitRejected:
-		p.admitRejected.Add(1)
-		ts.rejected.Add(1)
+		t.Rejected++
 	default:
-		p.admitted.Add(1)
-		ts.admitted.Add(1)
+		t.Admitted++
 		p.admitHist.observe(p.nowNS(), float64(wait))
 	}
 }
@@ -298,38 +306,101 @@ func (p *Plane) ObserveAdmission(tenantName string, wait time.Duration, outcome 
 // ObserveTenantCompletion credits tenant with one job that finished
 // executing (goodput, as opposed to merely being admitted).
 func (p *Plane) ObserveTenantCompletion(tenantName string) {
-	p.tenant(tenantName).completed.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tenant(tenantName).Completed++
 }
 
-// refreshGauges turns the collector's monotonic per-worker counters
-// into rate gauges (utilization = busy-ns/wall-ns, steal rate = chunks
-// stolen from the worker per second) over the time since the last
-// refresh, once at least sampleEvery has passed, and returns a copy of
-// the gauges.
-func (p *Plane) refreshGauges() []workerRates {
-	now := time.Now()
-	states := p.col.states()
-	p.gaugeMu.Lock()
-	defer p.gaugeMu.Unlock()
-	if wall := now.Sub(p.prevAt); wall >= sampleEvery {
-		if len(p.gauges) < len(states) {
-			p.gauges = append(p.gauges, make([]workerRates, len(states)-len(p.gauges))...)
-			p.prevBusy = append(p.prevBusy, make([]int64, len(states)-len(p.prevBusy))...)
-			p.prevVict = append(p.prevVict, make([]int64, len(states)-len(p.prevVict))...)
-		}
-		for w, ws := range states {
-			busy := ws.busyNS.Load()
-			vict := ws.victimized.Load()
-			p.gauges[w] = workerRates{
-				utilization: min(max(float64(busy-p.prevBusy[w])/float64(wall), 0), 1),
-				stealRate:   float64(vict-p.prevVict[w]) / wall.Seconds(),
+// fold adds one submission's buffered chunk records to the plane's
+// totals and histograms, all at one clock reading and under one lock,
+// then appends them and the mark m, if any, to the flight ring and
+// empties the buffers. A stolen chunk's record is also its steal's: it
+// counts the migrated iterations, charges the victim (Owner) and
+// observes the steal's latency (QueueWait). A hit is an un-stolen
+// chunk executed by its owning worker (central dispensers report owner
+// -1 and so never hit).
+func (p *Plane) fold(sub int64, bufs []workerBuf, m *telemetry.PhaseMark) {
+	now := p.nowNS()
+	p.mu.Lock()
+	for i := range bufs {
+		for j := range bufs[i].recs {
+			r := &bufs[i].recs[j]
+			if r.Proc < 0 {
+				continue
 			}
-			p.prevBusy[w] = busy
-			p.prevVict[w] = vict
+			if n := max(r.Proc, r.Owner) + 1; n > len(p.workers) {
+				p.workers = append(p.workers, make([]workerTotals, n-len(p.workers))...)
+			}
+			dur := r.End - r.Start
+			p.counters.Chunks++
+			p.chunkHist.observe(now, dur)
+			w := &p.workers[r.Proc]
+			w.chunks++
+			w.iters += int64(r.Iters())
+			w.busyNS += int64(dur)
+			switch {
+			case r.Stolen:
+				w.stolenExec++
+				p.counters.Steals++
+				p.counters.MigratedIters += int64(r.Iters())
+				p.stealHist.observe(now, r.QueueWait)
+				if r.Owner >= 0 {
+					p.workers[r.Owner].victimized++
+				}
+			case r.Owner == r.Proc:
+				w.affinityHits++
+			}
 		}
-		p.prevAt = now
 	}
-	return append([]workerRates(nil), p.gauges...)
+	p.mu.Unlock()
+	p.rec.add(sub, bufs, m)
+	for i := range bufs {
+		bufs[i].recs = bufs[i].recs[:0]
+	}
+}
+
+// takeBufs hands out a set of at least procs emptied worker buffers.
+func (p *Plane) takeBufs(procs int) []workerBuf {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var bufs []workerBuf
+	if n := len(p.free); n > 0 {
+		bufs, p.free = p.free[n-1], p.free[:n-1]
+	}
+	if len(bufs) < procs {
+		bufs = append(bufs, make([]workerBuf, procs-len(bufs))...)
+	}
+	return bufs
+}
+
+// putBufs takes back a set of emptied worker buffers.
+func (p *Plane) putBufs(bufs []workerBuf) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, bufs)
+}
+
+// refreshGauges turns the per-worker monotonic totals into rate gauges
+// (utilization = busy-ns/wall-ns, steal rate = chunks stolen from the
+// worker per second) over the time since the last refresh, once at
+// least sampleEvery has passed, and returns them. The caller holds mu;
+// the returned slice is replaced, never written, by later refreshes.
+func (p *Plane) refreshGauges(now time.Time) []workerRates {
+	if wall := now.Sub(p.prevAt); wall >= sampleEvery {
+		rates := make([]workerRates, len(p.workers))
+		for w, t := range p.workers {
+			var prev workerTotals
+			if w < len(p.prev) {
+				prev = p.prev[w]
+			}
+			rates[w] = workerRates{
+				utilization: min(max(float64(t.busyNS-prev.busyNS)/float64(wall), 0), 1),
+				stealRate:   float64(t.victimized-prev.victimized) / wall.Seconds(),
+			}
+		}
+		p.rates, p.prev, p.prevAt = rates, slices.Clone(p.workers), now
+	}
+	return p.rates
 }
 
 // Snapshot JSON shapes. All latencies are nanoseconds.
@@ -418,57 +489,49 @@ type Snapshot struct {
 	Admission *AdmissionSnapshot `json:"admission,omitempty"`
 }
 
-func (p *Plane) quantiles(h *rollingHist) Quantiles {
-	now := p.nowNS()
+func quantiles(h *rollingHist, now int64) Quantiles {
 	qs := h.quantiles(now, 0.50, 0.90, 0.99)
 	return Quantiles{Count: h.count(now), P50: qs[0], P90: qs[1], P99: qs[2]}
 }
 
 // Snapshot assembles the full live view. Safe to call concurrently
-// with execution from any goroutine.
+// with execution from any goroutine. The chunk series lag the running
+// submissions by at most one phase, or one worker buffer of records.
 func (p *Plane) Snapshot() Snapshot {
+	p.mu.Lock()
+	at := time.Now()
+	now := int64(at.Sub(p.t0))
 	s := Snapshot{
-		UptimeSeconds: float64(p.nowNS()) / 1e9,
-		WindowSeconds: p.opts.Window.Seconds(),
-		Counters: Counters{
-			Submissions:   p.submissions.Load(),
-			Completed:     p.completed.Load(),
-			Cancellations: p.cancelled.Load(),
-			Panics:        p.panicked.Load(),
-			Chunks:        p.col.chunks.Load(),
-			Steals:        p.col.steals.Load(),
-			MigratedIters: p.col.migrated.Load(),
-		},
-		Submission: p.quantiles(p.subHist),
-		Chunk:      p.quantiles(p.col.chunkHist),
-		Steal:      p.quantiles(p.col.stealHist),
+		UptimeSeconds:       float64(now) / 1e9,
+		WindowSeconds:       p.opts.Window.Seconds(),
+		Counters:            p.counters,
+		Submission:          quantiles(p.subHist, now),
+		Chunk:               quantiles(p.chunkHist, now),
+		Steal:               quantiles(p.stealHist, now),
+		SubmissionExemplars: p.exemplars.snapshot(now),
+		Admission:           p.admissionSnapshot(now),
 	}
+	totals := slices.Clone(p.workers)
+	rates := p.refreshGauges(at)
+	srcs := p.sources
+	p.mu.Unlock()
 	s.FlightDroppedEvents, s.FlightDroppedProv = p.rec.Dropped()
-	s.SubmissionExemplars = p.exemplars.snapshot(p.nowNS())
-	s.Admission = p.admissionSnapshot()
+	s.QueueDepths = queueDepths(srcs)
 
-	s.QueueDepths = p.queueDepths()
-
-	states := p.col.states()
-	rows := max(len(states), p.Procs())
-	gauges := p.refreshGauges()
-	s.Workers = make([]WorkerSnapshot, rows)
+	s.Workers = make([]WorkerSnapshot, max(len(totals), procsOf(srcs)))
 	for w := range s.Workers {
 		ws := WorkerSnapshot{Worker: w}
-		if w < len(states) {
-			st := states[w]
-			ws.Chunks = st.chunks.Load()
-			ws.Iters = st.iters.Load()
-			ws.AffinityHits = st.affinityHits.Load()
-			ws.StolenExec = st.stolenExec.Load()
-			ws.Victimized = st.victimized.Load()
+		if w < len(totals) {
+			t := totals[w]
+			ws.Chunks, ws.Iters, ws.AffinityHits = t.chunks, t.iters, t.affinityHits
+			ws.StolenExec, ws.Victimized = t.stolenExec, t.victimized
 			if ws.Chunks > 0 {
 				ws.AffinityHitRatio = float64(ws.AffinityHits) / float64(ws.Chunks)
 			}
 		}
-		if w < len(gauges) {
-			ws.Utilization = gauges[w].utilization
-			ws.StealRate = gauges[w].stealRate
+		if w < len(rates) {
+			ws.Utilization = rates[w].utilization
+			ws.StealRate = rates[w].stealRate
 		}
 		if w < len(s.QueueDepths) {
 			ws.QueueDepth = s.QueueDepths[w]
@@ -479,48 +542,25 @@ func (p *Plane) Snapshot() Snapshot {
 }
 
 // admissionSnapshot assembles the Admission block, or nil when no
-// admission decision has ever been reported.
-func (p *Plane) admissionSnapshot() *AdmissionSnapshot {
-	p.tenantMu.Lock()
-	names := make([]string, 0, len(p.tenants))
-	for name := range p.tenants {
-		names = append(names, name)
-	}
-	rows := make(map[string]*tenantState, len(p.tenants))
-	for name, ts := range p.tenants {
-		rows[name] = ts
-	}
-	p.tenantMu.Unlock()
-	if len(names) == 0 {
+// admission decision has ever been reported. The caller holds mu.
+func (p *Plane) admissionSnapshot(now int64) *AdmissionSnapshot {
+	if len(p.tenants) == 0 {
 		return nil
 	}
-	sort.Strings(names)
-	a := &AdmissionSnapshot{
-		Admitted: p.admitted.Load(),
-		Shed:     p.shed.Load(),
-		Rejected: p.admitRejected.Load(),
-		Wait:     p.quantiles(p.admitHist),
+	a := &AdmissionSnapshot{Wait: quantiles(p.admitHist, now)}
+	for _, t := range p.tenants {
+		a.Admitted += t.Admitted
+		a.Shed += t.Shed
+		a.Rejected += t.Rejected
+		a.Tenants = append(a.Tenants, *t)
 	}
-	for _, name := range names {
-		ts := rows[name]
-		a.Tenants = append(a.Tenants, TenantSnapshot{
-			Tenant:    name,
-			Submitted: ts.submitted.Load(),
-			Admitted:  ts.admitted.Load(),
-			Shed:      ts.shed.Load(),
-			Rejected:  ts.rejected.Load(),
-			Completed: ts.completed.Load(),
-		})
-	}
+	slices.SortFunc(a.Tenants, func(x, y TenantSnapshot) int { return strings.Compare(x.Tenant, y.Tenant) })
 	return a
 }
 
 // queueDepths reads every bound engine's queue depths, summed by queue
 // index.
-func (p *Plane) queueDepths() (depths []int) {
-	p.bindMu.Lock()
-	srcs := p.sources
-	p.bindMu.Unlock()
+func queueDepths(srcs []Source) (depths []int) {
 	for _, src := range srcs {
 		d := src.QueueDepths()
 		for len(depths) < len(d) {
@@ -533,127 +573,20 @@ func (p *Plane) queueDepths() (depths []int) {
 	return depths
 }
 
-// Procs reports the largest worker count among the bound engines (0
-// before Bind).
-func (p *Plane) Procs() int {
-	p.bindMu.Lock()
-	defer p.bindMu.Unlock()
+// procsOf is the largest worker count among srcs.
+func procsOf(srcs []Source) int {
 	procs := 0
-	for _, src := range p.sources {
+	for _, src := range srcs {
 		procs = max(procs, src.Procs())
 	}
 	return procs
 }
 
-// Collector is the hot-path sink for chunk records (a stolen chunk's
-// is also its steal's), fed by each submission's observer
-// (Plane.Observer). A record costs a handful of atomic adds plus one
-// binary search per histogram — safe and cheap from all workers
-// concurrently.
-type Collector struct {
-	now       func() int64
-	chunks    atomic.Int64
-	steals    atomic.Int64
-	migrated  atomic.Int64
-	chunkHist *rollingHist
-	stealHist *rollingHist
-
-	// workers grows lazily as higher worker indices appear; the slice
-	// of pointers is swapped atomically so readers never lock.
-	workers atomic.Pointer[[]*workerState]
-	growMu  sync.Mutex
-}
-
-// workerState is one worker's monotonic totals, padded so neighbouring
-// workers don't share a cache line.
-type workerState struct {
-	chunks       atomic.Int64
-	iters        atomic.Int64
-	affinityHits atomic.Int64
-	stolenExec   atomic.Int64
-	victimized   atomic.Int64
-	busyNS       atomic.Int64
-	_            [2]uint64
-}
-
-func newCollector(now func() int64, window time.Duration) *Collector {
-	return &Collector{
-		now:       now,
-		chunkHist: newRollingHist(int64(window), windowSlots, latencyBounds),
-		stealHist: newRollingHist(int64(window), windowSlots, latencyBounds),
-	}
-}
-
-// states returns the current worker slice (nil-free, read-only by
-// convention).
-func (c *Collector) states() []*workerState {
-	if p := c.workers.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (c *Collector) worker(w int) *workerState {
-	if p := c.workers.Load(); p != nil && w < len(*p) {
-		return (*p)[w]
-	}
-	return c.grow(w)
-}
-
-func (c *Collector) grow(w int) *workerState {
-	c.growMu.Lock()
-	defer c.growMu.Unlock()
-	var old []*workerState
-	if p := c.workers.Load(); p != nil {
-		old = *p
-	}
-	if w < len(old) {
-		return old[w]
-	}
-	// Size exactly to the highest index seen: every slot becomes a
-	// worker row in Snapshot (and a per-worker series in /metrics.prom),
-	// so over-allocating — e.g. doubling — invents phantom zero workers
-	// whenever indices arrive out of order. Growth is bounded by the
-	// executor's worker count, so the amortization doubling would buy is
-	// irrelevant here.
-	n := w + 1
-	next := make([]*workerState, n)
-	copy(next, old)
-	for i := len(old); i < n; i++ {
-		next[i] = &workerState{}
-	}
-	c.workers.Store(&next)
-	return next[w]
-}
-
-// chunk records one executed chunk: totals, the windowed
-// chunk-latency histogram, and the affinity-hit account — a hit is an
-// un-stolen chunk executed by its owning worker (central dispensers
-// report owner -1 and so never hit). A stolen chunk also counts its
-// steal: the migrated iterations, the victim (Owner) and the steal's
-// latency (QueueWait).
-func (c *Collector) chunk(p telemetry.Prov) {
-	if p.Proc < 0 {
-		return
-	}
-	now := c.now()
-	durNS := p.End - p.Start
-	c.chunks.Add(1)
-	c.chunkHist.observe(now, durNS)
-	ws := c.worker(p.Proc)
-	ws.chunks.Add(1)
-	ws.iters.Add(int64(p.Iters()))
-	ws.busyNS.Add(int64(durNS))
-	switch {
-	case p.Stolen:
-		ws.stolenExec.Add(1)
-		c.steals.Add(1)
-		c.migrated.Add(int64(p.Iters()))
-		c.stealHist.observe(now, p.QueueWait)
-		if p.Owner >= 0 {
-			c.worker(p.Owner).victimized.Add(1)
-		}
-	case p.Owner == p.Proc:
-		ws.affinityHits.Add(1)
-	}
+// Procs reports the largest worker count among the bound engines (0
+// before Bind).
+func (p *Plane) Procs() int {
+	p.mu.Lock()
+	srcs := p.sources
+	p.mu.Unlock()
+	return procsOf(srcs)
 }

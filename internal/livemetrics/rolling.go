@@ -1,24 +1,17 @@
 package livemetrics
 
-import (
-	"runtime"
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
-// rollingHist is a lock-free windowed latency histogram: a ring of
-// time slots, each holding exponential bucket counters. Observations
-// land in the slot owning the current instant; quantile queries merge
-// the slots still inside the window, so estimates always describe the
-// last Window of activity and old load drops out slot by slot.
-// Rotation is cooperative — the first observer to touch an expired
-// slot CAS-claims it, zeroes the counters and only then publishes the
-// slot's new epoch; observers that find the slot mid-rotation yield
-// until it is published, so an add is zeroed away only by the slot's
-// next rotation, a whole window later, and no reader merges a
-// half-zeroed slot. There is no background
-// goroutine and no lock. A slot only ever rolls forward: an observer
-// whose instant predates the slot's epoch adds into the newer slot.
+// rollingHist is a windowed latency histogram: a ring of time slots,
+// each holding exponential bucket counters. Observations land in the
+// slot owning the current instant; quantile queries merge the slots
+// still inside the window, so estimates always describe the last
+// Window of activity and old load drops out slot by slot, with no
+// background goroutine. The first observation to reach an expired
+// slot zeroes it for its new epoch. A slot only ever rolls forward: an
+// observation whose instant predates the slot's epoch adds into the
+// newer slot. Not safe for concurrent use: the plane's mutex guards
+// every histogram.
 type rollingHist struct {
 	slotNS int64     // nanoseconds covered by one slot
 	bounds []float64 // bucket upper bounds, ascending
@@ -27,14 +20,11 @@ type rollingHist struct {
 
 type histSlot struct {
 	// epoch is the absolute slot index (now/slotNS) the counts belong
-	// to; a mismatch with the current index means the slot is stale.
-	epoch  atomic.Int64
-	counts []atomic.Int64 // len(bounds)+1; the last bucket is overflow
+	// to (-1: never used); a mismatch with the current index means the
+	// slot is stale.
+	epoch  int64
+	counts []int64 // len(bounds)+1; the last bucket is overflow
 }
-
-// rotating marks a slot whose counts are being zeroed for a new epoch
-// (real epochs are ≥ 0; -1 is a slot never used).
-const rotating = -2
 
 // newRollingHist divides a window of windowNS into slots ring slots
 // over the given bucket bounds.
@@ -48,8 +38,7 @@ func newRollingHist(windowNS int64, slots int, bounds []float64) *rollingHist {
 	}
 	h := &rollingHist{slotNS: slotNS, bounds: bounds, slots: make([]histSlot, slots)}
 	for i := range h.slots {
-		h.slots[i].epoch.Store(-1)
-		h.slots[i].counts = make([]atomic.Int64, len(bounds)+1)
+		h.slots[i] = histSlot{epoch: -1, counts: make([]int64, len(bounds)+1)}
 	}
 	return h
 }
@@ -58,20 +47,11 @@ func newRollingHist(windowNS int64, slots int, bounds []float64) *rollingHist {
 func (h *rollingHist) observe(nowNS int64, v float64) {
 	idx := nowNS / h.slotNS
 	s := &h.slots[int(idx%int64(len(h.slots)))]
-	for {
-		switch e := s.epoch.Load(); {
-		case e >= idx:
-			s.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
-			return
-		case e == rotating:
-			runtime.Gosched()
-		case s.epoch.CompareAndSwap(e, rotating):
-			for i := range s.counts {
-				s.counts[i].Store(0)
-			}
-			s.epoch.Store(idx)
-		}
+	if s.epoch < idx {
+		clear(s.counts)
+		s.epoch = idx
 	}
+	s.counts[sort.SearchFloat64s(h.bounds, v)]++
 }
 
 // merged sums the bucket counts of every slot still inside the window
@@ -82,9 +62,8 @@ func (h *rollingHist) merged(nowNS int64) ([]int64, int64) {
 	var total int64
 	for i := range h.slots {
 		s := &h.slots[i]
-		if e := s.epoch.Load(); e >= 0 && e > cur-int64(len(h.slots)) && e <= cur {
-			for b := range counts {
-				c := s.counts[b].Load()
+		if e := s.epoch; e >= 0 && e > cur-int64(len(h.slots)) && e <= cur {
+			for b, c := range s.counts {
 				counts[b] += c
 				total += c
 			}

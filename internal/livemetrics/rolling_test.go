@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -119,16 +120,20 @@ func TestRollingOverflowClamp(t *testing.T) {
 	}
 }
 
-// TestRollingConcurrentRotationKeepsEveryAdd: many goroutines observe
-// at once into a slot that has to roll to a new epoch first. Whichever
-// of them rotates it, every add must survive the zeroing.
+// TestRollingConcurrentRotationKeepsEveryAdd: many goroutines report
+// submissions and admissions at once into histogram slots that have to
+// roll to a new epoch first. Whichever of them rotates a slot, every
+// add must survive the zeroing, in the histograms and the counters.
 func TestRollingConcurrentRotationKeepsEveryAdd(t *testing.T) {
 	const trials, goroutines, adds = 200, 8, 64
-	bounds := telemetry.ExpBuckets(1, 1.5, 64)
+	const want = goroutines * adds
 	for trial := 0; trial < trials; trial++ {
-		h := newRollingHist(int64(1e9), 10, bounds)
-		h.observe(0, 1) // slot 0 holds epoch 0; the adds below roll it to epoch 10
-		now := int64(1e9)
+		p := New(Options{Window: 10 * time.Second})
+		// Slot 0 holds epoch 0; moving the plane's start a whole window
+		// back makes the adds below land at epoch 10 in the same slot.
+		p.subHist.observe(0, 1)
+		p.admitHist.observe(0, 1)
+		p.t0 = p.t0.Add(-10 * time.Second)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -137,14 +142,19 @@ func TestRollingConcurrentRotationKeepsEveryAdd(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < adds; i++ {
-					h.observe(now, 1000)
+					p.ObserveSubmission(time.Microsecond, OutcomeOK, "", 0)
+					p.ObserveAdmission("t", time.Microsecond, AdmitAdmitted)
 				}
 			}()
 		}
 		close(start)
 		wg.Wait()
-		if got := h.count(now); got != goroutines*adds {
-			t.Fatalf("trial %d: count = %d, want %d", trial, got, goroutines*adds)
+		s := p.Snapshot()
+		if s.Submission.Count != want || s.Counters.Submissions != want {
+			t.Fatalf("trial %d: submission count %d, counter %d, want %d", trial, s.Submission.Count, s.Counters.Submissions, want)
+		}
+		if s.Admission.Wait.Count != want || s.Admission.Admitted != want {
+			t.Fatalf("trial %d: admission wait count %d, admitted %d, want %d", trial, s.Admission.Wait.Count, s.Admission.Admitted, want)
 		}
 	}
 }

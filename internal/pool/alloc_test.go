@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/livemetrics"
 	"repro/internal/sched"
 	"repro/internal/spantrace"
 )
@@ -47,5 +48,41 @@ func TestTracedSubmissionAllocs(t *testing.T) {
 	}
 	if tr := tracer.Traces()[0]; tr.Chunks() != n || tr.Dropped != 0 {
 		t.Errorf("the last trace holds %d chunk spans and %d drops, want %d and 0", tr.Chunks(), tr.Dropped, n)
+	}
+}
+
+// TestPlaneSubmissionAllocs holds a warm submission with only a live
+// plane attached to one allocation over the same submission bare: the
+// submission's observer. Its per-worker record buffers come back to the
+// plane at each barrier and serve the next submission, and a worker
+// that fills its buffer mid-phase folds it in place, so neither the
+// self-scheduled loop's thousands of chunks nor its early folds
+// allocate.
+func TestPlaneSubmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const procs, n, budget = 4, 4096, 1
+	x := newExec(t, procs)
+	spec, err := sched.ByName("ss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Spec: spec}
+	run := func() {
+		if _, err := x.Submit(context.Background(), cfg, n, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	bare := testing.AllocsPerRun(10, run)
+	x.SetObservability(livemetrics.New(livemetrics.Options{}))
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	observed := testing.AllocsPerRun(10, run)
+	t.Logf("allocations per submission: %v bare, %v with a plane", bare, observed)
+	if observed-bare > budget {
+		t.Errorf("a warm submission with a plane allocates %v more than a bare one, budget %d", observed-bare, budget)
 	}
 }

@@ -130,7 +130,7 @@ func Observed(cfg core.Config, plane *livemetrics.Plane, tracer *spantrace.Trace
 	exec func(core.Config) (core.Result, error)) (core.Result, error) {
 	var planeObs, spanObs core.Observer
 	if plane != nil {
-		planeObs = plane.Observer()
+		planeObs = plane.Observer(procs)
 	}
 	var at *spantrace.Active
 	if tracer != nil {

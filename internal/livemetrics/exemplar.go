@@ -26,9 +26,9 @@ const exemplarsPerBucket = 2
 
 // exemplarStore retains the slowest traced submissions per histogram
 // bucket within the rolling window. It is fed once per submission,
-// under the plane's mutex, which guards it. A bucket drops its expired exemplars (and their
-// pins) at its next observation, so at most exemplarsPerBucket traces
-// per bucket stay pinned.
+// under the plane's mutex, which guards it. A bucket drops its expired
+// exemplars (and their pins) at its next observation, so at most
+// exemplarsPerBucket traces per bucket stay pinned.
 type exemplarStore struct {
 	windowNS int64
 	bounds   []float64
